@@ -3,12 +3,15 @@ r"""Command-line front end: solve, sweep, locate and characterize the transition
 Commands map one-to-one onto library operations and emit plot-ready CSV for
 tables or JSON for scalar records.  Output is deterministic: no timestamps,
 fixed column order, repeatable float formatting; files are written
-atomically (temp file + rename).  Energies are reported in units of
-``delta`` and frequencies in units of ``omega_c`` unless ``--raw-units`` is
-given.
+atomically (temp file + rename).  Stdout carries only that payload; the
+one-line summary of each command goes to stderr.  Energies are reported in
+units of ``delta`` and frequencies in units of ``omega_c`` unless
+``--raw-units`` is given.
 
 Exit codes: 0 success, 2 domain error, 3 numerical non-convergence,
-64 usage error.
+64 usage error.  A ``sweep`` or ``phase-diagram`` row that fails is written
+with its error class in the ``status`` column, and the command exits with
+the code of its first failed row.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import sys
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -31,8 +34,6 @@ from .model import ModelParams
 from .variational import minimize_energy
 
 _SCHEMA_VERSION = "1"
-
-_COMMANDS = ("solve", "sweep", "critical", "phase-diagram", "chain", "oracle", "exponents")
 
 _CONFIG_KEYS = {
     "s": float,
@@ -53,7 +54,6 @@ _CONFIG_KEYS = {
     "points_per_side": int,
     "output": str,
     "format": str,
-    "threads": int,
     "raw_units": bool,
 }
 
@@ -65,13 +65,17 @@ class RunConfig:
     command: str
     options: dict = field(default_factory=dict)
 
-    def params(self) -> ModelParams:
-        missing = [k for k in ("s", "delta", "omega_c") if self.options.get(k) is None]
+    def params(self, with_alpha: bool = True) -> ModelParams:
+        """Model parameters from the options.  ``alpha`` is required unless
+        ``with_alpha`` is False, for commands that choose the couplings
+        themselves; it is then 0."""
+        required = ("s", "alpha", "delta", "omega_c") if with_alpha else ("s", "delta", "omega_c")
+        missing = [k for k in required if self.options.get(k) is None]
         if missing:
             raise DomainError(f"missing required parameter(s): {', '.join(missing)}")
         return ModelParams(
             s=self.options["s"],
-            alpha=self.options.get("alpha") or 0.0,
+            alpha=self.options["alpha"] if with_alpha else 0.0,
             delta=self.options["delta"],
             omega_c=self.options["omega_c"],
         )
@@ -187,6 +191,15 @@ def _emit(text: str, output: str | None) -> None:
         sys.stdout.write(text)
 
 
+class _Output(NamedTuple):
+    """What a command produced: the payload for stdout or ``--output``, a
+    one-line summary for stderr, and the first per-row failure, if any."""
+
+    text: str
+    summary: str
+    failure: Exception | None = None
+
+
 def _csv_text(table_name: str, header: Sequence[str], rows) -> str:
     lines = [f"# subohmic {__version__} {table_name} schema_version={_SCHEMA_VERSION}"]
     lines.append(",".join(header))
@@ -205,7 +218,7 @@ def _json_text(record: dict) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_solve(cfg: RunConfig) -> str:
+def _cmd_solve(cfg: RunConfig) -> _Output:
     p = cfg.params()
     raw = cfg.options.get("raw_units", False)
     functional = cfg.options.get("functional") or "exact"
@@ -226,41 +239,39 @@ def _cmd_solve(cfg: RunConfig) -> str:
         "occupation_finite": sol.occupation_finite,
         "theory_valid": p.theory_valid,
     }
-    _emit(_json_text(record), cfg.options.get("output"))
-    print(f"solve: M={_format_float(sol.sz)} energy/delta={_format_float(sol.energy / p.delta)} "
-          f"sx={_format_float(sol.sx)}")
-    return "ok"
+    return _Output(_json_text(record),
+                   f"solve: M={_format_float(sol.sz)} energy/delta="
+                   f"{_format_float(sol.energy / p.delta)} sx={_format_float(sol.sx)}")
 
 
-def _cmd_sweep(cfg: RunConfig) -> str:
+def _cmd_sweep(cfg: RunConfig) -> _Output:
     from .critical import sweep_alpha
 
-    p = cfg.params()
+    p = cfg.params(with_alpha=False)
     grid_spec = cfg.options.get("alpha_grid")
     if not grid_spec:
         raise DomainError("sweep: --alpha-grid lo:hi:n is required")
     alphas = _parse_grid(grid_spec)
-    threads = cfg.options.get("threads") or 1
     functional = cfg.options.get("functional") or "exact"
     raw = cfg.options.get("raw_units", False)
     e_unit = 1.0 if raw else p.delta
-    table = sweep_alpha(p.s, p.delta, p.omega_c, alphas,
-                        functional=functional, threads=threads)
+    table = sweep_alpha(p.s, p.delta, p.omega_c, alphas, functional=functional)
     rows = [
-        (float(a), float(m), float(sx), float(ent), float(e / e_unit), float(c1 / e_unit))
-        for a, m, sx, ent, e, c1 in table.rows()
+        (float(a), float(m), float(sx), float(ent), float(e / e_unit), float(c1 / e_unit),
+         status)
+        for (a, m, sx, ent, e, c1), status in zip(table.rows(), table.status)
     ]
-    _emit(_csv_text("sweep", ["alpha", "M", "sx", "entanglement", "energy", "c1"], rows),
-          cfg.options.get("output"))
     n_loc = int(np.sum(table.m > 1e-6))
-    print(f"sweep: {len(rows)} rows, {n_loc} localized, {len(table.failures)} failures")
-    return "ok"
+    return _Output(
+        _csv_text("sweep", ["alpha", "M", "sx", "entanglement", "energy", "c1", "status"], rows),
+        f"sweep: {len(rows)} rows, {n_loc} localized, {len(table.failures)} failures",
+        table.failures[0][1] if table.failures else None)
 
 
-def _cmd_critical(cfg: RunConfig) -> str:
+def _cmd_critical(cfg: RunConfig) -> _Output:
     from .critical import critical_point
 
-    p = cfg.params()
+    p = cfg.params(with_alpha=False)
     functional = cfg.options.get("functional") or "exact"
     cp = critical_point(p.s, p.delta, p.omega_c, functional=functional)
     record = {
@@ -273,14 +284,13 @@ def _cmd_critical(cfg: RunConfig) -> str:
         "delta_tilde_c": cp.delta_tilde_c / (1.0 if cfg.options.get("raw_units") else cp.delta),
         "sx_c": cp.sx_c,
     }
-    _emit(_json_text(record), cfg.options.get("output"))
-    print(f"critical: alpha_c_numeric={_format_float(cp.alpha_c_numeric)} "
-          f"alpha_c_closed={_format_float(cp.alpha_c_closed)} "
-          f"ratio={_format_float(cp.ratio)}")
-    return "ok"
+    return _Output(_json_text(record),
+                   f"critical: alpha_c_numeric={_format_float(cp.alpha_c_numeric)} "
+                   f"alpha_c_closed={_format_float(cp.alpha_c_closed)} "
+                   f"ratio={_format_float(cp.ratio)}")
 
 
-def _cmd_phase_diagram(cfg: RunConfig) -> str:
+def _cmd_phase_diagram(cfg: RunConfig) -> _Output:
     from .critical import phase_diagram
 
     s_spec = cfg.options.get("s_grid")
@@ -292,18 +302,18 @@ def _cmd_phase_diagram(cfg: RunConfig) -> str:
     rows = phase_diagram(_parse_grid(s_spec), delta, _parse_list(wc_spec),
                          functional=functional)
     csv_rows = [
-        (r["s"], r["omega_c"], r["alpha_c_numeric"], r["alpha_c_closed"])
+        (r["s"], r["omega_c"], r["alpha_c_numeric"], r["alpha_c_closed"], r["status"])
         for r in rows
     ]
-    _emit(_csv_text("phase-diagram",
-                    ["s", "omega_c", "alpha_c_numeric", "alpha_c_closed"], csv_rows),
-          cfg.options.get("output"))
-    n_bad = sum(1 for r in rows if r["error"])
-    print(f"phase-diagram: {len(rows)} points, {n_bad} failures")
-    return "ok"
+    errors = [r["error"] for r in rows if r["error"] is not None]
+    return _Output(
+        _csv_text("phase-diagram", ["s", "omega_c", "alpha_c_numeric", "alpha_c_closed", "status"],
+                  csv_rows),
+        f"phase-diagram: {len(rows)} points, {len(errors)} failures",
+        errors[0] if errors else None)
 
 
-def _cmd_chain(cfg: RunConfig) -> str:
+def _cmd_chain(cfg: RunConfig) -> _Output:
     from .chain import chain_map, chain_occupations, displaced_frame
 
     p = cfg.params()
@@ -322,22 +332,19 @@ def _cmd_chain(cfg: RunConfig) -> str:
             raise DomainError(f"chain: unknown frame {frame_kind!r}")
         profile = chain_occupations(sol.state, p, rep, frame=frame)
         rows = [(n, float(x)) for n, x in enumerate(profile.n_av)]
-        _emit(_csv_text(f"chain-occupations frame={profile.frame}",
-                        ["n", "n_av"], rows), cfg.options.get("output"))
-        print(f"chain: M={_format_float(sol.sz)} frame={profile.frame} "
-              f"total={_format_float(float(np.sum(profile.n_av)))}")
-    else:
-        rows = []
-        for n in range(rep.n_sites):
-            hop = rep.hoppings[n] / w_unit if n < rep.n_sites - 1 else math.nan
-            rows.append((n, float(rep.site_energies[n] / w_unit), float(hop)))
-        _emit(_csv_text("chain-coefficients", ["n", "eps_n", "t_n"], rows),
-              cfg.options.get("output"))
-        print(f"chain: {rep.n_sites} sites, t_minus1={_format_float(rep.system_coupling / w_unit)}")
-    return "ok"
+        return _Output(_csv_text(f"chain-occupations frame={profile.frame}", ["n", "n_av"], rows),
+                       f"chain: M={_format_float(sol.sz)} frame={profile.frame} "
+                       f"total={_format_float(float(np.sum(profile.n_av)))}")
+    rows = []
+    for n in range(rep.n_sites):
+        hop = rep.hoppings[n] / w_unit if n < rep.n_sites - 1 else math.nan
+        rows.append((n, float(rep.site_energies[n] / w_unit), float(hop)))
+    return _Output(_csv_text("chain-coefficients", ["n", "eps_n", "t_n"], rows),
+                   f"chain: {rep.n_sites} sites, "
+                   f"t_minus1={_format_float(rep.system_coupling / w_unit)}")
 
 
-def _cmd_oracle(cfg: RunConfig) -> str:
+def _cmd_oracle(cfg: RunConfig) -> _Output:
     from .oracle import OracleConfig, run_oracle
 
     p = cfg.params()
@@ -358,16 +365,15 @@ def _cmd_oracle(cfg: RunConfig) -> str:
         "truncation_loss": result.truncation_loss,
         "converged_nb": result.converged_nb,
     }
-    _emit(_json_text(record), cfg.options.get("output"))
-    print(f"oracle: F={_format_float(result.fidelity)} "
-          f"E_exact/delta={_format_float(result.energy_exact / p.delta)}")
-    return "ok"
+    return _Output(_json_text(record),
+                   f"oracle: F={_format_float(result.fidelity)} "
+                   f"E_exact/delta={_format_float(result.energy_exact / p.delta)}")
 
 
-def _cmd_exponents(cfg: RunConfig) -> str:
+def _cmd_exponents(cfg: RunConfig) -> _Output:
     from .critical import critical_coupling_numeric, extract_exponents, sweep_alpha
 
-    p = cfg.params()
+    p = cfg.params(with_alpha=False)
     if not p.theory_valid:
         raise DomainError("exponents: mean-field exponents require s < 0.5")
     window_spec = cfg.options.get("window") or "1e-4:1e-2"
@@ -381,8 +387,7 @@ def _cmd_exponents(cfg: RunConfig) -> str:
     alpha_c = critical_coupling_numeric(p.s, p.delta, p.omega_c, functional)
     red = np.geomspace(window[0], window[1], int(n_side))
     alphas = np.sort(np.concatenate([alpha_c * (1 - red), alpha_c * (1 + red)]))
-    table = sweep_alpha(p.s, p.delta, p.omega_c, alphas, functional=functional,
-                        threads=cfg.options.get("threads") or 1)
+    table = sweep_alpha(p.s, p.delta, p.omega_c, alphas, functional=functional)
     beta, gamma = extract_exponents(table, alpha_c, window=window)
     record = {
         "command": "exponents",
@@ -395,9 +400,8 @@ def _cmd_exponents(cfg: RunConfig) -> str:
         "gamma": gamma.exponent, "gamma_prefactor": gamma.prefactor,
         "gamma_residual": gamma.residual,
     }
-    _emit(_json_text(record), cfg.options.get("output"))
-    print(f"exponents: beta={_format_float(beta.exponent)} gamma={_format_float(gamma.exponent)}")
-    return "ok"
+    return _Output(_json_text(record), f"exponents: beta={_format_float(beta.exponent)} "
+                                        f"gamma={_format_float(gamma.exponent)}")
 
 
 _HANDLERS = {
@@ -429,7 +433,11 @@ def run(cfg: RunConfig) -> int:
         if wanted and wanted != _CANONICAL_FORMAT[cfg.command]:
             raise DomainError(
                 f"{cfg.command} emits {_CANONICAL_FORMAT[cfg.command]}, not {wanted}")
-        _HANDLERS[cfg.command](cfg)
+        out = _HANDLERS[cfg.command](cfg)
+        _emit(out.text, cfg.options.get("output"))
+        print(out.summary, file=sys.stderr)
+        if out.failure is not None:
+            raise out.failure
         return 0
     except DomainError as exc:
         print(f"subohmic {cfg.command}: domain error: {exc}", file=sys.stderr)
@@ -456,8 +464,6 @@ def _build_parser() -> _Parser:
         sp.add_argument("--output", type=str, default=None)
         sp.add_argument("--format", type=str, choices=("csv", "json"), default=None)
         sp.add_argument("--raw-units", dest="raw_units", action="store_true", default=None)
-        sp.add_argument("--threads", type=int, default=None,
-                        help="row parallelism cap (default SUBOHMIC_THREADS or 1)")
 
     sp = sub.add_parser("solve", help="ground state at one coupling")
     add_common(sp)
@@ -517,13 +523,6 @@ def parse_args(argv: Sequence[str] | None = None) -> RunConfig:
             continue
         if value is not None:
             options[key] = value
-    if options.get("threads") is None:
-        env = os.environ.get("SUBOHMIC_THREADS")
-        if env:
-            try:
-                options["threads"] = int(env)
-            except ValueError as exc:
-                raise DomainError(f"bad SUBOHMIC_THREADS value {env!r}") from exc
     return RunConfig(command=ns.command, options=options)
 
 

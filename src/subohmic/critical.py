@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError
+from .errors import BracketError, ConvergenceError, DomainError
 from .model import ModelParams
 from .numerics import FitResult, find_root, fit_power_law
 from .variational import (
@@ -31,7 +31,8 @@ from .variational import (
     solve_delta_tilde_exact,
 )
 
-_ALPHA_C_RTOL = 1e-8
+_ALPHA_C_RTOL = 1e-10  # keeps alpha_c stable to 1e-8 when c1 changes in its last bits
+_ROW_ERRORS = (DomainError, ConvergenceError, BracketError)  # recorded per row
 _FIT_WINDOW = (1e-4, 1e-2)  # reduced-coupling window for exponent fits
 
 
@@ -54,7 +55,11 @@ class CriticalPoint:
 
 @dataclass
 class SweepTable:
-    """Row-per-coupling solver output behind magnetization/coherence plots."""
+    """Row-per-coupling solver output behind magnetization/coherence plots.
+
+    ``status[i]`` is ``"ok"`` or the class name of the error that row
+    raised; ``failures`` holds ``(index, exception)`` for each failed row.
+    """
 
     alphas: np.ndarray
     m: np.ndarray
@@ -66,6 +71,7 @@ class SweepTable:
     delta: float
     omega_c: float
     functional: str = "exact"
+    status: list = field(default_factory=list)
     failures: list = field(default_factory=list)
 
     def rows(self):
@@ -102,7 +108,7 @@ def critical_coupling_numeric(s: float, delta: float, omega_c: float,
     """Coupling where the quadratic Landau coefficient crosses zero.
 
     Brackets the sign change on a geometric ladder anchored at the closed
-    form, then bisects to ``1e-8`` relative in ``alpha``.
+    form, then bisects to ``1e-10`` relative in ``alpha``.
     """
     _require_subohmic_window(s)
     alpha_closed, _ = critical_coupling_closed(s, delta, omega_c)
@@ -150,52 +156,36 @@ def critical_point(s: float, delta: float, omega_c: float,
 
 
 def sweep_alpha(s: float, delta: float, omega_c: float,
-                alphas: Sequence[float], functional: str = "exact",
-                threads: int = 1) -> SweepTable:
+                alphas: Sequence[float], functional: str = "exact") -> SweepTable:
     """One ground-state solve per coupling; rows are independent.
 
-    Per-row failures are recorded in ``failures`` as ``(index, message)``
-    and filled with NaN; the sweep continues.  Rows are assembled in input
-    order regardless of execution order, so output is deterministic.
+    A row that raises a domain, convergence or bracket error is filled with
+    NaN and recorded in ``status`` and ``failures``; the sweep continues.
     """
     alphas = np.asarray(list(alphas), dtype=float)
     if alphas.size and np.any(np.diff(alphas) <= 0.0):
         raise DomainError("sweep_alpha: alphas must be strictly increasing")
     n = alphas.size
     cols = {k: np.full(n, np.nan) for k in ("m", "sx", "ent", "energy", "c1")}
+    status = ["ok"] * n
     failures: list = []
-
-    def solve_row(i: int):
-        p = ModelParams(s=s, alpha=float(alphas[i]), delta=delta, omega_c=omega_c)
-        sol = minimize_energy(p, functional=functional)
-        _, c1, _ = landau_coefficients(p, functional=functional)
-        return sol.sz, sol.sx, sol.entanglement, sol.energy, c1
-
-    def run(i: int):
+    for i, alpha in enumerate(alphas.tolist()):
         try:
-            return i, solve_row(i), None
-        except Exception as exc:  # per-row isolation is the contract
-            return i, None, f"{type(exc).__name__}: {exc}"
-
-    if threads > 1 and n > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, range(n)))
-    else:
-        results = [run(i) for i in range(n)]
-
-    for i, row, err in results:
-        if err is not None:
-            failures.append((i, err))
+            p = ModelParams(s=s, alpha=alpha, delta=delta, omega_c=omega_c)
+            sol = minimize_energy(p, functional=functional)
+            _, c1, _ = landau_coefficients(p, functional=functional)
+        except _ROW_ERRORS as exc:
+            status[i] = type(exc).__name__
+            failures.append((i, exc))
             continue
-        cols["m"][i], cols["sx"][i], cols["ent"][i], cols["energy"][i], cols["c1"][i] = row
+        cols["m"][i], cols["sx"][i], cols["ent"][i] = sol.sz, sol.sx, sol.entanglement
+        cols["energy"][i], cols["c1"][i] = sol.energy, c1
 
     return SweepTable(
         alphas=alphas, m=cols["m"], sx=cols["sx"], entanglement=cols["ent"],
         energy=cols["energy"], c1=cols["c1"],
         s=s, delta=delta, omega_c=omega_c, functional=functional,
-        failures=failures,
+        status=status, failures=failures,
     )
 
 
@@ -232,20 +222,22 @@ def phase_diagram(s_grid: Sequence[float], delta: float,
                   functional: str = "exact") -> list[dict]:
     """Critical couplings over a grid of (s, omega_c), rows independent.
 
-    Each row carries both the numeric and closed-form values; per-point
-    failures are recorded in the row instead of aborting the grid.
+    Each row carries both the numeric and closed-form values.  A point that
+    raises a domain, convergence or bracket error keeps NaN values, its
+    ``status`` names the error's class (``"ok"`` otherwise) and ``error``
+    holds the exception (``None`` otherwise); the grid continues.
     """
     rows = []
     for s in s_grid:
         for wc in omega_c_list:
             row = {"s": float(s), "omega_c": float(wc),
                    "alpha_c_numeric": math.nan, "alpha_c_closed": math.nan,
-                   "error": ""}
+                   "status": "ok", "error": None}
             try:
                 row["alpha_c_closed"] = critical_coupling_closed(s, delta, wc)[0]
                 row["alpha_c_numeric"] = critical_coupling_numeric(
                     s, delta, wc, functional)
-            except Exception as exc:
-                row["error"] = f"{type(exc).__name__}: {exc}"
+            except _ROW_ERRORS as exc:
+                row["status"], row["error"] = type(exc).__name__, exc
             rows.append(row)
     return rows

@@ -104,9 +104,10 @@ class QuadratureRule:
         return float(np.sum(self.weights))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _jacobi_unit(n: int, sigma: float) -> tuple[np.ndarray, np.ndarray]:
-    # Gauss rule for the measure w^sigma dw on [0, 1].
+    # Gauss rule for the measure w^sigma dw on [0, 1]; the cache is bounded
+    # because every new bath exponent adds keys
     x, w = roots_jacobi(n, 0.0, sigma)
     nodes = 0.5 * (x + 1.0)
     weights = w / 2.0 ** (sigma + 1.0)

@@ -24,13 +24,7 @@ from scipy.sparse.linalg import LinearOperator, eigsh
 from .chain import tridiagonalize_modes
 from .errors import ConvergenceError, DomainError, SizeError
 from .model import DiscretizedBath, ModelParams, bath_as_measures
-from .variational import (
-    VariationalState,
-    energy_measures,
-    minimize_measures,
-    _energy_at,
-    _solve_delta_tilde,
-)
+from .variational import VariationalState, minimize_measures, _energy_at
 
 _DIMENSION_CAP = 2_000_000
 _DENSE_CUTOFF = 64
@@ -238,8 +232,7 @@ def ado_on_discrete(bath: DiscretizedBath, p: ModelParams) -> tuple[float, Varia
     if np.all(bath.couplings == 0.0):
         return -0.5 * p.delta, VariationalState.build(0.0, p.delta)
     mu0, mu_m1 = bath_as_measures(bath)
-    m, energy = minimize_measures(lambda m_: energy_measures(m_, p.delta, mu0, mu_m1))
-    dt = _solve_delta_tilde(m, p.delta, mu0)
+    m, energy, dt = minimize_measures(p.delta, mu0, mu_m1)
     e_static = -0.25 * mu_m1.total_mass
     tol = 1e-13 * max(1.0, abs(e_static))
     if abs(m) < 1.0 and dt > 0.0:

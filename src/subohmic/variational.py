@@ -23,18 +23,22 @@ continuum solver and the exact-diagonalization cross-checks.
 
 from __future__ import annotations
 
+import bisect
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, PhaseError
+from .errors import ConvergenceError, DomainError, PhaseError
 from .model import ModelParams, bath_measures, spectral_density
 from .numerics import QuadratureRule, lambert_w0, minimize_scalar
 
 _COLLAPSE_FRACTION = 1e-12  # iterates below this * delta count as the dt = 0 root
-_FIXED_POINT_TOL = 1e-13
+_NEWTON_TOL = 1e-13  # Newton correction in log dt at which a root is accepted
+_FIXED_POINT_MAX_ITER = 10_000
+_LOG_COLLAPSE = math.log(_COLLAPSE_FRACTION)
+_EPS = float(np.finfo(float).eps)
 _M_MIN_TOL = 1e-9  # abscissa tolerance of the magnetization minimization
 
 
@@ -126,52 +130,86 @@ def _overlap_integral(dt: float, q: float, mu0: QuadratureRule) -> float:
     return q * q * float(np.dot(mu0.weights, 1.0 / (dt + q * w) ** 2))
 
 
-def _solve_delta_tilde(m: float, delta: float, mu0: QuadratureRule) -> float:
-    """Largest fixed point of ``dt = delta * exp(-overlap/2)`` for the measure.
+class _LargestRoot:
+    """One row of :func:`_solve_delta_tilde`: ``hi`` lies at or above the
+    largest root of ``g``, and ``c`` is the next point to evaluate,
+    ``trusted`` when it cannot lie below the root either."""
 
-    Damped iteration (geometric mean of iterate and map value) from
-    ``dt = delta``; the iterates decrease monotonically onto the largest
-    root, or collapse below ``1e-12 * delta`` when no finite root survives.
-    A short log-space secant polish drives the residual to machine level.
+    __slots__ = ("row", "q", "c", "trusted", "hi", "g_hi", "slope_hi")
+
+    def __init__(self, row: int, q: float, start: float):
+        self.row, self.q, self.c, self.trusted = row, q, start, True
+        self.hi, self.g_hi, self.slope_hi = math.inf, 0.0, 0.0
+
+    def advance(self, big_i: float, k: float, log_delta: float) -> float | None:
+        """Take ``I`` and ``K`` at ``c``; return the root's ``u``, or None
+        after picking the next ``c``."""
+        c, g = self.c, self.c - log_delta + 0.5 * big_i
+        if g < 0.0 and self.trusted:  # c is not below the root: g < 0 is rounding
+            return c
+        # a Newton point is accepted when K <= e^(hi-c) K(c) stays <= 1 on
+        # [c, hi]: g increases there, so g(c) >= 0 leaves no root in between
+        span = self.hi - c
+        accepted = g >= 0.0 and (self.trusted or (span < 700.0 and math.exp(span) * k <= 1.0))
+        if accepted:
+            self.hi, self.g_hi, self.slope_hi = c, g, 1.0 - k
+            step = g / (1.0 - k) if k < 1.0 else math.inf
+            if step <= _NEWTON_TOL:
+                return c - step
+            if g <= 8.0 * _EPS * (abs(c) + abs(log_delta) + 0.5 * big_i):
+                return c
+        if self.hi < log_delta + _LOG_COLLAPSE:
+            return self.hi
+        # Newton from hi, unless that point was just refuted or g' <= 0 there;
+        # else the fixed-point step u - g(u), which is increasing in u and so
+        # never crosses the root
+        self.trusted = not accepted or self.slope_hi <= 0.0
+        self.c = self.hi - (self.g_hi if self.trusted else self.g_hi / self.slope_hi)
+        return None
+
+
+def _solve_delta_tilde(m, delta: float, mu0: QuadratureRule, dt_start: float = 0.0,
+                       max_iter: int = _FIXED_POINT_MAX_ITER):
+    """Largest fixed point of ``dt = delta * exp(-overlap/2)``, for one ``m``
+    or an array of them (float in, float out; array in, array out).
+
+    Newton steps on ``g(u) = u - log(delta) + I/2`` in ``u = log dt``, with
+    ``I = q^2 int dmu/(dt+qw)^2`` and the exact ``g' = 1 - K <= 1``, ``K =
+    dt q^2 int dmu/(dt+qw)^3``; all unfinished rows are evaluated together.
+    A Newton point replaces the upper point only when ``g`` provably has no
+    root between them; otherwise, and where ``g' <= 0``, the fixed-point
+    step is taken.  Roots below ``1e-12 * delta`` count as ``dt = 0``.  A
+    positive ``dt_start`` replaces the start ``delta``; it must not lie below
+    the root, as the root at any larger ``|m|`` does.  Raises
+    :class:`ConvergenceError` after ``max_iter`` steps.
     """
-    if abs(m) >= 1.0:
-        return 0.0
-    q = math.sqrt(1.0 - m * m)
-    collapse = _COLLAPSE_FRACTION * delta
-
-    def log_map(u: float) -> float:
-        return math.log(delta) - 0.5 * _overlap_integral(math.exp(u), q, mu0)
-
-    u = math.log(delta)
-    for _ in range(10000):
-        un = 0.5 * (u + log_map(u))
-        if math.exp(un) < collapse:
-            return 0.0
-        if abs(un - u) < _FIXED_POINT_TOL:
-            u = un
+    ms = np.atleast_1d(np.asarray(m, dtype=float))
+    out = np.zeros(ms.shape)
+    log_delta = math.log(delta)
+    start = math.log(min(dt_start, delta)) if dt_start > 0.0 else log_delta
+    pending = [_LargestRoot(i, math.sqrt(1.0 - x * x), start)
+               for i, x in enumerate(ms.tolist()) if abs(x) < 1.0]
+    for _ in range(max_iter):
+        if not pending:
             break
-        u = un
-
-    # secant polish on g(u) = u - log_map(u); keep the best iterate seen
-    u0 = u + 1e-7
-    g0 = u0 - log_map(u0)
-    g = u - log_map(u)
-    u_best, g_best = u, abs(g)
-    for _ in range(60):
-        if g == g0:
-            break
-        step = g * (u - u0) / (g - g0)
-        u0, g0 = u, g
-        u = u - step
-        if math.exp(u) < collapse:
-            return 0.0
-        g = u - log_map(u)
-        if abs(g) < g_best:
-            u_best, g_best = u, abs(g)
-        if abs(step) < 1e-15 * (1.0 + abs(u)):
-            break
-    dt = math.exp(u_best)
-    return 0.0 if dt < collapse else dt
+        dt = np.exp([r.c for r in pending])
+        q = np.array([r.q for r in pending])
+        den = dt[:, None] + q[:, None] * mu0.nodes
+        inv2 = 1.0 / (den * den)
+        big_i, k = q * q * (inv2 @ mu0.weights), q * q * dt * ((inv2 / den) @ mu0.weights)
+        unfinished = []
+        for r, i_r, k_r in zip(pending, big_i.tolist(), k.tolist()):
+            u = r.advance(i_r, k_r, log_delta)
+            if u is None:
+                unfinished.append(r)
+            elif u >= log_delta + _LOG_COLLAPSE:
+                out[r.row] = math.exp(u)
+        pending = unfinished
+    if pending:
+        raise ConvergenceError(
+            f"_solve_delta_tilde: {len(pending)} fixed point(s) unconverged after "
+            f"{max_iter} iterations; residual g up to {max(r.g_hi for r in pending):.3e}")
+    return float(out[0]) if np.ndim(m) == 0 else out
 
 
 def solve_delta_tilde_exact(m: float, p: ModelParams) -> float:
@@ -215,32 +253,32 @@ def solve_delta_tilde_scaling(m: float, p: ModelParams) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _branch_energy(m: float, dt: float, mu_m1: QuadratureRule) -> float:
-    # bath part of the energy at the optimal shapes; integrands are written
-    # in terms of u = w * phi (bounded at w -> 0) against dmu / w
-    q = math.sqrt(max(0.0, 1.0 - m * m))
-    w = mu_m1.nodes
-    den = 2.0 * (dt + q * w)
-    up = -(m * dt + q * w) / den
-    um = -(m * dt - q * w) / den
-    i_plus = float(np.dot(mu_m1.weights, up * (1.0 + up)))
-    i_minus = float(np.dot(mu_m1.weights, um * (1.0 - um)))
-    return 0.5 * (1.0 + m) * i_plus - 0.5 * (1.0 - m) * i_minus
-
-
-def _energy_at(m: float, dt: float, mu0: QuadratureRule, mu_m1: QuadratureRule,
-               delta: float) -> float:
-    """Variational energy of the shape family parameterized by ``dt``.
+def _energy_at(m, dt, mu0: QuadratureRule, mu_m1: QuadratureRule, delta: float):
+    """Variational energy of the shape family parameterized by ``dt``, for
+    one ``(m, dt)`` pair or equal-shape arrays of them (float in, float out).
 
     The tunneling term uses the actual branch overlap of the shapes, so this
     is a true variational energy for any ``dt >= 0``, stationary at the
-    self-consistent fixed point.
+    self-consistent fixed point.  The bath part is written in terms of
+    ``u = w * phi`` (bounded at ``w -> 0``) against ``dmu / w``.
     """
-    if abs(m) >= 1.0 or dt == 0.0:
-        return _static_energy(mu_m1)
-    q = math.sqrt(1.0 - m * m)
-    overlap = math.exp(-0.5 * _overlap_integral(dt, q, mu0))
-    return -0.5 * q * delta * overlap + _branch_energy(m, dt, mu_m1)
+    ms, dts = np.atleast_1d(m).astype(float), np.atleast_1d(dt).astype(float)
+    out = np.full(ms.shape, _static_energy(mu_m1))
+    live = (np.abs(ms) < 1.0) & (dts != 0.0)
+    mm, d = ms[live, None], dts[live, None]
+    q = np.sqrt(1.0 - mm * mm)
+    big_i = (q * q)[:, 0] * ((1.0 / (d + q * mu0.nodes) ** 2) @ mu0.weights)
+    overlap = np.exp(-0.5 * big_i)
+    w = mu_m1.nodes
+    den = 2.0 * (d + q * w)
+    up = -(mm * d + q * w) / den
+    um = -(mm * d - q * w) / den
+    i_plus = (up * (1.0 + up)) @ mu_m1.weights
+    i_minus = (um * (1.0 - um)) @ mu_m1.weights
+    mm = mm[:, 0]
+    out[live] = (-0.5 * q[:, 0] * delta * overlap
+                 + (0.5 * (1.0 + mm) * i_plus - 0.5 * (1.0 - mm) * i_minus))
+    return float(out[0]) if np.ndim(m) == 0 else out
 
 
 def _static_energy(mu_m1: QuadratureRule) -> float:
@@ -257,13 +295,8 @@ def energy_measures(m: float, delta: float, mu0: QuadratureRule,
     (The intermediate unstable fixed point, when present, always lies above
     the static branch and never wins.)
     """
-    if abs(m) >= 1.0:
-        return _static_energy(mu_m1)
     dt = _solve_delta_tilde(m, delta, mu0)
-    e_static = _static_energy(mu_m1)
-    if dt == 0.0:
-        return e_static
-    return min(_energy_at(m, dt, mu0, mu_m1, delta), e_static)
+    return min(_energy_at(m, dt, mu0, mu_m1, delta), _static_energy(mu_m1))
 
 
 def static_shift_energy(p: ModelParams) -> float:
@@ -295,37 +328,12 @@ and is selectable only for comparison."""
 
 def energy_scaling(m: float, p: ModelParams,
                    tunneling_prefactor: float = SCALING_TUNNELING_PREFACTOR) -> float:
-    """Wide-band-limit energy at fixed magnetization.
-
-    ``E = -k dt q - alpha omega_c / (2s)
-         + [alpha pi omega_c (1-s) q^2 / (2 sin pi s)] (dt / (omega_c q))^s``
-    with ``q = sqrt(1-m^2)``, ``dt`` from :func:`solve_delta_tilde_scaling`
-    and ``k`` the tunneling prefactor (see
-    :data:`SCALING_TUNNELING_PREFACTOR`).
-    """
+    """Wide-band-limit energy at fixed magnetization: the lower of
+    :func:`branch_energy_scaling` and the static energy ``-alpha omega_c / (2s)``."""
     if abs(m) > 1.0:
         raise DomainError("energy_scaling: |m| must be <= 1")
-    if p.alpha == 0.0:
-        return -tunneling_prefactor * p.delta * math.sqrt(max(0.0, 1.0 - m * m))
-    if abs(m) == 1.0:
-        return static_shift_energy(p)
-    dt = solve_delta_tilde_scaling(m, p)
-    e_static = static_shift_energy(p)
-    if dt == 0.0:
-        return e_static
-    s = p.s
-    q = math.sqrt(1.0 - m * m)
-    corr = (p.alpha * math.pi * p.omega_c * (1.0 - s) * q * q
-            / (2.0 * math.sin(math.pi * s))) * (dt / (p.omega_c * q)) ** s
-    return min(-tunneling_prefactor * dt * q + e_static + corr, e_static)
-
-
-def _energy_fn(p: ModelParams, functional: str) -> Callable[[float], float]:
-    if functional == "exact":
-        return lambda m: energy_exact(m, p)
-    if functional == "scaling":
-        return lambda m: energy_scaling(m, p)
-    raise DomainError(f"unknown functional {functional!r}")
+    e = branch_energy_scaling(m, p, tunneling_prefactor)
+    return e if p.alpha == 0.0 else min(e, static_shift_energy(p))
 
 
 def branch_energy_exact(m: float, p: ModelParams) -> float:
@@ -344,21 +352,25 @@ def branch_energy_exact(m: float, p: ModelParams) -> float:
     if abs(m) == 1.0:
         return static_shift_energy(p)
     mu0, mu_m1 = bath_measures(p)
-    dt = _solve_delta_tilde(m, p.delta, mu0)
-    if dt == 0.0:
-        return _static_energy(mu_m1)
-    return _energy_at(m, dt, mu0, mu_m1, p.delta)
+    return _energy_at(m, _solve_delta_tilde(m, p.delta, mu0), mu0, mu_m1, p.delta)
 
 
 def branch_energy_scaling(m: float, p: ModelParams,
                           tunneling_prefactor: float | None = None) -> float:
-    """Finite-tunneling branch of the wide-band energy (no static crossover)."""
+    """Finite-tunneling branch of the wide-band energy (no static crossover).
+
+    ``E = -k dt q - alpha omega_c / (2s)
+         + [alpha pi omega_c (1-s) q^2 / (2 sin pi s)] (dt / (omega_c q))^s``
+    with ``q = sqrt(1-m^2)``, ``dt`` from :func:`solve_delta_tilde_scaling`
+    and ``k`` the tunneling prefactor (see
+    :data:`SCALING_TUNNELING_PREFACTOR`).
+    """
     if tunneling_prefactor is None:
         tunneling_prefactor = SCALING_TUNNELING_PREFACTOR
     if abs(m) > 1.0:
         raise DomainError("branch_energy_scaling: |m| must be <= 1")
-    if p.alpha == 0.0 or abs(m) == 1.0:
-        return energy_scaling(m, p, tunneling_prefactor)
+    if p.alpha == 0.0:
+        return -tunneling_prefactor * p.delta * math.sqrt(max(0.0, 1.0 - m * m))
     dt = solve_delta_tilde_scaling(m, p)
     if dt == 0.0:
         return static_shift_energy(p)
@@ -369,12 +381,14 @@ def branch_energy_scaling(m: float, p: ModelParams,
     return -tunneling_prefactor * dt * q + static_shift_energy(p) + corr
 
 
-def _branch_energy_fn(p: ModelParams, functional: str) -> Callable[[float], float]:
-    if functional == "exact":
-        return lambda m: branch_energy_exact(m, p)
-    if functional == "scaling":
-        return lambda m: branch_energy_scaling(m, p)
-    raise DomainError(f"unknown functional {functional!r}")
+def _functional(p: ModelParams, functional: str, branch: bool = False) -> Callable[[float], float]:
+    # energy (or finite-tunneling branch) of the named functional, as E(m)
+    fns = {"exact": (energy_exact, branch_energy_exact),
+           "scaling": (energy_scaling, branch_energy_scaling)}
+    if functional not in fns:
+        raise DomainError(f"unknown functional {functional!r}")
+    fn = fns[functional][branch]
+    return lambda m: fn(m, p)
 
 
 # ---------------------------------------------------------------------------
@@ -385,48 +399,70 @@ _M_GRID_POINTS = 64
 _M_UPPER = 1.0 - 1e-9
 
 
-def _magnetization_grid() -> np.ndarray:
-    # uniform coverage plus a geometric ladder in q = sqrt(1 - m^2), since
-    # strongly coupled discrete baths develop narrow wells close to m = 1
-    uniform = np.linspace(0.0, 1.0, _M_GRID_POINTS + 1)
-    qs = np.geomspace(1e-4, 1.0, 17)[:-1]
-    near_one = np.sqrt(1.0 - qs**2)
-    return np.unique(np.concatenate([uniform, near_one]))
+# pre-scan grid: uniform coverage plus a geometric ladder in q = sqrt(1 - m^2),
+# since strongly coupled discrete baths develop narrow wells close to m = 1
+_M_GRID = np.unique(np.concatenate([np.linspace(0.0, 1.0, _M_GRID_POINTS + 1),
+                                    np.sqrt(1.0 - np.geomspace(1e-4, 1.0, 17)[:-1] ** 2)]))
 
 
-def minimize_measures(energy: Callable[[float], float]) -> tuple[float, float]:
-    """Minimize an even energy functional over ``m`` in ``[0, 1]``.
-
-    A grid pre-scan (uniform plus refinement toward ``m = 1``) guards
-    against capture in a metastable local well; the winning bracket is
-    refined by the bounded Brent minimizer.  Returns ``(m, E)``.
+def _refine_minimum(values: np.ndarray,
+                    energy: Callable[[float], float]) -> tuple[float, float]:
+    """Minimize an even energy over ``m`` in ``[0, 1]`` given its ``values``
+    on the pre-scan grid (uniform plus refinement toward ``m = 1``), which
+    guards against capture in a metastable local well.  Brent refines the
+    winning bracket, calling ``energy`` only off the grid.  Returns ``(m, E)``.
     """
-    grid = _magnetization_grid()
-    values = [energy(min(g, _M_UPPER)) if g < 1.0 else energy(1.0) for g in grid]
+    known = dict(zip(_M_GRID.tolist(), values.tolist()))
     j = int(np.argmin(values))
-    lo = grid[max(j - 1, 0)]
-    hi = min(grid[min(j + 1, grid.size - 1)], _M_UPPER)
-    res = minimize_scalar(energy, float(lo), float(hi), tol=_M_MIN_TOL)
-    m_best, e_best = res.x, res.fun
-    e0 = energy(0.0)
-    if e_best >= e0 - 1e-13 * max(1.0, abs(e0)):
+    lo, hi = _M_GRID[max(j - 1, 0)], min(_M_GRID[min(j + 1, _M_GRID.size - 1)], _M_UPPER)
+    res = minimize_scalar(lambda m: known[m] if m in known else energy(m),
+                          float(lo), float(hi), tol=_M_MIN_TOL)
+    e0, e1 = known[0.0], known[1.0]
+    if res.fun >= e0 - 1e-13 * max(1.0, abs(e0)):
         return 0.0, e0
-    e1 = energy(1.0)
-    if e1 < e_best - 1e-13 * max(1.0, abs(e1)):
+    if e1 < res.fun - 1e-13 * max(1.0, abs(e1)):
         return 1.0, e1
-    return m_best, e_best
+    return res.x, res.fun
+
+
+def minimize_measures(delta: float, mu0: QuadratureRule, mu_m1: QuadratureRule,
+                      e_one: float | None = None) -> tuple[float, float, float]:
+    """Minimize :func:`energy_measures` over ``m`` in ``[0, 1]``; returns
+    ``(m, E, dt)``.  ``e_one`` overrides the energy at ``m = 1``.
+
+    The pre-scan grid is solved in one batched call.  Each later solve
+    starts from the ``dt`` of the nearest solved point at larger ``m``: the
+    largest root grows with ``|m|``, so that start lies above the root.
+    """
+    e_static = _static_energy(mu_m1)
+    dts = _solve_delta_tilde(_M_GRID, delta, mu0)
+    values = np.minimum(_energy_at(_M_GRID, dts, mu0, mu_m1, delta), e_static)
+    if e_one is not None:
+        values[-1] = e_one
+    solved_m, solved_dt = _M_GRID.tolist(), dts.tolist()
+
+    def energy(m: float) -> float:
+        k = bisect.bisect_left(solved_m, m)
+        dt = _solve_delta_tilde(m, delta, mu0, solved_dt[k])
+        solved_m.insert(k, m)
+        solved_dt.insert(k, dt)
+        return min(_energy_at(m, dt, mu0, mu_m1, delta), e_static)
+
+    m, e = _refine_minimum(values, energy)
+    return m, e, solved_dt[bisect.bisect_left(solved_m, m)]
 
 
 def minimize_energy(p: ModelParams, functional: str = "exact") -> GroundStateSolution:
     """Ground state over the magnetization (positive branch by convention)."""
-    energy = _energy_fn(p, functional)
-    m, e = minimize_measures(energy)
-    if functional == "scaling":
-        dt = solve_delta_tilde_scaling(m, p)
+    if functional == "exact" and p.alpha != 0.0:
+        mu0, mu_m1 = bath_measures(p)
+        m, e, dt = minimize_measures(p.delta, mu0, mu_m1, e_one=static_shift_energy(p))
     else:
-        dt = solve_delta_tilde_exact(m, p)
-    state = VariationalState.build(m, dt)
-    return observables(state, p, energy=e)
+        energy = _functional(p, functional)
+        m, e = _refine_minimum(np.array([energy(float(x)) for x in _M_GRID]), energy)
+        solve = solve_delta_tilde_scaling if functional == "scaling" else solve_delta_tilde_exact
+        dt = solve(m, p)
+    return observables(VariationalState.build(m, dt), p, energy=e)
 
 
 def observables(state: VariationalState, p: ModelParams,
@@ -509,11 +545,13 @@ def landau_from_energy(energy: Callable[[float], float],
 
     Central finite differences with the self-consistency re-solved at every
     stencil point, Richardson-extrapolated from steps ``h`` and ``h/2``.
+    ``energy`` must be even in ``m``: it is evaluated at ``0, h/2, h, 2h``
+    and the negative points are mirrored.
     """
     h = step
     e0 = energy(0.0)
     samples = {x: energy(x) for x in (h / 2, h, 2 * h)}
-    samples.update({-x: energy(-x) for x in (h / 2, h, 2 * h)})
+    samples.update({-x: e for x, e in samples.items()})
 
     def second(hh):
         return (samples[hh] - 2.0 * e0 + samples[-hh]) / (hh * hh)
@@ -532,9 +570,15 @@ def landau_coefficients(p: ModelParams, functional: str = "exact",
     """Ginzburg-Landau coefficients ``(c0, c1, c2)`` of the energy in ``m``.
 
     Expansion of the finite-tunneling branch (see
-    :func:`branch_energy_exact`); ``c1 = 0`` locates the transition.
+    :func:`branch_energy_exact`); ``c1 = 0`` locates the transition.  For
+    the exact functional the stencil is solved in one batched call.
     """
-    return landau_from_energy(_branch_energy_fn(p, functional), step=step)
+    if functional == "exact" and p.alpha != 0.0:
+        mu0, mu_m1 = bath_measures(p)
+        xs = np.array([0.0, step / 2, step, 2 * step])
+        e = _energy_at(xs, _solve_delta_tilde(xs, p.delta, mu0), mu0, mu_m1, p.delta)
+        return landau_from_energy(dict(zip(xs.tolist(), e.tolist())).__getitem__, step)
+    return landau_from_energy(_functional(p, functional, branch=True), step=step)
 
 
 def susceptibility(p: ModelParams, functional: str = "exact") -> float:
@@ -548,7 +592,3 @@ def susceptibility(p: ModelParams, functional: str = "exact") -> float:
         raise PhaseError("susceptibility: c1 <= 0, system is already localized")
     return 1.0 / (4.0 * c1)
 
-
-def solution_with_alpha(p: ModelParams, alpha: float) -> ModelParams:
-    """Convenience: the same parameters at a different coupling."""
-    return replace(p, alpha=alpha)

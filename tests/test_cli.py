@@ -59,11 +59,19 @@ class TestSolveCommand:
         assert record["energy"] == -0.5
         assert record["sx"] == 1.0
         assert record["schema_version"] == "1"
-        summary = capsys.readouterr().out
+        summary = capsys.readouterr().err
         assert "M=0" in summary
 
     def test_missing_parameter_exit_2(self):
         assert run_cli(["solve", "--s", "0.3", "--alpha", "0.0"]) == 2
+
+    def test_stdout_is_the_json_record(self, capsys):
+        code = run_cli(["solve", "--s", "0.3", "--alpha", "0.02", "--delta", "1",
+                        "--omega-c", "10"])
+        assert code == 0
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["command"] == "solve"
+        assert captured.err.startswith("solve: M=")
 
     def test_domain_error_exit_2(self):
         assert run_cli(["solve", "--s", "1.3", "--alpha", "0.0", "--delta", "1",
@@ -88,8 +96,26 @@ class TestSweepCommand:
         assert code == 0
         lines = out.read_text().splitlines()
         assert lines[0].startswith("# subohmic")
-        assert lines[1] == "alpha,M,sx,entanglement,energy,c1"
+        assert lines[1] == "alpha,M,sx,entanglement,energy,c1,status"
         assert len(lines) == 2 + 3
+        assert all(line.endswith(",ok") for line in lines[2:])
+
+    def test_stdout_is_the_csv_table(self, capsys):
+        code = run_cli(["sweep", "--s", "0.3", "--delta", "1", "--omega-c", "10",
+                        "--alpha-grid", "0.01:0.02:2"])
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1] == "alpha,M,sx,entanglement,energy,c1,status"
+        assert len(lines) == 2 + 2
+
+    def test_failed_row_shown_and_exit_2(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        code = run_cli(["sweep", "--s", "0.3", "--delta", "1", "--omega-c", "10",
+                        "--alpha-grid=-0.01:0.01:2", "--output", str(out)])
+        assert code == 2
+        rows = out.read_text().splitlines()[2:]
+        assert rows[0].startswith("-0.01,nan,") and rows[0].endswith(",DomainError")
+        assert rows[1].endswith(",ok")
 
     def test_format_mismatch_rejected(self):
         assert run_cli(["sweep", "--s", "0.3", "--delta", "1", "--omega-c", "10",
@@ -184,8 +210,19 @@ class TestPhaseDiagramCommand:
                         "--omega-c-list", "10", "--output", str(out)])
         assert code == 0
         lines = out.read_text().splitlines()
-        assert lines[1] == "s,omega_c,alpha_c_numeric,alpha_c_closed"
+        assert lines[1] == "s,omega_c,alpha_c_numeric,alpha_c_closed,status"
         assert len(lines) == 2 + 2
+
+    def test_failed_point_shown_and_exit_2(self, tmp_path, capsys):
+        # s = 0.6 lies outside the window of the mean-field analysis
+        out = tmp_path / "pd.csv"
+        code = run_cli(["phase-diagram", "--s-grid", "0.3:0.6:2", "--delta", "1",
+                        "--omega-c-list", "10", "--output", str(out)])
+        assert code == 2
+        rows = out.read_text().splitlines()[2:]
+        assert rows[0].endswith(",ok")
+        assert rows[1].startswith("0.6,10,nan,nan,") and rows[1].endswith(",DomainError")
+        assert "domain error" in capsys.readouterr().err
 
 
 class TestDeterminism:
@@ -228,15 +265,9 @@ class TestNonFiniteEncoding:
         assert record["has_nonfinite"] is False
 
 
-class TestThreadsEnv:
-    def test_env_fallback(self, monkeypatch):
-        monkeypatch.setenv("SUBOHMIC_THREADS", "3")
-        rc = parse_args(["sweep", "--s", "0.3", "--delta", "1", "--omega-c", "10",
-                         "--alpha-grid", "0.01:0.02:2"])
-        assert rc.options["threads"] == 3
-
-    def test_flag_wins(self, monkeypatch):
-        monkeypatch.setenv("SUBOHMIC_THREADS", "3")
-        rc = parse_args(["sweep", "--s", "0.3", "--delta", "1", "--omega-c", "10",
-                         "--alpha-grid", "0.01:0.02:2", "--threads", "2"])
-        assert rc.options["threads"] == 2
+class TestRequiredAlpha:
+    @pytest.mark.parametrize("command", ["solve", "chain", "oracle"])
+    def test_missing_alpha_exit_2(self, command, capsys):
+        code = run_cli([command, "--s", "0.3", "--delta", "1", "--omega-c", "10"])
+        assert code == 2
+        assert "alpha" in capsys.readouterr().err

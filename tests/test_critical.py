@@ -128,10 +128,13 @@ class TestSweep:
         with pytest.raises(DomainError):
             sweep_alpha(S, DELTA, WC, [0.02, 0.01])
 
-    def test_threaded_matches_serial(self, table):
-        threaded = sweep_alpha(S, DELTA, WC, table.alphas, threads=4)
-        assert np.array_equal(threaded.m, table.m)
-        assert np.array_equal(threaded.sx, table.sx)
+    def test_failed_row_recorded(self):
+        # a negative coupling is outside the model's domain: that row alone fails
+        out = sweep_alpha(S, DELTA, WC, [-0.01, 0.01])
+        assert out.status == ["DomainError", "ok"]
+        assert len(out.failures) == 1 and out.failures[0][0] == 0
+        assert isinstance(out.failures[0][1], DomainError)
+        assert math.isnan(out.m[0]) and out.m[1] == 0.0
 
 
 class TestExponents:
@@ -205,3 +208,5 @@ class TestPhaseDiagram:
         bad = [r for r in rows if r["error"]]
         assert len(ok) == 1 and len(bad) == 1
         assert math.isnan(bad[0]["alpha_c_numeric"])
+        assert [r["status"] for r in rows] == ["ok", "DomainError"]
+        assert isinstance(bad[0]["error"], DomainError)

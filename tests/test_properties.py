@@ -1,0 +1,152 @@
+"""Property tests of the self-consistency kernel and the energy functional.
+
+The kernel is checked against an independent largest-root search written
+here: a dense downward scan of ``g(u) = u - log(delta) + I(e^u)/2`` followed
+by ``brentq`` on the first sign change.  Since ``g'(u) <= 1``, ``g`` cannot
+fall by more than the scan spacing ``h`` between two samples, so a scan whose
+samples all exceed ``h`` proves that no root was skipped; examples where that
+proof fails, or where the root is too ill-conditioned to fix to 1e-12, are
+discarded rather than compared.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+from scipy.optimize import brentq
+
+from subohmic.errors import ConvergenceError
+from subohmic.model import DiscretizedBath, ModelParams, bath_as_measures, bath_measures
+from subohmic.variational import _solve_delta_tilde, branch_energy_exact, energy_exact
+
+COLLAPSE = 1e-12
+SCAN_STEP = 0.01
+MIN_SLOPE = 0.05  # g'(u*) below this makes a 1e-12 comparison meaningless
+
+SETTINGS = settings(max_examples=25, deadline=None, derandomize=True,
+                    suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+
+
+def _g(u, q, delta, nodes, weights):
+    # vectorized over u; an independent evaluation of the log-space residual
+    dt = np.exp(np.atleast_1d(u))[:, None]
+    overlap = q * q * np.sum(weights / (dt + q * nodes) ** 2, axis=1)
+    return np.atleast_1d(u) - math.log(delta) + 0.5 * overlap
+
+
+def largest_root_reference(m, delta, rule):
+    """``(dt, slope)`` of the largest root, ``(0, None)`` when it lies below
+    ``1e-12 * delta``, or ``None`` when the scan cannot decide."""
+    q = math.sqrt(1.0 - m * m)
+    top = math.log(delta)
+    bottom = top + math.log(COLLAPSE)
+    us = np.arange(top, bottom - SCAN_STEP, -SCAN_STEP)
+    gs = _g(us, q, delta, rule.nodes, rule.weights)
+    negative = np.flatnonzero(gs < 0.0)
+    k = int(negative[0]) if negative.size else us.size
+    if np.any(gs[: max(k - 1, 0)] <= SCAN_STEP):
+        return None  # a narrow dip between samples cannot be excluded
+    if not negative.size:
+        return 0.0, None
+    root = brentq(lambda u: float(_g(u, q, delta, rule.nodes, rule.weights)[0]),
+                  us[k], us[k - 1], xtol=1e-15, rtol=4 * np.finfo(float).eps, maxiter=200)
+    if abs(root - bottom) < 1e-6:
+        return None  # too close to the collapse threshold to call
+    if root < bottom:
+        return 0.0, None
+    dt = math.exp(root)
+    slope = 1.0 - q * q * dt * float(np.sum(rule.weights / (dt + q * rule.nodes) ** 3))
+    return dt, slope
+
+
+def assert_matches_reference(ms, delta, rule):
+    got = _solve_delta_tilde(np.array(ms), delta, rule)
+    checked = 0
+    for m, dt in zip(ms, got):
+        ref = largest_root_reference(m, delta, rule)
+        if ref is None or (ref[1] is not None and ref[1] < MIN_SLOPE):
+            continue
+        checked += 1
+        want, _ = ref
+        if want == 0.0:
+            assert dt == 0.0, (m, dt)
+        else:
+            assert dt == pytest.approx(want, rel=1e-12, abs=0.0), (m, dt, want)
+    assume(checked > 0)
+
+
+magnetizations = st.lists(st.floats(0.0, 0.999), min_size=1, max_size=4)
+
+
+@SETTINGS
+@given(s=st.floats(0.1, 0.9), log_alpha=st.floats(math.log(1e-3), math.log(0.5)),
+       omega_c=st.sampled_from([5.0, 10.0, 100.0]), ms=magnetizations)
+def test_kernel_matches_reference_on_continuum(s, log_alpha, omega_c, ms):
+    p = ModelParams(s=s, alpha=math.exp(log_alpha), delta=1.0, omega_c=omega_c)
+    mu0, _ = bath_measures(p)
+    assert_matches_reference(ms, p.delta, mu0)
+
+
+@SETTINGS
+@given(log_freqs=st.lists(st.floats(math.log(1e-3), math.log(20.0)), min_size=1, max_size=5,
+                         unique=True),
+       couplings=st.lists(st.floats(0.05, 4.0), min_size=5, max_size=5),
+       delta=st.floats(0.1, 5.0), ms=magnetizations)
+def test_kernel_matches_reference_on_discrete_baths(log_freqs, couplings, delta, ms):
+    # strong low-frequency modes make g non-convex, with several root pairs
+    w = np.exp(sorted(log_freqs))
+    assume(np.all(np.diff(w) > 1e-9))
+    mu0, _ = bath_as_measures(DiscretizedBath(w, np.array(couplings[: w.size])))
+    assert_matches_reference(ms, delta, mu0)
+
+
+def test_newton_step_across_a_root_pair_is_refused():
+    # g < 0 only between the unstable root (dt ~ 0.012) and the largest one
+    # (dt ~ 0.074).  The first Newton step from log(delta), where g' ~ 0.13,
+    # lands below both, where g > 0 again; taken as an upper point unchecked,
+    # it would lead the search down to the collapsed root.
+    bath = DiscretizedBath(
+        np.array([0.004514939543181209, 0.3699824738469502, 2.566882354559983,
+                  3.2548522096444885]),
+        np.array([0.03128668083909647, 0.014544969437564044, 7.106703091794307,
+                  0.020152835687044447]))
+    mu0, _ = bath_as_measures(bath)
+    delta, m = 2.9665669455427133, 0.19392190592330333
+    want, slope = largest_root_reference(m, delta, mu0)
+    assert want > 0.0 and slope > MIN_SLOPE
+    assert _solve_delta_tilde(m, delta, mu0) == pytest.approx(want, rel=1e-12)
+
+
+@SETTINGS
+@given(s=st.floats(0.1, 0.9), log_alpha=st.floats(math.log(1e-3), math.log(0.5)),
+       omega_c=st.sampled_from([5.0, 10.0, 100.0]), m=st.floats(1e-6, 0.999))
+def test_energies_are_bitwise_even(s, log_alpha, omega_c, m):
+    p = ModelParams(s=s, alpha=math.exp(log_alpha), delta=1.0, omega_c=omega_c)
+    assert energy_exact(-m, p) == energy_exact(m, p)
+    assert branch_energy_exact(-m, p) == branch_energy_exact(m, p)
+
+
+@SETTINGS
+@given(s=st.floats(0.1, 0.9), log_alpha=st.floats(math.log(1e-3), math.log(0.5)),
+       max_iter=st.integers(1, 3), ms=magnetizations)
+def test_exhausted_iterations_raise(s, log_alpha, max_iter, ms):
+    # with too few iterations the kernel raises; whatever it returns is the
+    # fully converged answer
+    p = ModelParams(s=s, alpha=math.exp(log_alpha), delta=1.0, omega_c=10.0)
+    mu0, _ = bath_measures(p)
+    full = _solve_delta_tilde(np.array(ms), p.delta, mu0)
+    try:
+        short = _solve_delta_tilde(np.array(ms), p.delta, mu0, max_iter=max_iter)
+    except ConvergenceError as exc:
+        assert "residual" in str(exc)
+    else:
+        assert np.array_equal(short, full)
+
+
+def test_one_iteration_is_not_enough():
+    p = ModelParams(s=0.3, alpha=0.03, delta=1.0, omega_c=10.0)
+    mu0, _ = bath_measures(p)
+    with pytest.raises(ConvergenceError, match="residual"):
+        _solve_delta_tilde(0.2, p.delta, mu0, max_iter=1)
