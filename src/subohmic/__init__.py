@@ -21,10 +21,9 @@ from .errors import (
 from .model import DiscretizedBath, ModelParams, discretize_bath, spectral_density
 from .numerics import FitResult, QuadratureRule, fit_power_law, lambert_w0
 from .variational import (
+    Functional,
     GroundStateSolution,
     VariationalState,
-    energy_exact,
-    energy_scaling,
     minimize_energy,
     observables,
     solve_delta_tilde_exact,
@@ -39,6 +38,7 @@ __all__ = [
     "DiscretizedBath",
     "DomainError",
     "FitResult",
+    "Functional",
     "GroundStateSolution",
     "ModelParams",
     "PhaseError",
@@ -47,8 +47,6 @@ __all__ = [
     "VariationalState",
     "__version__",
     "discretize_bath",
-    "energy_exact",
-    "energy_scaling",
     "fit_power_law",
     "lambert_w0",
     "minimize_energy",

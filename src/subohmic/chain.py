@@ -101,28 +101,10 @@ def _lanczos_tridiagonalize(nodes: np.ndarray, weights: np.ndarray,
     return eps, hop, basis
 
 
-def tridiagonalize_modes(frequencies: np.ndarray, couplings: np.ndarray,
-                         n_sites: int | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Chain image of a discrete mode list.
-
-    Returns ``(site_energies, hoppings, transform)`` with ``transform[n, l]``
-    the orthogonal matrix taking star modes to chain modes; the collective
-    coupling mode is row 0 and the star coupling term becomes
-    ``|g| * (b_0 + b_0^+)`` with ``|g| = sqrt(sum g_l^2)``.
-    """
-    w = np.asarray(frequencies, dtype=float)
-    g = np.asarray(couplings, dtype=float)
-    if n_sites is None:
-        n_sites = w.size
-    eps, hop, basis = _lanczos_tridiagonalize(w, g**2, n_sites)
-    return eps, hop, basis
-
-
 _CHAIN_QUAD_PAD = 64
 
 
-def chain_map(p: ModelParams, n_sites: int,
-              check_orthogonality: bool = True) -> ChainRepresentation:
+def chain_map(p: ModelParams, n_sites: int) -> ChainRepresentation:
     """Recurrence coefficients of the spectral measure, Stieltjes style.
 
     The measure's own Gauss rule (order ``2 n_sites`` at least) makes the
@@ -137,12 +119,11 @@ def chain_map(p: ModelParams, n_sites: int,
     order = max(2 * n_sites, n_sites + _CHAIN_QUAD_PAD)
     rule = bath_measure_rule(p, n=order, kind="gauss")
     eps, hop, basis = _lanczos_tridiagonalize(rule.nodes, rule.weights, n_sites)
-    if check_orthogonality:
-        gram = basis @ basis.T
-        resid = float(np.max(np.abs(gram - np.eye(n_sites))))
-        if resid > 1e-8:
-            raise ConvergenceError(
-                f"chain_map: orthogonality loss {resid:.2e}; increase quadrature order")
+    gram = basis @ basis.T
+    resid = float(np.max(np.abs(gram - np.eye(n_sites))))
+    if resid > 1e-8:
+        raise ConvergenceError(
+            f"chain_map: orthogonality loss {resid:.2e}; increase quadrature order")
     mass = rule.total_mass
     return ChainRepresentation(
         site_energies=eps,
@@ -172,39 +153,9 @@ def _orthonormal_poly_values(chain: ChainRepresentation, mass: float,
     return out
 
 
-class DisplacedFrame:
-    """Frame shifted by the mean-field displacement ``lambda/g = m/(2 w)``.
-
-    Adding the shift to the displacement shapes cancels their infrared
-    ``-m/(2 w)`` tail exactly when the frame magnetization equals the
-    state's; the shifted shapes are then smooth at zero frequency.
-    """
-
-    def __init__(self, m: float, noop: bool = False):
-        self.m = float(m)
-        self.noop = bool(noop)
-
-    def shift_per_g(self, omega):
-        if self.noop:
-            return np.zeros_like(np.asarray(omega, dtype=float))
-        return self.m / (2.0 * np.asarray(omega, dtype=float))
-
-
-def displaced_frame(state: VariationalState, p: ModelParams,
-                    m_frame: float | None = None) -> DisplacedFrame:
-    """Build the mean-field displaced frame for a state.
-
-    With ``m_frame`` omitted the state's own magnetization is used; at
-    ``m = 0`` the transformation is the identity and the frame is flagged
-    as a no-op.
-    """
-    m = state.m if m_frame is None else float(m_frame)
-    return DisplacedFrame(m, noop=(m == 0.0))
-
-
 def chain_occupations(state: VariationalState, p: ModelParams,
                       chain: ChainRepresentation,
-                      frame: DisplacedFrame | None = None) -> OccupationProfile:
+                      m_frame: float = 0.0) -> OccupationProfile:
     """Mean boson number per chain site of the ADO state.
 
     Site ``n`` of each coherent branch carries displacement ``d_n = int p_n
@@ -212,6 +163,10 @@ def chain_occupations(state: VariationalState, p: ModelParams,
     C+^2 d_{n,+}^2 + C-^2 d_{n,-}^2``.  The ``1/w`` parts of the shapes are
     integrated against ``dmu / w`` rules so the infrared singularity sits in
     the quadrature weight, not the integrand.
+
+    A non-zero ``m_frame`` shifts the frame by the mean-field displacement
+    ``m_frame/(2 w)`` per unit coupling, which at the state's own ``m``
+    cancels the shapes' infrared ``-m/(2 w)`` tail; 0 is the bare frame.
     """
     if p.alpha == 0.0:
         return OccupationProfile(np.zeros(chain.n_sites), "bare")
@@ -229,9 +184,9 @@ def chain_occupations(state: VariationalState, p: ModelParams,
     # phi_pm = -(m dt / 2) * 1/(w (dt + q w))  -/+  q / (2 (dt + q w))
     sing_0 = -(0.5 * m * dt) / (dt + q * mu_m1.nodes)  # multiplies dmu/w
     smooth = 0.5 * q / (dt + q * mu0.nodes)            # multiplies dmu
-    if frame is not None and not frame.noop:
-        sing_0 = sing_0 + 0.5 * frame.m
-        frame_name = f"displaced({frame.m:g})"
+    if m_frame != 0.0:
+        sing_0 = sing_0 + 0.5 * m_frame
+        frame_name = f"displaced({m_frame:g})"
     else:
         frame_name = "bare"
 

@@ -17,6 +17,7 @@ the code of its first failed row.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -24,7 +25,7 @@ import sys
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -35,27 +36,40 @@ from .variational import minimize_energy
 
 _SCHEMA_VERSION = "1"
 
-_CONFIG_KEYS = {
-    "s": float,
-    "alpha": float,
-    "delta": float,
-    "omega_c": float,
-    "alpha_grid": str,
-    "s_grid": str,
-    "omega_c_list": str,
-    "n_sites": int,
-    "n_modes": int,
-    "n_boson": int,
-    "basis": str,
-    "functional": str,
-    "frame": str,
-    "occupations": bool,
-    "window": str,
-    "points_per_side": int,
-    "output": str,
-    "format": str,
-    "raw_units": bool,
+
+class _Option(NamedTuple):
+    """One setting, named by its config-file key; its flag is ``--key`` with
+    ``_`` turned into ``-``.  ``kind`` is ``float``, ``int``, ``str``, ``bool``
+    or the tuple of allowed strings; ``default`` applies when neither a flag
+    nor the config file sets it."""
+
+    kind: object
+    default: object = None
+    help: str | None = None
+
+
+_OPTIONS = {
+    "s": _Option(float),
+    "alpha": _Option(float),
+    "delta": _Option(float),
+    "omega_c": _Option(float),
+    "output": _Option(str),
+    "raw_units": _Option(bool, False),
+    "functional": _Option(("exact", "scaling"), "exact"),
+    "alpha_grid": _Option(str, help="lo:hi:n linear grid"),
+    "s_grid": _Option(str, help="lo:hi:n"),
+    "omega_c_list": _Option(str, help="comma-separated cutoffs"),
+    "n_sites": _Option(int, 50),
+    "occupations": _Option(bool, False),
+    "frame": _Option(("bare", "displaced"), "bare"),
+    "n_modes": _Option(int, 4),
+    "n_boson": _Option(int, 8),
+    "basis": _Option(("star", "chain"), "star"),
+    "window": _Option(str, "1e-4:1e-2", "reduced-coupling lo:hi"),
+    "points_per_side": _Option(int, 12),
 }
+
+_COMMON = ("s", "delta", "omega_c", "output", "raw_units")
 
 
 @dataclass
@@ -65,10 +79,10 @@ class RunConfig:
     command: str
     options: dict = field(default_factory=dict)
 
-    def params(self, with_alpha: bool = True) -> ModelParams:
-        """Model parameters from the options.  ``alpha`` is required unless
-        ``with_alpha`` is False, for commands that choose the couplings
-        themselves; it is then 0."""
+    def params(self) -> ModelParams:
+        """Model parameters from the options.  ``alpha`` is required by the
+        commands that take ``--alpha``; for the others it is 0."""
+        with_alpha = "alpha" in _COMMANDS[self.command].options
         required = ("s", "alpha", "delta", "omega_c") if with_alpha else ("s", "delta", "omega_c")
         missing = [k for k in required if self.options.get(k) is None]
         if missing:
@@ -80,6 +94,10 @@ class RunConfig:
             omega_c=self.options["omega_c"],
         )
 
+    def unit(self, scale: float) -> float:
+        """Reporting unit of a quantity measured in ``scale``; 1 with ``--raw-units``."""
+        return 1.0 if self.options["raw_units"] else scale
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
@@ -88,11 +106,26 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(64)
 
 
+def _cast(key: str, value: str):
+    kind = _OPTIONS[key].kind
+    if kind is bool:
+        if value.lower() in ("true", "1", "yes"):
+            return True
+        if value.lower() in ("false", "0", "no"):
+            return False
+        raise ValueError(value)
+    if isinstance(kind, tuple):
+        if value not in kind:
+            raise ValueError(value)
+        return value
+    return kind(value)
+
+
 def load_config(path: str | Path) -> dict:
     """Parse the line-oriented ``key = value`` config format.
 
-    Blank lines and ``#`` comments are ignored; unknown keys and malformed
-    lines are errors that name the offending line number.
+    Blank lines and ``#`` comments are ignored; unknown keys, malformed
+    lines and bad values are errors that name the offending line number.
     """
     out: dict = {}
     text = Path(path).read_text(encoding="utf-8")
@@ -105,19 +138,10 @@ def load_config(path: str | Path) -> dict:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in _CONFIG_KEYS:
+        if key not in _OPTIONS:
             raise DomainError(f"{path}:{lineno}: unknown key {key!r}")
-        caster = _CONFIG_KEYS[key]
         try:
-            if caster is bool:
-                if value.lower() in ("true", "1", "yes"):
-                    out[key] = True
-                elif value.lower() in ("false", "0", "no"):
-                    out[key] = False
-                else:
-                    raise ValueError(value)
-            else:
-                out[key] = caster(value)
+            out[key] = _cast(key, value)
         except ValueError as exc:
             raise DomainError(f"{path}:{lineno}: bad value for {key!r}: {value!r}") from exc
     return out
@@ -149,29 +173,20 @@ def _format_float(x: float) -> str:
     return format(float(x), ".12g")
 
 
-def _json_value(x):
-    if isinstance(x, float):
-        if math.isnan(x):
-            return "nan"
-        if math.isinf(x):
-            return "inf" if x > 0 else "-inf"
-        return x
-    return x
-
-
 def _sanitize_record(record: dict) -> dict:
     out = {}
     nonfinite = False
     for key, value in record.items():
         if isinstance(value, float) and not math.isfinite(value):
             nonfinite = True
-        out[key] = _json_value(value)
+            value = _format_float(value)
+        out[key] = value
     out["schema_version"] = _SCHEMA_VERSION
     out["has_nonfinite"] = nonfinite
     return out
 
 
-def _write_atomic(path: Path, text: str) -> None:
+def _write_atomic(path: str | Path, text: str) -> None:
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=str(path.parent) or ".", prefix=path.name + ".")
     try:
@@ -182,13 +197,6 @@ def _write_atomic(path: Path, text: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-def _emit(text: str, output: str | None) -> None:
-    if output:
-        _write_atomic(Path(output), text)
-    else:
-        sys.stdout.write(text)
 
 
 class _Output(NamedTuple):
@@ -220,22 +228,20 @@ def _json_text(record: dict) -> str:
 
 def _cmd_solve(cfg: RunConfig) -> _Output:
     p = cfg.params()
-    raw = cfg.options.get("raw_units", False)
-    functional = cfg.options.get("functional") or "exact"
+    functional = cfg.options["functional"]
     sol = minimize_energy(p, functional=functional)
-    e_unit = 1.0 if raw else p.delta
-    w_unit = 1.0 if raw else p.omega_c
+    e_unit = cfg.unit(p.delta)
     record = {
         "command": "solve",
         "s": p.s, "alpha": p.alpha, "delta": p.delta, "omega_c": p.omega_c,
         "functional": functional,
-        "raw_units": bool(raw),
+        "raw_units": cfg.options["raw_units"],
         "M": sol.sz,
         "energy": sol.energy / e_unit,
         "sx": sol.sx,
         "entanglement": sol.entanglement,
         "delta_tilde": sol.state.delta_tilde / e_unit,
-        "crossover_scale": sol.crossover_scale / w_unit,
+        "crossover_scale": sol.crossover_scale / cfg.unit(p.omega_c),
         "occupation_finite": sol.occupation_finite,
         "theory_valid": p.theory_valid,
     }
@@ -247,15 +253,13 @@ def _cmd_solve(cfg: RunConfig) -> _Output:
 def _cmd_sweep(cfg: RunConfig) -> _Output:
     from .critical import sweep_alpha
 
-    p = cfg.params(with_alpha=False)
+    p = cfg.params()
     grid_spec = cfg.options.get("alpha_grid")
     if not grid_spec:
         raise DomainError("sweep: --alpha-grid lo:hi:n is required")
     alphas = _parse_grid(grid_spec)
-    functional = cfg.options.get("functional") or "exact"
-    raw = cfg.options.get("raw_units", False)
-    e_unit = 1.0 if raw else p.delta
-    table = sweep_alpha(p.s, p.delta, p.omega_c, alphas, functional=functional)
+    e_unit = cfg.unit(p.delta)
+    table = sweep_alpha(p.s, p.delta, p.omega_c, alphas, functional=cfg.options["functional"])
     rows = [
         (float(a), float(m), float(sx), float(ent), float(e / e_unit), float(c1 / e_unit),
          status)
@@ -271,8 +275,8 @@ def _cmd_sweep(cfg: RunConfig) -> _Output:
 def _cmd_critical(cfg: RunConfig) -> _Output:
     from .critical import critical_point
 
-    p = cfg.params(with_alpha=False)
-    functional = cfg.options.get("functional") or "exact"
+    p = cfg.params()
+    functional = cfg.options["functional"]
     cp = critical_point(p.s, p.delta, p.omega_c, functional=functional)
     record = {
         "command": "critical",
@@ -281,7 +285,7 @@ def _cmd_critical(cfg: RunConfig) -> _Output:
         "alpha_c_numeric": cp.alpha_c_numeric,
         "alpha_c_closed": cp.alpha_c_closed,
         "ratio_numeric_to_closed": cp.ratio,
-        "delta_tilde_c": cp.delta_tilde_c / (1.0 if cfg.options.get("raw_units") else cp.delta),
+        "delta_tilde_c": cp.delta_tilde_c / cfg.unit(cp.delta),
         "sx_c": cp.sx_c,
     }
     return _Output(_json_text(record),
@@ -298,9 +302,8 @@ def _cmd_phase_diagram(cfg: RunConfig) -> _Output:
     delta = cfg.options.get("delta")
     if not s_spec or not wc_spec or delta is None:
         raise DomainError("phase-diagram: --s-grid, --omega-c-list and --delta are required")
-    functional = cfg.options.get("functional") or "exact"
     rows = phase_diagram(_parse_grid(s_spec), delta, _parse_list(wc_spec),
-                         functional=functional)
+                         functional=cfg.options["functional"])
     csv_rows = [
         (r["s"], r["omega_c"], r["alpha_c_numeric"], r["alpha_c_closed"], r["status"])
         for r in rows
@@ -314,23 +317,15 @@ def _cmd_phase_diagram(cfg: RunConfig) -> _Output:
 
 
 def _cmd_chain(cfg: RunConfig) -> _Output:
-    from .chain import chain_map, chain_occupations, displaced_frame
+    from .chain import chain_map, chain_occupations
 
     p = cfg.params()
-    n_sites = cfg.options.get("n_sites") or 50
-    raw = cfg.options.get("raw_units", False)
-    w_unit = 1.0 if raw else p.omega_c
-    rep = chain_map(p, int(n_sites))
-    if cfg.options.get("occupations"):
+    w_unit = cfg.unit(p.omega_c)
+    rep = chain_map(p, cfg.options["n_sites"])
+    if cfg.options["occupations"]:
         sol = minimize_energy(p)
-        frame_kind = cfg.options.get("frame") or "bare"
-        if frame_kind == "bare":
-            frame = None
-        elif frame_kind == "displaced":
-            frame = displaced_frame(sol.state, p)
-        else:
-            raise DomainError(f"chain: unknown frame {frame_kind!r}")
-        profile = chain_occupations(sol.state, p, rep, frame=frame)
+        m_frame = sol.state.m if cfg.options["frame"] == "displaced" else 0.0
+        profile = chain_occupations(sol.state, p, rep, m_frame=m_frame)
         rows = [(n, float(x)) for n, x in enumerate(profile.n_av)]
         return _Output(_csv_text(f"chain-occupations frame={profile.frame}", ["n", "n_av"], rows),
                        f"chain: M={_format_float(sol.sz)} frame={profile.frame} "
@@ -348,19 +343,17 @@ def _cmd_oracle(cfg: RunConfig) -> _Output:
     from .oracle import OracleConfig, run_oracle
 
     p = cfg.params()
-    n_modes = cfg.options.get("n_modes") or 4
-    n_boson = cfg.options.get("n_boson") or 8
-    basis = cfg.options.get("basis") or "star"
-    ocfg = OracleConfig(n_modes=int(n_modes), n_boson=int(n_boson), which_basis=basis)
+    ocfg = OracleConfig(n_modes=cfg.options["n_modes"], n_boson=cfg.options["n_boson"],
+                        which_basis=cfg.options["basis"])
     result = run_oracle(p, ocfg)
+    e_unit = cfg.unit(p.delta)
     record = {
         "command": "oracle",
         "s": p.s, "alpha": p.alpha, "delta": p.delta, "omega_c": p.omega_c,
         "n_modes": ocfg.n_modes, "n_boson": ocfg.n_boson, "basis": ocfg.which_basis,
-        "raw_units": bool(cfg.options.get("raw_units", False)),
-        "energy_exact": result.energy_exact / (1.0 if cfg.options.get("raw_units") else p.delta),
-        "energy_ado_discrete": result.energy_ado_discrete
-        / (1.0 if cfg.options.get("raw_units") else p.delta),
+        "raw_units": cfg.options["raw_units"],
+        "energy_exact": result.energy_exact / e_unit,
+        "energy_ado_discrete": result.energy_ado_discrete / e_unit,
         "fidelity": result.fidelity,
         "truncation_loss": result.truncation_loss,
         "converged_nb": result.converged_nb,
@@ -373,19 +366,23 @@ def _cmd_oracle(cfg: RunConfig) -> _Output:
 def _cmd_exponents(cfg: RunConfig) -> _Output:
     from .critical import critical_coupling_numeric, extract_exponents, sweep_alpha
 
-    p = cfg.params(with_alpha=False)
+    p = cfg.params()
     if not p.theory_valid:
         raise DomainError("exponents: mean-field exponents require s < 0.5")
-    window_spec = cfg.options.get("window") or "1e-4:1e-2"
+    window_spec = cfg.options["window"]
     try:
         lo_s, hi_s = window_spec.split(":")
         window = (float(lo_s), float(hi_s))
     except ValueError as exc:
         raise DomainError(f"bad window spec {window_spec!r}, expected lo:hi") from exc
-    n_side = cfg.options.get("points_per_side") or 12
-    functional = cfg.options.get("functional") or "exact"
+    if not 0.0 < window[0] < window[1]:
+        raise DomainError(f"bad window spec {window_spec!r}, need 0 < lo < hi")
+    n_side = cfg.options["points_per_side"]
+    if n_side < 1:
+        raise DomainError(f"exponents: --points-per-side must be positive, got {n_side}")
+    functional = cfg.options["functional"]
     alpha_c = critical_coupling_numeric(p.s, p.delta, p.omega_c, functional)
-    red = np.geomspace(window[0], window[1], int(n_side))
+    red = np.geomspace(window[0], window[1], n_side)
     alphas = np.sort(np.concatenate([alpha_c * (1 - red), alpha_c * (1 + red)]))
     table = sweep_alpha(p.s, p.delta, p.omega_c, alphas, functional=functional)
     beta, gamma = extract_exponents(table, alpha_c, window=window)
@@ -404,37 +401,37 @@ def _cmd_exponents(cfg: RunConfig) -> _Output:
                                         f"gamma={_format_float(gamma.exponent)}")
 
 
-_HANDLERS = {
-    "solve": _cmd_solve,
-    "sweep": _cmd_sweep,
-    "critical": _cmd_critical,
-    "phase-diagram": _cmd_phase_diagram,
-    "chain": _cmd_chain,
-    "oracle": _cmd_oracle,
-    "exponents": _cmd_exponents,
-}
+class _Command(NamedTuple):
+    help: str
+    options: tuple  # keys of _OPTIONS beyond _COMMON
+    handler: Callable[[RunConfig], _Output]
 
 
-_CANONICAL_FORMAT = {
-    "solve": "json",
-    "sweep": "csv",
-    "critical": "json",
-    "phase-diagram": "csv",
-    "chain": "csv",
-    "oracle": "json",
-    "exponents": "json",
+_COMMANDS = {
+    "solve": _Command("ground state at one coupling", ("alpha", "functional"), _cmd_solve),
+    "sweep": _Command("ground state along a coupling grid", ("alpha_grid", "functional"),
+                      _cmd_sweep),
+    "critical": _Command("critical coupling, numeric and closed form", ("functional",),
+                         _cmd_critical),
+    "phase-diagram": _Command("critical couplings over (s, omega_c)",
+                              ("s_grid", "omega_c_list", "functional"), _cmd_phase_diagram),
+    "chain": _Command("chain coefficients or site occupations",
+                      ("alpha", "n_sites", "occupations", "frame"), _cmd_chain),
+    "oracle": _Command("exact diagonalization cross-check",
+                       ("alpha", "n_modes", "n_boson", "basis"), _cmd_oracle),
+    "exponents": _Command("critical exponent fits", ("window", "points_per_side", "functional"),
+                          _cmd_exponents),
 }
 
 
 def run(cfg: RunConfig) -> int:
     """Execute a resolved configuration; returns the process exit code."""
     try:
-        wanted = cfg.options.get("format")
-        if wanted and wanted != _CANONICAL_FORMAT[cfg.command]:
-            raise DomainError(
-                f"{cfg.command} emits {_CANONICAL_FORMAT[cfg.command]}, not {wanted}")
-        out = _HANDLERS[cfg.command](cfg)
-        _emit(out.text, cfg.options.get("output"))
+        out = _COMMANDS[cfg.command].handler(cfg)
+        if cfg.options["output"]:
+            _write_atomic(cfg.options["output"], out.text)
+        else:
+            sys.stdout.write(out.text)
         print(out.summary, file=sys.stderr)
         if out.failure is not None:
             raise out.failure
@@ -447,63 +444,26 @@ def run(cfg: RunConfig) -> int:
         return 3
 
 
-def _build_parser() -> _Parser:
+@functools.cache
+def _parser() -> _Parser:
+    # built on first use, not at import, and then kept for the process
     parser = _Parser(prog="subohmic",
                      description="Variational ground state of the sub-ohmic spin-boson model")
     parser.add_argument("--version", action="version", version=f"subohmic {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(sp, with_alpha=True):
+    for name, command in _COMMANDS.items():
+        sp = sub.add_parser(name, help=command.help)
         sp.add_argument("--config", type=str, default=None,
                         help="key = value file; flags override file values")
-        sp.add_argument("--s", type=float, default=None)
-        if with_alpha:
-            sp.add_argument("--alpha", type=float, default=None)
-        sp.add_argument("--delta", type=float, default=None)
-        sp.add_argument("--omega-c", dest="omega_c", type=float, default=None)
-        sp.add_argument("--output", type=str, default=None)
-        sp.add_argument("--format", type=str, choices=("csv", "json"), default=None)
-        sp.add_argument("--raw-units", dest="raw_units", action="store_true", default=None)
-
-    sp = sub.add_parser("solve", help="ground state at one coupling")
-    add_common(sp)
-    sp.add_argument("--functional", choices=("exact", "scaling"), default=None)
-
-    sp = sub.add_parser("sweep", help="ground state along a coupling grid")
-    add_common(sp, with_alpha=False)
-    sp.add_argument("--alpha-grid", dest="alpha_grid", type=str, default=None,
-                    help="lo:hi:n linear grid")
-    sp.add_argument("--functional", choices=("exact", "scaling"), default=None)
-
-    sp = sub.add_parser("critical", help="critical coupling, numeric and closed form")
-    add_common(sp, with_alpha=False)
-    sp.add_argument("--functional", choices=("exact", "scaling"), default=None)
-
-    sp = sub.add_parser("phase-diagram", help="critical couplings over (s, omega_c)")
-    add_common(sp, with_alpha=False)
-    sp.add_argument("--s-grid", dest="s_grid", type=str, default=None, help="lo:hi:n")
-    sp.add_argument("--omega-c-list", dest="omega_c_list", type=str, default=None,
-                    help="comma-separated cutoffs")
-    sp.add_argument("--functional", choices=("exact", "scaling"), default=None)
-
-    sp = sub.add_parser("chain", help="chain coefficients or site occupations")
-    add_common(sp)
-    sp.add_argument("--n-sites", dest="n_sites", type=int, default=None)
-    sp.add_argument("--occupations", action="store_true", default=None)
-    sp.add_argument("--frame", choices=("bare", "displaced"), default=None)
-
-    sp = sub.add_parser("oracle", help="exact diagonalization cross-check")
-    add_common(sp)
-    sp.add_argument("--n-modes", dest="n_modes", type=int, default=None)
-    sp.add_argument("--n-boson", dest="n_boson", type=int, default=None)
-    sp.add_argument("--basis", choices=("star", "chain"), default=None)
-
-    sp = sub.add_parser("exponents", help="critical exponent fits")
-    add_common(sp, with_alpha=False)
-    sp.add_argument("--window", type=str, default=None, help="reduced-coupling lo:hi")
-    sp.add_argument("--points-per-side", dest="points_per_side", type=int, default=None)
-    sp.add_argument("--functional", choices=("exact", "scaling"), default=None)
-
+        for key in _COMMON + command.options:
+            opt = _OPTIONS[key]
+            flag = "--" + key.replace("_", "-")
+            if opt.kind is bool:
+                sp.add_argument(flag, dest=key, action="store_true", default=None, help=opt.help)
+            elif isinstance(opt.kind, tuple):
+                sp.add_argument(flag, dest=key, choices=opt.kind, default=None, help=opt.help)
+            else:
+                sp.add_argument(flag, dest=key, type=opt.kind, default=None, help=opt.help)
     return parser
 
 
@@ -512,16 +472,12 @@ def parse_args(argv: Sequence[str] | None = None) -> RunConfig:
 
     Precedence: built-in defaults < config file < explicit flags.
     """
-    parser = _build_parser()
-    ns = parser.parse_args(argv)
-    options: dict = {}
-    config_path = getattr(ns, "config", None)
-    if config_path:
-        options.update(load_config(config_path))
+    ns = _parser().parse_args(argv)
+    options = {key: _OPTIONS[key].default for key in _COMMON + _COMMANDS[ns.command].options}
+    if ns.config:
+        options.update(load_config(ns.config))
     for key, value in vars(ns).items():
-        if key in ("command", "config"):
-            continue
-        if value is not None:
+        if key not in ("command", "config") and value is not None:
             options[key] = value
     return RunConfig(command=ns.command, options=options)
 

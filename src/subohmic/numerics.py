@@ -9,7 +9,6 @@ identical inputs give bit-identical outputs.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -19,9 +18,7 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.special import roots_jacobi
 
-from .errors import BracketError, DomainError
-
-_log = logging.getLogger(__name__)
+from .errors import BracketError, ConvergenceError, DomainError
 
 _INV_E = math.exp(-1.0)
 
@@ -75,7 +72,7 @@ def lambert_w0(x: float) -> float:
 class QuadratureRule:
     """Nodes and positive weights representing a measure on an interval.
 
-    ``integrate(f, rule)`` approximates the integral of ``f`` against the
+    ``weights @ f(nodes)`` approximates the integral of ``f`` against the
     measure the rule was built for; the weight function is folded into
     ``weights``, so integrating the constant 1 returns the measure's mass.
     """
@@ -138,12 +135,7 @@ _LOG_HEAD_N = 24
 _LOG_SEGMENT_N = 32
 
 
-def power_rule_log(
-    sigma: float,
-    upper: float,
-    prefactor: float = 1.0,
-    n_segment: int = _LOG_SEGMENT_N,
-) -> QuadratureRule:
+def power_rule_log(sigma: float, upper: float, prefactor: float = 1.0) -> QuadratureRule:
     """Composite rule for ``prefactor * w^sigma dw`` on ``[0, upper]``.
 
     A small Gauss-Jacobi head handles the endpoint singularity on
@@ -160,7 +152,7 @@ def power_rule_log(
     head = power_rule(sigma, cut, _LOG_HEAD_N, prefactor)
     all_nodes = [head.nodes]
     all_weights = [head.weights]
-    x, w = _leggauss(int(n_segment))
+    x, w = _leggauss(_LOG_SEGMENT_N)
     n_decades = int(round(-math.log10(_LOG_HEAD_FRACTION)))
     lo = cut
     for k in range(n_decades):
@@ -172,37 +164,6 @@ def power_rule_log(
         all_weights.append(prefactor * half * w * nodes**sigma)
         lo = hi
     return QuadratureRule(np.concatenate(all_nodes), np.concatenate(all_weights))
-
-
-def legendre_rule(lo: float, hi: float, n: int) -> QuadratureRule:
-    """Plain Gauss-Legendre rule for ``dw`` on ``[lo, hi]``."""
-    if hi <= lo:
-        raise DomainError("legendre_rule: need hi > lo")
-    x, w = _leggauss(int(n))
-    mid = 0.5 * (hi + lo)
-    half = 0.5 * (hi - lo)
-    return QuadratureRule(mid + half * x, half * w)
-
-
-def integrate(f: Callable[[np.ndarray], np.ndarray], rule: QuadratureRule) -> float:
-    """Integrate ``f`` against the rule's measure: ``sum(weights * f(nodes))``.
-
-    Non-finite values at a node are propagated to the result after logging a
-    diagnostic naming the first offending node.
-    """
-    try:
-        values = np.asarray(f(rule.nodes), dtype=float)
-        if values.shape != rule.nodes.shape:
-            raise TypeError
-    except (TypeError, ValueError):
-        values = np.array([float(f(x)) for x in rule.nodes])
-    if not np.all(np.isfinite(values)):
-        bad = int(np.flatnonzero(~np.isfinite(values))[0])
-        _log.warning(
-            "integrate: non-finite integrand value %r at node %r (index %d)",
-            values[bad], rule.nodes[bad], bad,
-        )
-    return float(np.dot(rule.weights, values))
 
 
 class MinimizeResult(NamedTuple):
@@ -226,7 +187,9 @@ def minimize_scalar(
     Bounded golden-section search with successive parabolic interpolation
     (Brent).  ``tol`` is an absolute tolerance on the abscissa.  The
     endpoints are evaluated explicitly at the end; a minimum at ``lo`` or
-    ``hi`` is returned as-is with ``boundary=True``.
+    ``hi`` is returned as-is with ``boundary=True``.  Raises
+    :class:`ConvergenceError` if the bracket is still wider than the
+    tolerance after ``max_iter`` steps.
     """
     if not lo < hi:
         raise DomainError("minimize_scalar: need lo < hi")
@@ -281,6 +244,10 @@ def minimize_scalar(
                 w, fw = u, fu
             elif fu <= fv or v == x or v == w:
                 v, fv = u, fu
+    else:
+        raise ConvergenceError(
+            f"minimize_scalar: bracket width {b - a:.3e} after {max_iter} iterations "
+            f"(tolerance {tol:.1e})")
     flo = float(f(lo))
     fhi = float(f(hi))
     if flo <= fx and flo <= fhi:

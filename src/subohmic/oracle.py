@@ -21,10 +21,10 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import LinearOperator, eigsh
 
-from .chain import tridiagonalize_modes
+from .chain import _lanczos_tridiagonalize
 from .errors import ConvergenceError, DomainError, SizeError
 from .model import DiscretizedBath, ModelParams, bath_as_measures
-from .variational import VariationalState, minimize_measures, _energy_at
+from .variational import Functional, VariationalState
 
 _DIMENSION_CAP = 2_000_000
 _DENSE_CUTOFF = 64
@@ -73,7 +73,9 @@ class FidelityResult(NamedTuple):
 
 
 def _chain_form(bath: DiscretizedBath) -> tuple[np.ndarray, np.ndarray, float, np.ndarray]:
-    eps, hop, basis = tridiagonalize_modes(bath.frequencies, bath.couplings)
+    # basis[n, l] takes star modes to chain modes; row 0 is the collective
+    # coupling mode, so the coupling term becomes |g| (b_0 + b_0^+)
+    eps, hop, basis = _lanczos_tridiagonalize(bath.frequencies, bath.couplings**2, bath.n_modes)
     g_norm = float(np.linalg.norm(bath.couplings))
     return eps, hop, g_norm, basis
 
@@ -231,23 +233,21 @@ def ado_on_discrete(bath: DiscretizedBath, p: ModelParams) -> tuple[float, Varia
     """
     if np.all(bath.couplings == 0.0):
         return -0.5 * p.delta, VariationalState.build(0.0, p.delta)
-    mu0, mu_m1 = bath_as_measures(bath)
-    m, energy, dt = minimize_measures(p.delta, mu0, mu_m1)
-    e_static = -0.25 * mu_m1.total_mass
-    tol = 1e-13 * max(1.0, abs(e_static))
-    if abs(m) < 1.0 and dt > 0.0:
-        if _energy_at(m, dt, mu0, mu_m1, p.delta) <= e_static + tol:
-            return energy, VariationalState.build(m, dt)
-    return e_static, VariationalState.build(1.0, 0.0)
+    fn = Functional.measures(p.delta, *bath_as_measures(bath))
+    m, energy, dt = fn.minimize()
+    tol = 1e-13 * max(1.0, abs(fn.static))
+    if abs(m) < 1.0 and dt > 0.0 and fn.branch(m, dt) <= fn.static + tol:
+        return energy, VariationalState.build(m, dt)
+    return fn.static, VariationalState.build(1.0, 0.0)
 
 
 def discrete_critical_coupling(s: float, delta: float, omega_c: float,
-                               n_modes: int, m_onset: float = 1e-6) -> float:
+                               n_modes: int) -> float:
     """Coupling where the discrete model's variational minimizer magnetizes.
 
     Few-mode baths localize through a first-order-like jump of the
     minimizer rather than a sign change of the quadratic Landau
-    coefficient, so the onset of ``m > m_onset`` is bisected directly
+    coefficient, so the onset of ``m > 1e-6`` is bisected directly
     (for the continuum both definitions coincide).  Relative tolerance
     ``1e-3`` in the coupling.
     """
@@ -257,7 +257,7 @@ def discrete_critical_coupling(s: float, delta: float, omega_c: float,
         p = ModelParams(s=s, alpha=alpha, delta=delta, omega_c=omega_c)
         bath = discretize_bath(p, n_modes)
         _, state = ado_on_discrete(bath, p)
-        return state.m > m_onset
+        return state.m > 1e-6
 
     lo = 1e-3
     while magnetized(lo):
@@ -383,9 +383,9 @@ def convergence_scan(m_trial_grid: Sequence[float], bath: DiscretizedBath,
     return rows
 
 
-def run_oracle(p: ModelParams, cfg: OracleConfig,
-               check_nb_convergence: bool = True) -> OracleResult:
-    """End-to-end oracle run: discretize, diagonalize, compare to the ansatz."""
+def run_oracle(p: ModelParams, cfg: OracleConfig) -> OracleResult:
+    """End-to-end oracle run: discretize, diagonalize, compare to the ansatz.
+    ``converged_nb``: two more Fock levels move the energy <= 1e-6 relative."""
     from .model import discretize_bath
 
     bath = discretize_bath(p, cfg.n_modes)
@@ -393,11 +393,9 @@ def run_oracle(p: ModelParams, cfg: OracleConfig,
     e_exact, vec = ground_state(h)
     e_ado, state = ado_on_discrete(bath, p)
     fid = fidelity(state, bath, vec, cfg)
-    converged = True
-    if check_nb_convergence:
-        cfg_up = OracleConfig(cfg.n_modes, cfg.n_boson + 2, cfg.which_basis)
-        e_up, _ = ground_state(build_hamiltonian(bath, p, cfg_up))
-        converged = abs(e_up - e_exact) <= 1e-6 * max(1.0, abs(e_exact))
+    cfg_up = OracleConfig(cfg.n_modes, cfg.n_boson + 2, cfg.which_basis)
+    e_up, _ = ground_state(build_hamiltonian(bath, p, cfg_up))
+    converged = abs(e_up - e_exact) <= 1e-6 * max(1.0, abs(e_exact))
     return OracleResult(
         energy_exact=e_exact,
         energy_ado_discrete=e_ado,

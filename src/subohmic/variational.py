@@ -214,10 +214,7 @@ def _solve_delta_tilde(m, delta: float, mu0: QuadratureRule, dt_start: float = 0
 
 def solve_delta_tilde_exact(m: float, p: ModelParams) -> float:
     """Self-consistent effective tunneling from the full cutoff integral."""
-    if p.alpha == 0.0:
-        return 0.0 if abs(m) >= 1.0 else p.delta
-    mu0, _ = bath_measures(p)
-    return _solve_delta_tilde(m, p.delta, mu0)
+    return Functional.of(p).dt(m)
 
 
 def solve_delta_tilde_scaling(m: float, p: ModelParams) -> float:
@@ -229,11 +226,10 @@ def solve_delta_tilde_scaling(m: float, p: ModelParams) -> float:
     ``z e^{-z} = (1-s) C D^(s-1)``, solved on the branch with ``z < 1``
     (the largest root) by ``z = -W0(-(1-s) C D^(s-1))``.  When the W
     argument drops below ``-1/e`` no finite root survives and 0 is returned.
+    At ``alpha = 0`` the argument is 0 and ``dt = delta``.
     """
     if abs(m) >= 1.0:
         return 0.0
-    if p.alpha == 0.0:
-        return p.delta
     s = p.s
     t = 1.0 - s
     q = math.sqrt(1.0 - m * m)
@@ -249,20 +245,19 @@ def solve_delta_tilde_scaling(m: float, p: ModelParams) -> float:
 
 
 # ---------------------------------------------------------------------------
-# energy functionals
+# the energy functional
 # ---------------------------------------------------------------------------
 
 
-def _energy_at(m, dt, mu0: QuadratureRule, mu_m1: QuadratureRule, delta: float):
+def _energy_at(ms, dts, mu0: QuadratureRule, mu_m1: QuadratureRule, delta: float):
     """Variational energy of the shape family parameterized by ``dt``, for
-    one ``(m, dt)`` pair or equal-shape arrays of them (float in, float out).
+    equal-shape arrays of ``(m, dt)`` pairs.
 
     The tunneling term uses the actual branch overlap of the shapes, so this
     is a true variational energy for any ``dt >= 0``, stationary at the
     self-consistent fixed point.  The bath part is written in terms of
     ``u = w * phi`` (bounded at ``w -> 0``) against ``dmu / w``.
     """
-    ms, dts = np.atleast_1d(m).astype(float), np.atleast_1d(dt).astype(float)
     out = np.full(ms.shape, _static_energy(mu_m1))
     live = (np.abs(ms) < 1.0) & (dts != 0.0)
     mm, d = ms[live, None], dts[live, None]
@@ -278,7 +273,7 @@ def _energy_at(m, dt, mu0: QuadratureRule, mu_m1: QuadratureRule, delta: float):
     mm = mm[:, 0]
     out[live] = (-0.5 * q[:, 0] * delta * overlap
                  + (0.5 * (1.0 + mm) * i_plus - 0.5 * (1.0 - mm) * i_minus))
-    return float(out[0]) if np.ndim(m) == 0 else out
+    return out
 
 
 def _static_energy(mu_m1: QuadratureRule) -> float:
@@ -286,187 +281,177 @@ def _static_energy(mu_m1: QuadratureRule) -> float:
     return -0.25 * mu_m1.total_mass
 
 
-def energy_measures(m: float, delta: float, mu0: QuadratureRule,
-                    mu_m1: QuadratureRule) -> float:
-    """Minimal energy at magnetization ``m`` for an arbitrary measure pair.
-
-    Solves the self-consistency on the given measure and keeps the lower of
-    the finite-tunneling branch and the fully-displaced ``dt = 0`` branch.
-    (The intermediate unstable fixed point, when present, always lies above
-    the static branch and never wins.)
-    """
-    dt = _solve_delta_tilde(m, delta, mu0)
-    return min(_energy_at(m, dt, mu0, mu_m1, delta), _static_energy(mu_m1))
-
-
 def static_shift_energy(p: ModelParams) -> float:
     """Energy of the fully localized state: ``-alpha omega_c / (2 s)``."""
     return -p.alpha * p.omega_c / (2.0 * p.s)
 
 
-def energy_exact(m: float, p: ModelParams) -> float:
-    """Ground-state energy at fixed magnetization from the full functional."""
-    if abs(m) > 1.0:
-        raise DomainError("energy_exact: |m| must be <= 1")
-    if p.alpha == 0.0:
-        return -0.5 * p.delta * math.sqrt(max(0.0, 1.0 - m * m))
-    if abs(m) == 1.0:
-        return static_shift_energy(p)
-    mu0, mu_m1 = bath_measures(p)
-    return energy_measures(m, p.delta, mu0, mu_m1)
-
-
-SCALING_TUNNELING_PREFACTOR = 0.5
-"""Coefficient of the ``dt * sqrt(1 - m^2)`` term in the wide-band energy.
-
-Deriving the large-cutoff limit of the full functional gives 1/2, matching
-the tunneling term of the energy at finite cutoff; this value also
-reproduces the closed-form critical coupling.  The alternative convention
-1.0, which appears in some statements of the wide-band energy, does not,
-and is selectable only for comparison."""
-
-
-def energy_scaling(m: float, p: ModelParams,
-                   tunneling_prefactor: float = SCALING_TUNNELING_PREFACTOR) -> float:
-    """Wide-band-limit energy at fixed magnetization: the lower of
-    :func:`branch_energy_scaling` and the static energy ``-alpha omega_c / (2s)``."""
-    if abs(m) > 1.0:
-        raise DomainError("energy_scaling: |m| must be <= 1")
-    e = branch_energy_scaling(m, p, tunneling_prefactor)
-    return e if p.alpha == 0.0 else min(e, static_shift_energy(p))
-
-
-def branch_energy_exact(m: float, p: ModelParams) -> float:
-    """Energy of the finite-tunneling branch only (no static crossover).
-
-    This is the analytic order-parameter functional whose Taylor expansion
-    defines the Landau coefficients.  It agrees with :func:`energy_exact`
-    wherever the finite-tunneling branch is the minimum; at strong coupling
-    the global energy crosses over to the m-independent fully displaced
-    configuration, which would flatten finite differences taken on the min.
-    """
-    if abs(m) > 1.0:
-        raise DomainError("branch_energy_exact: |m| must be <= 1")
-    if p.alpha == 0.0:
-        return -0.5 * p.delta * math.sqrt(max(0.0, 1.0 - m * m))
-    if abs(m) == 1.0:
-        return static_shift_energy(p)
-    mu0, mu_m1 = bath_measures(p)
-    return _energy_at(m, _solve_delta_tilde(m, p.delta, mu0), mu0, mu_m1, p.delta)
-
-
-def branch_energy_scaling(m: float, p: ModelParams,
-                          tunneling_prefactor: float | None = None) -> float:
-    """Finite-tunneling branch of the wide-band energy (no static crossover).
-
-    ``E = -k dt q - alpha omega_c / (2s)
-         + [alpha pi omega_c (1-s) q^2 / (2 sin pi s)] (dt / (omega_c q))^s``
-    with ``q = sqrt(1-m^2)``, ``dt`` from :func:`solve_delta_tilde_scaling`
-    and ``k`` the tunneling prefactor (see
-    :data:`SCALING_TUNNELING_PREFACTOR`).
-    """
-    if tunneling_prefactor is None:
-        tunneling_prefactor = SCALING_TUNNELING_PREFACTOR
-    if abs(m) > 1.0:
-        raise DomainError("branch_energy_scaling: |m| must be <= 1")
-    if p.alpha == 0.0:
-        return -tunneling_prefactor * p.delta * math.sqrt(max(0.0, 1.0 - m * m))
-    dt = solve_delta_tilde_scaling(m, p)
+def _wide_band_branch(m: float, dt: float, p: ModelParams) -> float:
+    """Finite-tunneling branch of the wide-band energy at one ``(m, dt)``:
+    ``-dt q / 2 - alpha omega_c / (2s) + [alpha pi omega_c (1-s) q^2 / (2 sin
+    pi s)] (dt / (omega_c q))^s``, ``q = sqrt(1-m^2)``.  The 1/2 is the
+    large-cutoff limit of the full functional and reproduces the closed-form
+    critical coupling; the prefactor 1 of some statements does not."""
     if dt == 0.0:
         return static_shift_energy(p)
     s = p.s
     q = math.sqrt(1.0 - m * m)
     corr = (p.alpha * math.pi * p.omega_c * (1.0 - s) * q * q
             / (2.0 * math.sin(math.pi * s))) * (dt / (p.omega_c * q)) ** s
-    return -tunneling_prefactor * dt * q + static_shift_energy(p) + corr
+    return -0.5 * dt * q + static_shift_energy(p) + corr
 
 
-def _functional(p: ModelParams, functional: str, branch: bool = False) -> Callable[[float], float]:
-    # energy (or finite-tunneling branch) of the named functional, as E(m)
-    fns = {"exact": (energy_exact, branch_energy_exact),
-           "scaling": (energy_scaling, branch_energy_scaling)}
-    if functional not in fns:
-        raise DomainError(f"unknown functional {functional!r}")
-    fn = fns[functional][branch]
-    return lambda m: fn(m, p)
+def _floats(x) -> np.ndarray:
+    return np.atleast_1d(np.asarray(x, dtype=float))
 
 
-# ---------------------------------------------------------------------------
-# minimization over the magnetization and observables
-# ---------------------------------------------------------------------------
+def _like(m, out: np.ndarray):
+    # float for a scalar m, the array otherwise
+    return float(out[0]) if np.ndim(m) == 0 else out
+
 
 _M_GRID_POINTS = 64
 _M_UPPER = 1.0 - 1e-9
-
 
 # pre-scan grid: uniform coverage plus a geometric ladder in q = sqrt(1 - m^2),
 # since strongly coupled discrete baths develop narrow wells close to m = 1
 _M_GRID = np.unique(np.concatenate([np.linspace(0.0, 1.0, _M_GRID_POINTS + 1),
                                     np.sqrt(1.0 - np.geomspace(1e-4, 1.0, 17)[:-1] ** 2)]))
 
+_LANDAU_STEP = 1e-3
 
-def _refine_minimum(values: np.ndarray,
-                    energy: Callable[[float], float]) -> tuple[float, float]:
-    """Minimize an even energy over ``m`` in ``[0, 1]`` given its ``values``
-    on the pre-scan grid (uniform plus refinement toward ``m = 1``), which
-    guards against capture in a metastable local well.  Brent refines the
-    winning bracket, calling ``energy`` only off the grid.  Returns ``(m, E)``.
+
+class Functional:
+    """The ADO energy of one bath as a function of the magnetization ``m``:
+    ``dt(m)`` (the largest self-consistent root, 0 where it collapses), the
+    finite-tunneling ``branch(m)`` and ``energy(m) = min(branch, static)``,
+    ``e_one`` at ``|m| = 1``.  (The intermediate unstable fixed point always
+    lies above the static branch.)  Methods take one ``m`` (float out) or an
+    array (array out).  The constructor takes the batched kernels
+    ``solve(ms, start) -> dts`` and ``branch(ms, dts) -> energies``.
     """
-    known = dict(zip(_M_GRID.tolist(), values.tolist()))
-    j = int(np.argmin(values))
-    lo, hi = _M_GRID[max(j - 1, 0)], min(_M_GRID[min(j + 1, _M_GRID.size - 1)], _M_UPPER)
-    res = minimize_scalar(lambda m: known[m] if m in known else energy(m),
-                          float(lo), float(hi), tol=_M_MIN_TOL)
-    e0, e1 = known[0.0], known[1.0]
-    if res.fun >= e0 - 1e-13 * max(1.0, abs(e0)):
-        return 0.0, e0
-    if e1 < res.fun - 1e-13 * max(1.0, abs(e1)):
-        return 1.0, e1
-    return res.x, res.fun
+
+    def __init__(self, static: float, e_one: float,
+                 solve: Callable[[np.ndarray, float], np.ndarray],
+                 branch: Callable[[np.ndarray, np.ndarray], np.ndarray]):
+        self.static, self.e_one = static, e_one
+        self._solve, self._branch = solve, branch
+
+    @classmethod
+    def measures(cls, delta: float, mu0: QuadratureRule, mu_m1: QuadratureRule,
+                 e_one: float | None = None) -> "Functional":
+        """Functional on the measure pair ``dmu``, ``dmu / w`` (continuum rules
+        or a discrete mode list); ``e_one`` defaults to ``-(1/4) int dmu / w``."""
+        static = _static_energy(mu_m1)
+        return cls(static, static if e_one is None else e_one,
+                   lambda ms, start: _solve_delta_tilde(ms, delta, mu0, start),
+                   lambda ms, dts: _energy_at(ms, dts, mu0, mu_m1, delta))
+
+    @classmethod
+    def of(cls, p: ModelParams, kind: str = "exact") -> "Functional":
+        """The ``"exact"`` functional on the full cutoff integral, with the
+        closed-form :func:`static_shift_energy` at ``|m| = 1`` but the
+        quadrature ``-(1/4) int dmu / w`` below it, or its ``"scaling"``
+        (wide-band) limit.  At ``alpha = 0`` both are the free energy, taken
+        in the wide-band form, which needs no bath rules."""
+        if kind not in ("exact", "scaling"):
+            raise DomainError(f"unknown functional {kind!r}")
+        e_static = static_shift_energy(p)
+        if kind == "exact" and p.alpha != 0.0:
+            mu0, mu_m1 = bath_measures(p)
+            return cls.measures(p.delta, mu0, mu_m1, e_one=e_static)
+        return cls(e_static, e_static,
+                   lambda ms, start: np.array([solve_delta_tilde_scaling(m, p)
+                                               for m in ms.tolist()]),
+                   lambda ms, dts: np.array([_wide_band_branch(m, dt, p)
+                                             for m, dt in zip(ms.tolist(), dts.tolist())]))
+
+    def dt(self, m, start: float = 0.0):
+        """Effective tunneling; a positive ``start`` must not lie below it."""
+        return _like(m, self._solve(_floats(m), start))
+
+    def branch(self, m, dt=None):
+        """Finite-tunneling branch energy, at the self-consistent ``dt``
+        unless one is given (the energy is stationary in ``dt`` there)."""
+        ms = _floats(m)
+        if np.any(np.abs(ms) > 1.0):
+            raise DomainError("Functional: |m| must be <= 1")
+        return _like(m, self._branch(ms, self._solve(ms, 0.0) if dt is None else _floats(dt)))
+
+    def energy(self, m, dt=None):
+        """``min(branch, static)``, and ``e_one`` at ``|m| = 1``."""
+        ms = _floats(m)
+        e = np.where(np.abs(ms) == 1.0, self.e_one, np.minimum(self.branch(ms, dt), self.static))
+        return _like(m, e)
+
+    def minimize(self) -> tuple[float, float, float]:
+        """Minimum of the even :meth:`energy` over ``m`` in ``[0, 1]``: ``(m,
+        E, dt)``.  A batched pre-scan grid guards against capture in a
+        metastable well; Brent refines the winning bracket, each solve
+        starting from the ``dt`` of the nearest solved point at larger
+        ``m`` (the largest root grows with ``|m|``, so it lies above).
+        """
+        dts = self.dt(_M_GRID)
+        values = self.energy(_M_GRID, dts)
+        solved_m, solved_dt = _M_GRID.tolist(), dts.tolist()
+        known = dict(zip(solved_m, values.tolist()))
+
+        def energy(m: float) -> float:
+            if m in known:
+                return known[m]
+            k = bisect.bisect_left(solved_m, m)
+            dt = self.dt(m, solved_dt[k])
+            solved_m.insert(k, m)
+            solved_dt.insert(k, dt)
+            return self.energy(m, dt)
+
+        j = int(np.argmin(values))
+        lo, hi = _M_GRID[max(j - 1, 0)], min(_M_GRID[min(j + 1, _M_GRID.size - 1)], _M_UPPER)
+        res = minimize_scalar(energy, float(lo), float(hi), tol=_M_MIN_TOL)
+        e0, e1 = known[0.0], known[1.0]
+        if res.fun >= e0 - 1e-13 * max(1.0, abs(e0)):
+            m, e = 0.0, e0
+        elif e1 < res.fun - 1e-13 * max(1.0, abs(e1)):
+            m, e = 1.0, e1
+        else:
+            m, e = res.x, res.fun
+        return m, e, solved_dt[bisect.bisect_left(solved_m, m)]
+
+    def landau(self) -> tuple[float, float, float]:
+        """Coefficients ``(c0, c1, c2)`` of ``branch = c0 + c1 m^2 + c2 m^4 +
+        O(m^6)`` near ``m = 0``.
+
+        Central finite differences with the self-consistency re-solved at
+        every stencil point, Richardson-extrapolated from steps ``h`` and
+        ``h/2``.  The branch is even in ``m``: ``0, h/2, h, 2h`` are solved
+        in one call and the negative points mirrored.
+        """
+        h = _LANDAU_STEP
+        e0, e_half, e_h, e_2h = self.branch(np.array([0.0, h / 2, h, 2 * h])).tolist()
+
+        def second(e1, hh):
+            return (e1 - 2.0 * e0 + e1) / (hh * hh)
+
+        def fourth(e2, e1, hh):
+            return (e2 - 4.0 * e1 + 6.0 * e0 - 4.0 * e1 + e2) / hh**4
+
+        c1 = (4.0 * second(e_half, h / 2) - second(e_h, h)) / 3.0 / 2.0
+        c2 = (16.0 * fourth(e_h, e_half, h / 2) - fourth(e_2h, e_h, h)) / 15.0 / 24.0
+        return e0, c1, c2
 
 
-def minimize_measures(delta: float, mu0: QuadratureRule, mu_m1: QuadratureRule,
-                      e_one: float | None = None) -> tuple[float, float, float]:
-    """Minimize :func:`energy_measures` over ``m`` in ``[0, 1]``; returns
-    ``(m, E, dt)``.  ``e_one`` overrides the energy at ``m = 1``.
-
-    The pre-scan grid is solved in one batched call.  Each later solve
-    starts from the ``dt`` of the nearest solved point at larger ``m``: the
-    largest root grows with ``|m|``, so that start lies above the root.
-    """
-    e_static = _static_energy(mu_m1)
-    dts = _solve_delta_tilde(_M_GRID, delta, mu0)
-    values = np.minimum(_energy_at(_M_GRID, dts, mu0, mu_m1, delta), e_static)
-    if e_one is not None:
-        values[-1] = e_one
-    solved_m, solved_dt = _M_GRID.tolist(), dts.tolist()
-
-    def energy(m: float) -> float:
-        k = bisect.bisect_left(solved_m, m)
-        dt = _solve_delta_tilde(m, delta, mu0, solved_dt[k])
-        solved_m.insert(k, m)
-        solved_dt.insert(k, dt)
-        return min(_energy_at(m, dt, mu0, mu_m1, delta), e_static)
-
-    m, e = _refine_minimum(values, energy)
-    return m, e, solved_dt[bisect.bisect_left(solved_m, m)]
+# ---------------------------------------------------------------------------
+# ground state, observables, Landau expansion
+# ---------------------------------------------------------------------------
 
 
 def minimize_energy(p: ModelParams, functional: str = "exact") -> GroundStateSolution:
     """Ground state over the magnetization (positive branch by convention)."""
-    if functional == "exact" and p.alpha != 0.0:
-        mu0, mu_m1 = bath_measures(p)
-        m, e, dt = minimize_measures(p.delta, mu0, mu_m1, e_one=static_shift_energy(p))
-    else:
-        energy = _functional(p, functional)
-        m, e = _refine_minimum(np.array([energy(float(x)) for x in _M_GRID]), energy)
-        solve = solve_delta_tilde_scaling if functional == "scaling" else solve_delta_tilde_exact
-        dt = solve(m, p)
+    m, e, dt = Functional.of(p, functional).minimize()
     return observables(VariationalState.build(m, dt), p, energy=e)
 
 
-def observables(state: VariationalState, p: ModelParams,
-                energy: float | None = None) -> GroundStateSolution:
+def observables(state: VariationalState, p: ModelParams, energy: float) -> GroundStateSolution:
     """Populate spin observables and bath flags for a given state.
 
     ``<sigma_x> = sqrt(1 - m^2) * dt / delta`` (twice the amplitude product
@@ -482,8 +467,6 @@ def observables(state: VariationalState, p: ModelParams,
     r = math.hypot(sx, m)
     ent = _binary_entropy_bits(0.5 * (1.0 + min(r, 1.0)))
     crossover = math.inf if q == 0.0 and m != 0.0 else (m * dt / q if q > 0.0 else 0.0)
-    if energy is None:
-        energy = energy_exact(m, p)
     return GroundStateSolution(
         params=p,
         state=state,
@@ -532,53 +515,16 @@ def occupation_total(state: VariationalState, p: ModelParams) -> float:
     return float(np.dot(mu0.weights, 0.25 / (dt + w) ** 2))
 
 
-# ---------------------------------------------------------------------------
-# Landau expansion and susceptibility
-# ---------------------------------------------------------------------------
-
-_LANDAU_STEP = 1e-3
-
-
-def landau_from_energy(energy: Callable[[float], float],
-                       step: float = _LANDAU_STEP) -> tuple[float, float, float]:
-    """Coefficients of ``E = c0 + c1 m^2 + c2 m^4 + O(m^6)`` near ``m = 0``.
-
-    Central finite differences with the self-consistency re-solved at every
-    stencil point, Richardson-extrapolated from steps ``h`` and ``h/2``.
-    ``energy`` must be even in ``m``: it is evaluated at ``0, h/2, h, 2h``
-    and the negative points are mirrored.
-    """
-    h = step
-    e0 = energy(0.0)
-    samples = {x: energy(x) for x in (h / 2, h, 2 * h)}
-    samples.update({-x: e for x, e in samples.items()})
-
-    def second(hh):
-        return (samples[hh] - 2.0 * e0 + samples[-hh]) / (hh * hh)
-
-    def fourth(hh):
-        return (samples[2 * hh] - 4.0 * samples[hh] + 6.0 * e0
-                - 4.0 * samples[-hh] + samples[-2 * hh]) / hh**4
-
-    c1 = (4.0 * second(h / 2) - second(h)) / 3.0 / 2.0
-    c2 = (16.0 * fourth(h / 2) - fourth(h)) / 15.0 / 24.0
-    return e0, c1, c2
-
-
-def landau_coefficients(p: ModelParams, functional: str = "exact",
-                        step: float = _LANDAU_STEP) -> tuple[float, float, float]:
+def landau_coefficients(p: ModelParams, functional: str = "exact") -> tuple[float, float, float]:
     """Ginzburg-Landau coefficients ``(c0, c1, c2)`` of the energy in ``m``.
 
-    Expansion of the finite-tunneling branch (see
-    :func:`branch_energy_exact`); ``c1 = 0`` locates the transition.  For
-    the exact functional the stencil is solved in one batched call.
+    Expansion of the finite-tunneling branch (see :meth:`Functional.landau`);
+    ``c1 = 0`` locates the transition.  The branch, not the energy, is
+    expanded: at strong coupling the energy crosses over to the
+    m-independent fully displaced configuration, which would flatten the
+    finite differences.
     """
-    if functional == "exact" and p.alpha != 0.0:
-        mu0, mu_m1 = bath_measures(p)
-        xs = np.array([0.0, step / 2, step, 2 * step])
-        e = _energy_at(xs, _solve_delta_tilde(xs, p.delta, mu0), mu0, mu_m1, p.delta)
-        return landau_from_energy(dict(zip(xs.tolist(), e.tolist())).__getitem__, step)
-    return landau_from_energy(_functional(p, functional, branch=True), step=step)
+    return Functional.of(p, functional).landau()
 
 
 def susceptibility(p: ModelParams, functional: str = "exact") -> float:
@@ -591,4 +537,3 @@ def susceptibility(p: ModelParams, functional: str = "exact") -> float:
     if c1 <= 0.0:
         raise PhaseError("susceptibility: c1 <= 0, system is already localized")
     return 1.0 / (4.0 * c1)
-

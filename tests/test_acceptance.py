@@ -7,7 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from subohmic.chain import chain_map, chain_occupations, displaced_frame
+from subohmic.chain import chain_map, chain_occupations
 from subohmic.cli import main as cli_main
 from subohmic.critical import (
     critical_coupling_closed,
@@ -237,8 +237,7 @@ def test_criterion_09_chain_occupation_asymptotics(alpha_c_wc10):
         bare = chain_occupations(sol.state, p, rep)
         ns = np.arange(20, 201, dtype=float)
         fit = fit_power_law(ns, bare.n_av[20:201])
-        frame = displaced_frame(sol.state, p)
-        disp = chain_occupations(sol.state, p, rep, frame=frame)
+        disp = chain_occupations(sol.state, p, rep, m_frame=sol.state.m)
         tail_ratio = disp.n_av[200] / bare.n_av[200]
         decays = disp.n_av[200] < disp.n_av[5]
         results.append((s, fit.exponent, tail_ratio, decays))

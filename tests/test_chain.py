@@ -3,12 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from subohmic.chain import (
-    chain_map,
-    chain_occupations,
-    displaced_frame,
-    tridiagonalize_modes,
-)
+from subohmic.chain import _lanczos_tridiagonalize, chain_map, chain_occupations
 from subohmic.errors import DomainError
 from subohmic.model import ModelParams, discretize_bath, spectral_moment
 from subohmic.numerics import fit_power_law
@@ -74,7 +69,6 @@ class TestChainMap:
         assert np.allclose(rep.hoppings[:20], hop_ref[:20], rtol=1e-8)
 
     def test_orthonormal_basis(self):
-        from subohmic.chain import _lanczos_tridiagonalize
         from subohmic.model import bath_measure_rule
 
         p = params(0.1)
@@ -86,7 +80,7 @@ class TestChainMap:
     def test_discrete_modes_roundtrip(self):
         p = params(0.05)
         bath = discretize_bath(p, 6)
-        eps, hop, basis = tridiagonalize_modes(bath.frequencies, bath.couplings)
+        eps, hop, basis = _lanczos_tridiagonalize(bath.frequencies, bath.couplings**2, 6)
         # orthogonal transform preserves the one-body spectrum
         h_chain = np.diag(eps) + np.diag(hop, 1) + np.diag(hop, -1)
         got = np.sort(np.linalg.eigvalsh(h_chain))
@@ -151,27 +145,29 @@ def localized():
 
 class TestDisplacedFrame:
     def test_noop_at_m_zero(self):
+        # the displaced frame of an unmagnetized state is the bare frame
         p = params(0.02)
         st = VariationalState.build(0.0, solve_delta_tilde_exact(0.0, p))
-        frame = displaced_frame(st, p)
-        assert frame.noop
+        rep = chain_map(p, 12)
+        occ = chain_occupations(st, p, rep, m_frame=st.m)
+        assert occ.frame == "bare"
+        assert np.array_equal(occ.n_av, chain_occupations(st, p, rep).n_av)
 
     def test_shift_cancels_infrared_tail(self, localized):
+        # the frame of chain_occupations(m_frame=m) shifts each shape by m/(2w)
         p, sol, rep, bare = localized
-        frame = displaced_frame(sol.state, p)
         m, dt = sol.sz, sol.state.delta_tilde
         q = math.sqrt(1 - m * m)
         w = np.geomspace(1e-8, 1e-4, 5)
         fp, _ = sol.state.f_pm(w)
-        shifted = fp + frame.shift_per_g(w)
+        shifted = fp + m / (2 * w)
         # residual is the smooth -q(1-m)/(2(dt+qw)) branch, finite at w -> 0
         want = -q * (1 - m) / (2 * (dt + q * w))
         assert np.allclose(shifted, want, rtol=1e-6)
 
     def test_displaced_profile_decays(self, localized):
         p, sol, rep, bare = localized
-        frame = displaced_frame(sol.state, p)
-        disp = chain_occupations(sol.state, p, rep, frame=frame)
+        disp = chain_occupations(sol.state, p, rep, m_frame=sol.state.m)
         assert disp.frame.startswith("displaced")
         # the power-law tail disappears: residual far below 1% of bare
         assert disp.n_av[200] < 1e-2 * bare.n_av[200]
@@ -183,8 +179,7 @@ class TestDisplacedFrame:
         off = 0.1
         tails = {}
         for m_frame in (m - off, m + off):
-            fr = displaced_frame(sol.state, p, m_frame=m_frame)
-            occ = chain_occupations(sol.state, p, rep, frame=fr)
+            occ = chain_occupations(sol.state, p, rep, m_frame=m_frame)
             tails[m_frame] = occ.n_av[200]
         # residual tail prefactor scales as (m - m_frame)^2
         want = (off / m) ** 2
@@ -194,8 +189,7 @@ class TestDisplacedFrame:
     def test_frame_shift_exactness(self, localized):
         # total occupation via shifted shapes equals the direct quadratic form
         p, sol, rep, bare = localized
-        frame = displaced_frame(sol.state, p)
-        disp = chain_occupations(sol.state, p, rep, frame=frame)
+        disp = chain_occupations(sol.state, p, rep, m_frame=sol.state.m)
         m, dt = sol.sz, sol.state.delta_tilde
         q = math.sqrt(1 - m * m)
         from subohmic.model import bath_measure_rule

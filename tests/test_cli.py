@@ -117,10 +117,6 @@ class TestSweepCommand:
         assert rows[0].startswith("-0.01,nan,") and rows[0].endswith(",DomainError")
         assert rows[1].endswith(",ok")
 
-    def test_format_mismatch_rejected(self):
-        assert run_cli(["sweep", "--s", "0.3", "--delta", "1", "--omega-c", "10",
-                        "--alpha-grid", "0.01:0.03:3", "--format", "json"]) == 2
-
     def test_bad_grid_exit_2(self):
         assert run_cli(["sweep", "--s", "0.3", "--delta", "1", "--omega-c", "10",
                         "--alpha-grid", "oops"]) == 2
@@ -148,7 +144,8 @@ class TestCriticalCommand:
         def boom(cfg):
             raise ConvergenceError("no transition in range")
 
-        monkeypatch.setitem(cli._HANDLERS, "critical", boom)
+        monkeypatch.setitem(cli._COMMANDS, "critical",
+                            cli._COMMANDS["critical"]._replace(handler=boom))
         assert run_cli(["critical", "--s", "0.3", "--delta", "1",
                         "--omega-c", "10"]) == 3
 
@@ -201,6 +198,20 @@ class TestExponentsCommand:
     def test_refuses_outside_validity_window(self):
         assert run_cli(["exponents", "--s", "0.6", "--delta", "1",
                         "--omega-c", "10"]) == 2
+
+    @pytest.mark.parametrize("flag", ["--window=0:1e-2", "--window=1e-2:1e-4",
+                                      "--window=-1e-3:1e-2", "--window=nan:1e-2",
+                                      "--points-per-side=0", "--points-per-side=-2"])
+    def test_bad_window_or_count_exit_2_before_solving(self, flag, monkeypatch, capsys):
+        import subohmic.critical
+
+        def unexpected(*args, **kwargs):
+            raise AssertionError("solved before validating the input")
+
+        monkeypatch.setattr(subohmic.critical, "critical_coupling_numeric", unexpected)
+        assert run_cli(["exponents", "--s", "0.3", "--delta", "1", "--omega-c", "10",
+                        flag]) == 2
+        assert "domain error" in capsys.readouterr().err
 
 
 class TestPhaseDiagramCommand:
@@ -263,6 +274,44 @@ class TestNonFiniteEncoding:
     def test_all_finite_flag(self):
         record = _sanitize_record({"ok": 1.5})
         assert record["has_nonfinite"] is False
+
+
+class TestDefaults:
+    def test_defaults_fill_unset_options(self):
+        rc = parse_args(["chain", "--s", "0.3", "--alpha", "0.1", "--delta", "1",
+                         "--omega-c", "10"])
+        assert rc.options["n_sites"] == 50
+        assert rc.options["frame"] == "bare"
+        assert rc.options["occupations"] is False
+
+    @pytest.mark.parametrize("args", [
+        ["chain", "--alpha", "0.1", "--n-sites", "0"],
+        ["oracle", "--alpha", "0.015", "--n-modes", "0"],
+        ["oracle", "--alpha", "0.015", "--n-modes", "2", "--n-boson", "0"],
+        ["exponents", "--points-per-side", "0"],
+    ])
+    def test_explicit_zero_count_is_not_the_default(self, args):
+        assert run_cli(args + ["--s", "0.3", "--delta", "1", "--omega-c", "10"]) == 2
+
+    def test_zero_count_from_config_file(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("s = 0.3\nalpha = 0.1\ndelta = 1\nomega_c = 10\nn_sites = 0\n")
+        assert parse_args(["chain", "--config", str(cfg)]).options["n_sites"] == 0
+        assert run_cli(["chain", "--config", str(cfg)]) == 2
+
+    def test_config_value_outside_choices(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("functional = bogus\n")
+        with pytest.raises(DomainError, match=":1:"):
+            load_config(cfg)
+
+    def test_parser_built_once(self):
+        from subohmic import cli
+
+        first = cli._parser()
+        assert run_cli(["solve", "--s", "0.3", "--alpha", "0.0", "--delta", "1",
+                        "--omega-c", "10"]) == 0
+        assert cli._parser() is first
 
 
 class TestRequiredAlpha:

@@ -18,7 +18,7 @@ from subohmic.oracle import (
     ground_state,
     run_oracle,
 )
-from subohmic.variational import energy_exact, minimize_energy
+from subohmic.variational import Functional, minimize_energy
 
 S, DELTA, WC = 0.3, 1.0, 10.0
 ALPHA_C_NUM = 0.032649799936969884
@@ -156,7 +156,7 @@ class TestAdoOnDiscrete:
 
     def test_converges_to_continuum(self):
         p = params(0.02)
-        e_cont = energy_exact(0.0, p)
+        e_cont = Functional.of(p).energy(0.0)
         sol = minimize_energy(p)
         assert sol.sz == 0.0
         e64, _ = ado_on_discrete(discretize_bath(p, 64), p)

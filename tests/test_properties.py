@@ -1,4 +1,5 @@
-"""Property tests of the self-consistency kernel and the energy functional.
+"""Property tests of the self-consistency kernel, the energy functional and
+the exact-diagonalization oracle.
 
 The kernel is checked against an independent largest-root search written
 here: a dense downward scan of ``g(u) = u - log(delta) + I(e^u)/2`` followed
@@ -16,10 +17,12 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
+from scipy.sparse.linalg import eigsh
 
 from subohmic.errors import ConvergenceError
 from subohmic.model import DiscretizedBath, ModelParams, bath_as_measures, bath_measures
-from subohmic.variational import _solve_delta_tilde, branch_energy_exact, energy_exact
+from subohmic.oracle import OracleConfig, ado_on_discrete, build_hamiltonian, ground_state
+from subohmic.variational import Functional, _solve_delta_tilde
 
 COLLAPSE = 1e-12
 SCAN_STEP = 0.01
@@ -124,8 +127,9 @@ def test_newton_step_across_a_root_pair_is_refused():
        omega_c=st.sampled_from([5.0, 10.0, 100.0]), m=st.floats(1e-6, 0.999))
 def test_energies_are_bitwise_even(s, log_alpha, omega_c, m):
     p = ModelParams(s=s, alpha=math.exp(log_alpha), delta=1.0, omega_c=omega_c)
-    assert energy_exact(-m, p) == energy_exact(m, p)
-    assert branch_energy_exact(-m, p) == branch_energy_exact(m, p)
+    fn = Functional.of(p)
+    assert fn.energy(-m) == fn.energy(m)
+    assert fn.branch(-m) == fn.branch(m)
 
 
 @SETTINGS
@@ -150,3 +154,43 @@ def test_one_iteration_is_not_enough():
     mu0, _ = bath_measures(p)
     with pytest.raises(ConvergenceError, match="residual"):
         _solve_delta_tilde(0.2, p.delta, mu0, max_iter=1)
+
+
+# Small baths with displacements g/(2w) <= 0.4, so that 12 Fock levels per
+# mode leave a truncation error near 1e-12 in the low spectrum.
+N_BOSON = 12
+small_baths = st.integers(2, 3).flatmap(lambda n: st.tuples(
+    st.lists(st.floats(math.log(0.3), math.log(5.0)), min_size=n, max_size=n, unique=True),
+    st.lists(st.floats(0.05, 0.8), min_size=n, max_size=n),
+    st.floats(0.1, 3.0)))
+
+
+def _small_bath(spec):
+    log_freqs, ratios, delta = spec
+    w = np.exp(sorted(log_freqs))
+    assume(np.all(np.diff(w) > 1e-6))
+    # the oracle reads only delta from the model parameters
+    return DiscretizedBath(w, np.array(ratios) * w), ModelParams(s=0.5, alpha=0.1, delta=delta,
+                                                                 omega_c=10.0)
+
+
+@SETTINGS
+@given(spec=small_baths)
+def test_star_and_chain_bases_share_the_spectrum(spec):
+    bath, p = _small_bath(spec)
+    lowest = []
+    for basis in ("star", "chain"):
+        h = build_hamiltonian(bath, p, OracleConfig(bath.n_modes, N_BOSON, basis))
+        v0 = np.ones(h.shape[0]) / math.sqrt(h.shape[0])
+        lowest.append(np.sort(eigsh(h, k=4, which="SA", v0=v0, tol=0)[0]))
+    scale = max(1.0, float(np.max(np.abs(lowest[0]))))
+    assert np.max(np.abs(lowest[0] - lowest[1])) <= 1e-10 * scale
+
+
+@SETTINGS
+@given(spec=small_baths)
+def test_variational_bound_on_small_baths(spec):
+    bath, p = _small_bath(spec)
+    e_exact, _ = ground_state(build_hamiltonian(bath, p, OracleConfig(bath.n_modes, N_BOSON)))
+    e_ado, _ = ado_on_discrete(bath, p)
+    assert e_exact <= e_ado + 1e-9

@@ -6,14 +6,11 @@ import scipy.integrate
 
 from subohmic.errors import DomainError, PhaseError
 from subohmic.model import ModelParams, bath_measures
-from subohmic.numerics import integrate, power_rule
+from subohmic.numerics import power_rule
 from subohmic.variational import (
-    SCALING_TUNNELING_PREFACTOR,
+    Functional,
     VariationalState,
-    branch_energy_scaling,
     displacements,
-    energy_exact,
-    energy_scaling,
     landau_coefficients,
     minimize_energy,
     observables,
@@ -23,7 +20,6 @@ from subohmic.variational import (
     solve_delta_tilde_scaling,
     static_shift_energy,
     susceptibility,
-    _energy_at,
     _overlap_integral,
     _solve_delta_tilde,
 )
@@ -190,20 +186,20 @@ class TestEnergies:
     def test_free_energy_curve(self):
         p = params(0.0)
         for m in (0.0, 0.3, 0.8):
-            assert energy_exact(m, p) == pytest.approx(
+            assert Functional.of(p).energy(m) == pytest.approx(
                 -0.5 * math.sqrt(1 - m * m), rel=1e-14)
-        assert energy_exact(0.0, p) == -0.5
+        assert Functional.of(p).energy(0.0) == -0.5
 
     def test_static_limit(self):
         p = params(0.07)
-        assert energy_exact(1.0, p) == pytest.approx(
+        assert Functional.of(p).energy(1.0) == pytest.approx(
             -p.alpha * p.omega_c / (2 * p.s), rel=1e-12)
         assert static_shift_energy(p) == pytest.approx(-7.0 / 6.0, rel=1e-12)
 
     def test_even_symmetry(self):
         p = params(0.04)
         for m in (0.1, 0.45, 0.8):
-            assert energy_exact(m, p) == pytest.approx(energy_exact(-m, p), rel=1e-14)
+            assert Functional.of(p).energy(m) == pytest.approx(Functional.of(p).energy(-m), rel=1e-14)
 
     def test_identity_with_independent_form(self):
         # E = -dt q/2 - (1/4) int dmu/w + (q^2 dt^2/4) int dmu / (w (dt+q w)^2)
@@ -216,29 +212,31 @@ class TestEnergies:
             alt = (-0.5 * dt * q - 0.25 * mu_m1.total_mass
                    + 0.25 * q * q * dt * dt
                    * float(np.dot(mu_m1.weights, 1.0 / (dt + q * w) ** 2)))
-            assert energy_exact(m, p) == pytest.approx(alt, rel=1e-12)
+            assert Functional.of(p).energy(m) == pytest.approx(alt, rel=1e-12)
 
     def test_energy_below_tunneling_bound(self):
         p = params(0.05)
         for m in (0.0, 0.4):
             dt = solve_delta_tilde_exact(m, p)
-            assert energy_exact(m, p) <= -0.5 * dt * math.sqrt(1 - m * m) + 1e-12
+            assert Functional.of(p).energy(m) <= -0.5 * dt * math.sqrt(1 - m * m) + 1e-12
 
     def test_scaling_matches_exact_at_large_cutoff(self):
         p = params(0.0008, omega_c=1000.0)
         for m in (0.0, 0.5):
-            ee = energy_exact(m, p)
-            es = energy_scaling(m, p)
+            ee = Functional.of(p).energy(m)
+            es = Functional.of(p, "scaling").energy(m)
             assert es == pytest.approx(ee, rel=5e-3)
 
     def test_scaling_free_limit_depends_on_prefactor(self):
+        # tunneling term -dt q / 2; with the prefactor 1 it would be -delta
         p = params(0.0)
-        assert energy_scaling(0.0, p) == -SCALING_TUNNELING_PREFACTOR * DELTA
-        assert energy_scaling(0.0, p, tunneling_prefactor=1.0) == -DELTA
+        fn = Functional.of(p, "scaling")
+        assert fn.energy(0.0) == -0.5 * DELTA
+        assert fn.energy(0.0) - 0.5 * fn.dt(0.0) == -DELTA
 
     def test_localized_limit_of_scaling(self):
         p = params(0.05)
-        assert energy_scaling(1.0, p) == pytest.approx(static_shift_energy(p))
+        assert Functional.of(p, "scaling").energy(1.0) == pytest.approx(static_shift_energy(p))
 
 
 class TestPrefactorResolution:
@@ -247,15 +245,18 @@ class TestPrefactorResolution:
 
     def test_half_reproduces_closed_form(self):
         from subohmic.critical import critical_coupling_closed
-        from subohmic.variational import landau_from_energy
 
         s, delta, wc = 0.3, 1.0, 1000.0
         alpha_closed, _ = critical_coupling_closed(s, delta, wc)
 
         def c1_at(alpha, kappa):
             p = ModelParams(s=s, alpha=alpha, delta=delta, omega_c=wc)
-            return landau_from_energy(
-                lambda m: branch_energy_scaling(m, p, tunneling_prefactor=kappa))[1]
+            half = Functional.of(p, "scaling")
+            # prefactor kappa: E_kappa = E_half - (kappa - 1/2) dt q
+            fn = Functional(half.static, half.e_one, lambda ms, start: half.dt(ms),
+                            lambda ms, dts: half.branch(ms, dts)
+                            - (kappa - 0.5) * dts * np.sqrt(1.0 - ms * ms))
+            return fn.landau()[1]
 
         # derived prefactor 1/2: c1 crosses zero within ~alpha/(1-s) of the
         # closed form (the residual finite-coupling correction)
@@ -265,7 +266,10 @@ class TestPrefactorResolution:
         assert c1_at(lo, 1.0) > 0 and c1_at(hi, 1.0) > 0
 
     def test_default_is_half(self):
-        assert SCALING_TUNNELING_PREFACTOR == 0.5
+        # at alpha = 0 the wide-band branch is the tunneling term alone
+        fn = Functional.of(params(0.0), "scaling")
+        for m in (0.0, 0.3, 0.8):
+            assert fn.branch(m) == -0.5 * DELTA * math.sqrt(1 - m * m)
 
 
 class TestStationarity:
@@ -297,7 +301,7 @@ class TestStationarity:
         for m in (0.0, 0.5):
             dt = solve_delta_tilde_exact(m, p)
             e_opt = functional(m, dt, zero, zero, 0.0)
-            assert e_opt == pytest.approx(energy_exact(m, p), rel=1e-12)
+            assert e_opt == pytest.approx(Functional.of(p).energy(m), rel=1e-12)
             for bump in bumps:
                 for eps in (1e-6, -1e-6):
                     assert functional(m, dt, bump, zero, eps) >= e_opt - 1e-10 * p.delta
@@ -305,12 +309,11 @@ class TestStationarity:
 
     def test_delta_tilde_perturbations_never_lower_energy(self):
         p = params(0.05)
-        mu0, mu_m1 = bath_measures(p)
         for m in (0.0, 0.5):
             dt = solve_delta_tilde_exact(m, p)
-            e_opt = _energy_at(m, dt, mu0, mu_m1, p.delta)
+            e_opt = Functional.of(p).branch(m, dt)
             for eps in (1e-6, -1e-6):
-                e_pert = _energy_at(m, dt * (1 + eps), mu0, mu_m1, p.delta)
+                e_pert = Functional.of(p).branch(m, dt * (1 + eps))
                 assert e_pert >= e_opt - 1e-10 * p.delta
 
 
@@ -323,16 +326,16 @@ class TestMinimizeEnergy:
         assert sol.sx == pytest.approx(dt / p.delta, rel=1e-12)
         # dense grid confirms the minimum sits at m = 0
         grid = np.linspace(0.0, 0.999, 500)
-        energies = [energy_exact(m, p) for m in grid]
+        energies = [Functional.of(p).energy(m) for m in grid]
         assert int(np.argmin(energies)) == 0
 
     def test_localized_phase(self):
         p = params(1.5 * ALPHA_C_NUM)
         sol = minimize_energy(p)
         assert sol.sz > 0.1
-        assert sol.energy < energy_exact(0.0, p)
+        assert sol.energy < Functional.of(p).energy(0.0)
         grid = np.linspace(0.0, 0.999, 800)
-        oracle_m = grid[int(np.argmin([energy_exact(m, p) for m in grid]))]
+        oracle_m = grid[int(np.argmin([Functional.of(p).energy(m) for m in grid]))]
         assert sol.sz == pytest.approx(oracle_m, abs=2e-3)
 
     def test_square_root_growth(self):
@@ -344,7 +347,7 @@ class TestMinimizeEnergy:
         p = params(0.001, omega_c=1000.0)
         sol = minimize_energy(p, functional="scaling")
         assert sol.sz == 0.0
-        assert sol.energy == pytest.approx(energy_scaling(0.0, p), rel=1e-12)
+        assert sol.energy == pytest.approx(Functional.of(p, "scaling").energy(0.0), rel=1e-12)
 
 
 class TestObservables:
@@ -359,7 +362,8 @@ class TestObservables:
 
     def test_fully_localized_product_state(self):
         st = VariationalState.build(1.0, 0.0)
-        sol = observables(st, params(0.2))
+        p = params(0.2)
+        sol = observables(st, p, energy=static_shift_energy(p))
         assert sol.sx == 0.0
         assert sol.entanglement == 0.0
         assert sol.crossover_scale == math.inf
@@ -367,7 +371,7 @@ class TestObservables:
 
     def test_crossover_scale(self):
         st = VariationalState.build(0.6, 0.8)
-        sol = observables(st, params(0.05))
+        sol = observables(st, params(0.05), energy=-1.0)
         assert sol.crossover_scale == pytest.approx(0.6 * 0.8 / math.sqrt(0.64), rel=1e-12)
 
     def test_sx_bounds(self):
@@ -406,7 +410,7 @@ class TestOccupation:
         for order in (100, 200):
             rule = power_rule(p.s, p.omega_c, order,
                               2.0 * p.alpha * p.omega_c ** (1 - p.s))
-            alt = integrate(lambda w: 0.25 / (dt + w) ** 2, rule)
+            alt = float(np.dot(rule.weights, 0.25 / (dt + rule.nodes) ** 2))
             assert alt == pytest.approx(total, rel=1e-8)
 
 
@@ -439,6 +443,8 @@ class TestLandauAndSusceptibility:
 class TestDomainErrors:
     def test_energy_rejects_m_outside(self):
         with pytest.raises(DomainError):
-            energy_exact(1.5, params(0.05))
+            Functional.of(params(0.05)).energy(1.5)
+        with pytest.raises(DomainError):
+            Functional.of(params(0.05), "bogus")
         with pytest.raises(DomainError):
             displacements(1.0, 1.5, 0.5)
