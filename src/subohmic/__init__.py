@@ -15,7 +15,6 @@ from .errors import (
     BracketError,
     ConvergenceError,
     DomainError,
-    PhaseError,
     SizeError,
 )
 from .model import DiscretizedBath, ModelParams, discretize_bath, spectral_density
@@ -41,7 +40,6 @@ __all__ = [
     "Functional",
     "GroundStateSolution",
     "ModelParams",
-    "PhaseError",
     "QuadratureRule",
     "SizeError",
     "VariationalState",

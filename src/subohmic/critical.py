@@ -25,11 +25,7 @@ import numpy as np
 from .errors import BracketError, ConvergenceError, DomainError
 from .model import ModelParams
 from .numerics import FitResult, find_root, fit_power_law
-from .variational import (
-    landau_coefficients,
-    minimize_energy,
-    solve_delta_tilde_exact,
-)
+from .variational import Functional, landau_coefficients, minimize_energy
 
 _ALPHA_C_RTOL = 1e-10  # keeps alpha_c stable to 1e-8 when c1 changes in its last bits
 _ROW_ERRORS = (DomainError, ConvergenceError, BracketError)  # recorded per row
@@ -67,10 +63,6 @@ class SweepTable:
     entanglement: np.ndarray
     energy: np.ndarray
     c1: np.ndarray
-    s: float
-    delta: float
-    omega_c: float
-    functional: str = "exact"
     status: list = field(default_factory=list)
     failures: list = field(default_factory=list)
 
@@ -108,7 +100,8 @@ def critical_coupling_numeric(s: float, delta: float, omega_c: float,
     """Coupling where the quadratic Landau coefficient crosses zero.
 
     Brackets the sign change on a geometric ladder anchored at the closed
-    form, then bisects to ``1e-10`` relative in ``alpha``.
+    form, up to ``64`` times it, then bisects to ``1e-10`` relative in
+    ``alpha``.
     """
     _require_subohmic_window(s)
     alpha_closed, _ = critical_coupling_closed(s, delta, omega_c)
@@ -118,34 +111,27 @@ def critical_coupling_numeric(s: float, delta: float, omega_c: float,
         return landau_coefficients(p, functional=functional)[1]
 
     lo = 0.25 * alpha_closed
-    f_lo = c1_of(lo)
-    if f_lo <= 0.0:
-        lo, f_lo = lo / 16.0, c1_of(lo / 16.0)
-        if f_lo <= 0.0:
+    if c1_of(lo) <= 0.0:
+        lo /= 16.0
+        if c1_of(lo) <= 0.0:
             raise ConvergenceError("critical_coupling_numeric: no delocalized side found")
-    hi = lo
-    f_hi = f_lo
-    for _ in range(40):
-        hi *= 1.3
-        f_hi = c1_of(hi)
-        if f_hi < 0.0:
-            break
-        lo, f_lo = hi, f_hi
+    hi = 1.3 * lo
+    while not c1_of(hi) < 0.0:  # a NaN c1 climbs on, like a positive one
         if hi > 64.0 * alpha_closed:
             raise ConvergenceError("critical_coupling_numeric: no transition in range")
-    else:
-        raise ConvergenceError("critical_coupling_numeric: no transition in range")
+        lo, hi = hi, 1.3 * hi
     root = find_root(c1_of, lo, hi, tol=_ALPHA_C_RTOL * alpha_closed)
     return float(root)
 
 
 def critical_point(s: float, delta: float, omega_c: float,
                    functional: str = "exact") -> CriticalPoint:
-    """Numeric and closed-form critical data assembled in one record."""
+    """Numeric and closed-form critical data assembled in one record; the
+    critical coupling and tunneling both come from ``functional``."""
     alpha_closed, _ = critical_coupling_closed(s, delta, omega_c)
     alpha_num = critical_coupling_numeric(s, delta, omega_c, functional)
     p_c = ModelParams(s=s, alpha=alpha_num, delta=delta, omega_c=omega_c)
-    dt_c = solve_delta_tilde_exact(0.0, p_c)
+    dt_c = Functional.of(p_c, functional).dt(0.0)
     return CriticalPoint(
         s=s, delta=delta, omega_c=omega_c,
         alpha_c_numeric=alpha_num,
@@ -183,9 +169,7 @@ def sweep_alpha(s: float, delta: float, omega_c: float,
 
     return SweepTable(
         alphas=alphas, m=cols["m"], sx=cols["sx"], entanglement=cols["ent"],
-        energy=cols["energy"], c1=cols["c1"],
-        s=s, delta=delta, omega_c=omega_c, functional=functional,
-        status=status, failures=failures,
+        energy=cols["energy"], c1=cols["c1"], status=status, failures=failures,
     )
 
 

@@ -5,11 +5,6 @@ class DomainError(ValueError):
     """An input lies outside the mathematical domain of an operation."""
 
 
-class PhaseError(DomainError):
-    """An operation was requested in the wrong phase (e.g. susceptibility
-    on the localized side of the transition)."""
-
-
 class SizeError(DomainError):
     """A requested Hilbert-space dimension exceeds the hard cap."""
 

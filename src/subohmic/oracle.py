@@ -14,8 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -23,7 +22,7 @@ from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .chain import _lanczos_tridiagonalize
 from .errors import ConvergenceError, DomainError, SizeError
-from .model import DiscretizedBath, ModelParams, bath_as_measures
+from .model import DiscretizedBath, ModelParams, bath_as_measures, discretize_bath
 from .variational import Functional, VariationalState
 
 _DIMENSION_CAP = 2_000_000
@@ -69,7 +68,6 @@ class OracleResult:
 class FidelityResult(NamedTuple):
     fidelity: float
     truncation_loss: float
-    low_confidence: bool
 
 
 def _chain_form(bath: DiscretizedBath) -> tuple[np.ndarray, np.ndarray, float, np.ndarray]:
@@ -80,17 +78,15 @@ def _chain_form(bath: DiscretizedBath) -> tuple[np.ndarray, np.ndarray, float, n
     return eps, hop, g_norm, basis
 
 
-def build_hamiltonian(bath: DiscretizedBath, p: ModelParams, cfg: OracleConfig,
-                      frame_shift: float = 0.0) -> sp.csr_matrix:
+def build_hamiltonian(bath: DiscretizedBath, p: ModelParams, cfg: OracleConfig) -> sp.csr_matrix:
     """Sparse Hamiltonian of the discretized model.
 
     ``H = -(delta/2) sx + (sz/2) sum_l g_l (a_l + a_l^+) + sum_l w_l n_l``
     on the product basis with spin slowest and the last mode fastest.  In
     the chain basis the same modes are tridiagonalized first (unitarily
-    equivalent spectrum).  A non-zero ``frame_shift`` m' conjugates by the
-    mean-field displacement ``prod_l D(m' g_l / (2 w_l))``, which shifts the
-    coupling to ``(sz - m')/2``, adds the bias ``-(m'/2) sz sum g^2/w`` and
-    the constant ``(m'^2/4) sum g^2/w``.
+    equivalent spectrum): site 0 alone couples to the spin and neighbours
+    hop, ``t_l (a_l^+ a_{l+1} + h.c.)``.  The star basis is the chain form
+    with zero hopping.
     """
     if bath.n_modes != cfg.n_modes:
         raise DomainError("build_hamiltonian: bath size disagrees with config")
@@ -98,59 +94,41 @@ def build_hamiltonian(bath: DiscretizedBath, p: ModelParams, cfg: OracleConfig,
     L = cfg.n_modes
 
     if cfg.which_basis == "chain":
-        eps, hop, g_norm, _ = _chain_form(bath)
-        freqs = eps
+        freqs, hop, g_norm, _ = _chain_form(bath)
         site_coupling = np.zeros(L)
         site_coupling[0] = g_norm
     else:
-        freqs = bath.frequencies
-        hop = None
-        site_coupling = bath.couplings
+        freqs, hop, site_coupling = bath.frequencies, np.zeros(L - 1), bath.couplings
 
-    ident = sp.identity(nb, format="csr")
     a = sp.diags(np.sqrt(np.arange(1, nb)), 1, format="csr")
     x_op = a + a.T
     n_op = sp.diags(np.arange(nb, dtype=float), 0, format="csr")
+    hop_op = sp.kron(a.T, a, format="csr")
+    hop_op = hop_op + hop_op.T  # acts on sites l and l + 1
+    dim_b = nb**L
 
     def embed(op: sp.csr_matrix, site: int) -> sp.csr_matrix:
-        ops = [ident] * L
-        ops[site] = op
-        return reduce(lambda acc, o: sp.kron(acc, o, format="csr"), ops)
+        left = sp.identity(nb**site, format="csr")
+        right = sp.identity(dim_b // (nb**site * op.shape[0]), format="csr")
+        return sp.kron(sp.kron(left, op, format="csr"), right, format="csr")
 
-    dim_b = nb**L
     h_bath = sp.csr_matrix((dim_b, dim_b))
     h_coup = sp.csr_matrix((dim_b, dim_b))
     for l in range(L):
         h_bath = h_bath + freqs[l] * embed(n_op, l)
         if site_coupling[l] != 0.0:
             h_coup = h_coup + site_coupling[l] * embed(x_op, l)
-    if cfg.which_basis == "chain" and hop is not None:
-        for l in range(L - 1):
-            ops = [ident] * L
-            ops[l] = a.T
-            ops[l + 1] = a
-            term = reduce(lambda acc, o: sp.kron(acc, o, format="csr"), ops)
-            h_bath = h_bath + hop[l] * (term + term.T)  # a+_l a_{l+1} + h.c.
+        if l < L - 1 and hop[l] != 0.0:
+            h_bath = h_bath + hop[l] * embed(hop_op, l)
 
     sx = sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
     sz = sp.csr_matrix(np.array([[1.0, 0.0], [0.0, -1.0]]))
-    s0 = sp.identity(2, format="csr")
     ident_b = sp.identity(dim_b, format="csr")
-
-    h = (
+    return (
         sp.kron(-0.5 * p.delta * sx, ident_b, format="csr")
         + sp.kron(0.5 * sz, h_coup, format="csr")
-        + sp.kron(s0, h_bath, format="csr")
+        + sp.kron(sp.identity(2, format="csr"), h_bath, format="csr")
     )
-    if frame_shift != 0.0:
-        g2_over_w = float(np.sum(bath.couplings**2 / bath.frequencies))
-        h = (
-            h
-            - sp.kron(0.5 * frame_shift * s0, h_coup, format="csr")
-            - sp.kron(0.5 * frame_shift * g2_over_w * sz, ident_b, format="csr")
-            + (0.25 * frame_shift**2 * g2_over_w) * sp.identity(2 * dim_b, format="csr")
-        )
-    return h.tocsr()
 
 
 class _CountingOperator(LinearOperator):
@@ -251,8 +229,6 @@ def discrete_critical_coupling(s: float, delta: float, omega_c: float,
     (for the continuum both definitions coincide).  Relative tolerance
     ``1e-3`` in the coupling.
     """
-    from .model import discretize_bath  # local import avoids cycle at module load
-
     def magnetized(alpha: float) -> bool:
         p = ModelParams(s=s, alpha=alpha, delta=delta, omega_c=omega_c)
         bath = discretize_bath(p, n_modes)
@@ -329,65 +305,18 @@ def fidelity(ado: VariationalState, bath: DiscretizedBath,
     """Overlap magnitude of the truncated ADO expansion with the exact state.
 
     The ADO vector is *not* re-normalized after truncation, so norm lost to
-    the Fock cutoff suppresses the fidelity; losses above 10% set the
-    low-confidence flag.
+    the Fock cutoff suppresses the fidelity.
     """
     vec, loss = ado_vector(ado, bath, cfg)
     if exact_vector.shape != vec.shape:
         raise DomainError("fidelity: basis mismatch between state and vector")
     f = float(abs(np.dot(vec, exact_vector)))
-    return FidelityResult(f, loss, loss > 0.10)
-
-
-class ScanRow(NamedTuple):
-    m_trial: float
-    metric: float
-    iterations: int
-    truncation_loss: float
-
-
-def _top_level_population(vec: np.ndarray, cfg: OracleConfig) -> float:
-    """Summed population of the highest Fock level across modes.
-
-    Proxy for the norm the state would lose under a one-level-smaller
-    truncation; measures how hard the state presses on the cutoff.
-    """
-    nb = cfg.n_boson
-    shaped = vec.reshape((2,) + (nb,) * cfg.n_modes)
-    total = 0.0
-    for l in range(cfg.n_modes):
-        sl = np.take(shaped, nb - 1, axis=1 + l)
-        total += float(np.sum(sl**2))
-    return total
-
-
-def convergence_scan(m_trial_grid: Sequence[float], bath: DiscretizedBath,
-                     p: ModelParams, cfg: OracleConfig) -> list[ScanRow]:
-    """Ground-state cost versus trial displaced-frame magnetization.
-
-    For every trial m' the Hamiltonian is conjugated by the mean-field
-    displacement at m', the ground state is re-solved, and the cost metric
-    (Krylov matvec count plus ten times the top-Fock-level population) is
-    recorded; its minimum estimates the magnetization whose frame best
-    removes the infrared displacements.
-    """
-    rows = []
-    for m_trial in m_trial_grid:
-        m_t = float(m_trial)
-        if not 0.0 <= m_t < 1.0:
-            raise DomainError("convergence_scan: trial values must be in [0, 1)")
-        h = build_hamiltonian(bath, p, cfg, frame_shift=m_t)
-        _, vec, matvecs = ground_state(h, count_matvecs=True)
-        loss = _top_level_population(vec, cfg)
-        rows.append(ScanRow(m_t, matvecs + 10.0 * loss, matvecs, loss))
-    return rows
+    return FidelityResult(f, loss)
 
 
 def run_oracle(p: ModelParams, cfg: OracleConfig) -> OracleResult:
     """End-to-end oracle run: discretize, diagonalize, compare to the ansatz.
     ``converged_nb``: two more Fock levels move the energy <= 1e-6 relative."""
-    from .model import discretize_bath
-
     bath = discretize_bath(p, cfg.n_modes)
     h = build_hamiltonian(bath, p, cfg)
     e_exact, vec = ground_state(h)

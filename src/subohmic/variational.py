@@ -30,7 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, PhaseError
+from .errors import ConvergenceError, DomainError
 from .model import ModelParams, bath_measures, spectral_density
 from .numerics import QuadratureRule, lambert_w0, minimize_scalar
 
@@ -109,7 +109,6 @@ class VariationalState:
 class GroundStateSolution:
     """Energy-minimizing ADO state together with its spin/bath observables."""
 
-    params: ModelParams
     state: VariationalState
     energy: float
     sx: float
@@ -468,7 +467,6 @@ def observables(state: VariationalState, p: ModelParams, energy: float) -> Groun
     ent = _binary_entropy_bits(0.5 * (1.0 + min(r, 1.0)))
     crossover = math.inf if q == 0.0 and m != 0.0 else (m * dt / q if q > 0.0 else 0.0)
     return GroundStateSolution(
-        params=p,
         state=state,
         energy=float(energy),
         sx=sx,
@@ -525,15 +523,3 @@ def landau_coefficients(p: ModelParams, functional: str = "exact") -> tuple[floa
     finite differences.
     """
     return Functional.of(p, functional).landau()
-
-
-def susceptibility(p: ModelParams, functional: str = "exact") -> float:
-    """Linear response of ``m`` to an infinitesimal ``-(eps/2) sigma_z`` bias.
-
-    Within the Landau expansion ``chi = 1 / (4 c1)``; only valid on the
-    delocalized side, where ``c1 > 0``.
-    """
-    _, c1, _ = landau_coefficients(p, functional)
-    if c1 <= 0.0:
-        raise PhaseError("susceptibility: c1 <= 0, system is already localized")
-    return 1.0 / (4.0 * c1)

@@ -14,7 +14,7 @@ from subohmic.critical import (
 )
 from subohmic.model import ModelParams
 from subohmic.numerics import FitResult
-from subohmic.variational import minimize_energy
+from subohmic.variational import minimize_energy, solve_delta_tilde_scaling
 
 S, DELTA, WC = 0.3, 1.0, 10.0
 
@@ -73,6 +73,13 @@ class TestNumericCoupling:
         assert cp.alpha_c_numeric == pytest.approx(ALPHA_C_S03_WC10, rel=1e-7)
         assert 0.0 < cp.sx_c < 1.0
         assert cp.ratio == pytest.approx(1.0336, abs=2e-3)
+
+    def test_critical_point_scaling_functional(self):
+        # the critical tunneling comes from the same functional as alpha_c
+        cp = critical_point(0.3, 1.0, 10.0, functional="scaling")
+        p_c = ModelParams(s=0.3, alpha=cp.alpha_c_numeric, delta=1.0, omega_c=10.0)
+        assert cp.delta_tilde_c == solve_delta_tilde_scaling(0.0, p_c)
+        assert cp.sx_c == cp.delta_tilde_c
 
 
 @pytest.fixture(scope="module")
@@ -148,7 +155,7 @@ class TestExponents:
         table = SweepTable(
             alphas=alphas, m=m, sx=np.ones_like(alphas),
             entanglement=np.zeros_like(alphas), energy=np.zeros_like(alphas),
-            c1=c1, s=S, delta=DELTA, omega_c=WC)
+            c1=c1)
         beta, gamma = extract_exponents(table, 1.0)
         assert beta.exponent == pytest.approx(0.5, abs=1e-12)
         assert gamma.exponent == pytest.approx(1.0, abs=1e-12)
@@ -177,7 +184,7 @@ class TestExponents:
         table = SweepTable(
             alphas=np.array([1.1]), m=np.array([0.3]), sx=np.array([0.5]),
             entanglement=np.array([0.1]), energy=np.array([-1.0]),
-            c1=np.array([-0.1]), s=S, delta=DELTA, omega_c=WC)
+            c1=np.array([-0.1]))
         with pytest.raises(DomainError):
             extract_exponents(table, 1.0)
 

@@ -8,10 +8,10 @@ from subohmic.errors import DomainError, SizeError
 from subohmic.model import ModelParams, discretize_bath
 from subohmic.oracle import (
     OracleConfig,
+    _chain_form,
     ado_on_discrete,
     ado_vector,
     build_hamiltonian,
-    convergence_scan,
     discrete_critical_coupling,
     discrete_state_energy,
     fidelity,
@@ -26,6 +26,31 @@ ALPHA_C_NUM = 0.032649799936969884
 
 def params(alpha, s=S, delta=DELTA):
     return ModelParams(s=s, alpha=alpha, delta=delta, omega_c=WC)
+
+
+def dense_hamiltonian(bath, delta, nb, basis):
+    """``H`` from dense krons, spin slowest and the last mode fastest: the
+    modes ``b_l = sum_k basis[l, k] a_k`` (identity for the star basis) give
+    the bath term ``sum_lk T_lk b_l^+ b_k`` with ``T = basis diag(w)
+    basis^T`` and the coupling ``(sz/2) sum_l (basis g)_l (b_l + b_l^+)``."""
+    L = bath.n_modes
+    t = basis @ np.diag(bath.frequencies) @ basis.T
+    c = basis @ bath.couplings
+    a = np.diag(np.sqrt(np.arange(1.0, nb)), 1)
+
+    def on_mode(l):
+        out = np.eye(1)
+        for k in range(L):
+            out = np.kron(out, a if k == l else np.eye(nb))
+        return out
+
+    b = [on_mode(l) for l in range(L)]
+    h_bath = sum(t[l, k] * b[l].T @ b[k] for l in range(L) for k in range(L))
+    h_coup = sum(c[l] * (b[l] + b[l].T) for l in range(L))
+    sx = np.array([[0.0, 1.0], [1.0, 0.0]])
+    sz = np.diag([1.0, -1.0])
+    return (-0.5 * delta * np.kron(sx, np.eye(nb**L)) + 0.5 * np.kron(sz, h_coup)
+            + np.kron(np.eye(2), h_bath))
 
 
 class TestOracleConfig:
@@ -69,6 +94,16 @@ class TestBuildHamiltonian:
         vac_dn = vec[nb * nb]
         assert abs(vac_up) == pytest.approx(1 / math.sqrt(2), abs=1e-6)
         assert vac_up == pytest.approx(vac_dn, rel=1e-6)
+
+    @pytest.mark.parametrize("which_basis", ["star", "chain"])
+    @pytest.mark.parametrize("n_modes, nb", [(1, 4), (2, 3), (3, 2), (3, 4)])
+    def test_matches_dense_reference(self, n_modes, nb, which_basis):
+        p = params(0.1, delta=0.7)
+        bath = discretize_bath(p, n_modes)
+        basis = _chain_form(bath)[3] if which_basis == "chain" else np.eye(n_modes)
+        h = build_hamiltonian(bath, p, OracleConfig(n_modes, nb, which_basis)).toarray()
+        want = dense_hamiltonian(bath, p.delta, nb, basis)
+        assert np.max(np.abs(h - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_polaron_beats_both_product_states(self):
         p = params(0.05)
@@ -197,7 +232,7 @@ class TestFidelity:
         _, state = ado_on_discrete(bath, p)
         f = fidelity(state, bath, vec, cfg)
         assert f.fidelity >= 0.99
-        assert not f.low_confidence
+        assert f.truncation_loss <= 0.10
 
     def test_truncation_loss_flags_low_confidence(self):
         # strong coupling with a tiny Fock space: the ansatz barely fits
@@ -210,7 +245,7 @@ class TestFidelity:
         assert loss > 0.10
         _, ed_vec = ground_state(build_hamiltonian(bath, p, cfg))
         f = fidelity(state, bath, ed_vec, cfg)
-        assert f.low_confidence
+        assert f.truncation_loss == loss
 
     def test_ado_vector_norm_consistency(self):
         p = params(0.05)
@@ -236,51 +271,6 @@ class TestDiscreteCriticalCoupling:
         acs = [discrete_critical_coupling(S, DELTA, WC, L) for L in (2, 4, 6)]
         assert all(b < a for a, b in zip(acs, acs[1:]))
         assert acs[-1] > ALPHA_C_NUM
-
-
-class TestConvergenceScan:
-    def test_delocalized_flat_minimum_at_zero(self):
-        p = params(0.3 * ALPHA_C_NUM)
-        bath = discretize_bath(p, 3)
-        cfg = OracleConfig(3, 6)
-        rows = convergence_scan([0.0, 0.2, 0.4, 0.6], bath, p, cfg)
-        metrics = [r.metric for r in rows]
-        assert int(np.argmin(metrics)) == 0
-        # losses stay negligible everywhere in the delocalized phase
-        assert all(r.truncation_loss < 1e-3 for r in rows)
-
-    def test_localized_minimum_tracks_exact_magnetization(self):
-        ac = discrete_critical_coupling(S, DELTA, WC, 4)
-        p = params(1.1 * ac)
-        bath = discretize_bath(p, 4)
-        cfg = OracleConfig(4, 7)
-        h = build_hamiltonian(bath, p, cfg)
-        _, vec = ground_state(h)
-        nb = 7
-        shaped = vec.reshape(2, nb**4)
-        sz_exact = float(shaped[0] @ shaped[0] - shaped[1] @ shaped[1])
-        grid = [0.0, 0.2, 0.4, 0.6, 0.8]
-        rows = convergence_scan(grid, bath, p, cfg)
-        best = rows[int(np.argmin([r.metric for r in rows]))]
-        # the exact ground state is parity-even, so its magnetization
-        # vanishes and the best frame sits at the nearest grid point
-        assert abs(sz_exact) < 1e-6
-        assert abs(best.m_trial - sz_exact) <= 0.2 + 1e-12
-
-    def test_far_off_frames_are_worse(self):
-        ac = discrete_critical_coupling(S, DELTA, WC, 4)
-        p = params(1.1 * ac)
-        bath = discretize_bath(p, 4)
-        cfg = OracleConfig(4, 7)
-        rows = convergence_scan([0.0, 0.2, 0.4], bath, p, cfg)
-        best = min(r.metric for r in rows)
-        assert rows[-1].metric > best
-
-    def test_rejects_bad_trials(self):
-        p = params(0.02)
-        bath = discretize_bath(p, 2)
-        with pytest.raises(DomainError):
-            convergence_scan([1.0], bath, p, OracleConfig(2, 4))
 
 
 class TestRunOracle:

@@ -1,5 +1,5 @@
-"""Property tests of the self-consistency kernel, the energy functional and
-the exact-diagonalization oracle.
+"""Property tests of the self-consistency kernel, the energy functional, the
+exact-diagonalization oracle and the Lambert W function.
 
 The kernel is checked against an independent largest-root search written
 here: a dense downward scan of ``g(u) = u - log(delta) + I(e^u)/2`` followed
@@ -21,6 +21,7 @@ from scipy.sparse.linalg import eigsh
 
 from subohmic.errors import ConvergenceError
 from subohmic.model import DiscretizedBath, ModelParams, bath_as_measures, bath_measures
+from subohmic.numerics import lambert_w0
 from subohmic.oracle import OracleConfig, ado_on_discrete, build_hamiltonian, ground_state
 from subohmic.variational import Functional, _solve_delta_tilde
 
@@ -194,3 +195,11 @@ def test_variational_bound_on_small_baths(spec):
     e_exact, _ = ground_state(build_hamiltonian(bath, p, OracleConfig(bath.n_modes, N_BOSON)))
     e_ado, _ = ado_on_discrete(bath, p)
     assert e_exact <= e_ado + 1e-9
+
+
+@SETTINGS
+@given(x=st.one_of(st.floats(-math.exp(-1.0), 0.0), st.floats(0.0, 1e6)))
+def test_lambert_w0_inverts_w_exp_w(x):
+    w = lambert_w0(x)
+    assert w >= -1.0
+    assert abs(w * math.exp(w) - x) <= 1e-12 * max(1.0, abs(x))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.integrate
 
-from subohmic.errors import DomainError, PhaseError
+from subohmic.errors import DomainError
 from subohmic.model import ModelParams, bath_measures
 from subohmic.numerics import power_rule
 from subohmic.variational import (
@@ -19,7 +19,6 @@ from subohmic.variational import (
     solve_delta_tilde_exact,
     solve_delta_tilde_scaling,
     static_shift_energy,
-    susceptibility,
     _overlap_integral,
     _solve_delta_tilde,
 )
@@ -428,16 +427,13 @@ class TestLandauAndSusceptibility:
         _, _, c2 = landau_coefficients(params(ALPHA_C_NUM))
         assert c2 > 0
 
-    def test_susceptibility_free_limit(self):
-        assert susceptibility(params(1e-14)) == pytest.approx(1.0 / DELTA, rel=1e-6)
-
     def test_susceptibility_monotone_growth(self):
-        chis = [susceptibility(params(f * ALPHA_C_NUM)) for f in (0.3, 0.6, 0.9, 0.99)]
-        assert all(b > a for a, b in zip(chis, chis[1:]))
-
-    def test_phase_error_when_localized(self):
-        with pytest.raises(PhaseError):
-            susceptibility(params(1.2 * ALPHA_C_NUM))
+        # chi = 1/(4 c1) grows toward the transition and has no finite
+        # delocalized value beyond it
+        c1s = [landau_coefficients(params(f * ALPHA_C_NUM))[1]
+               for f in (0.3, 0.6, 0.9, 0.99)]
+        assert all(0.0 < b < a for a, b in zip(c1s, c1s[1:]))
+        assert landau_coefficients(params(1.2 * ALPHA_C_NUM))[1] < 0.0
 
 
 class TestDomainErrors:
