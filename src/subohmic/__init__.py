@@ -25,7 +25,6 @@ from .variational import (
     VariationalState,
     minimize_energy,
     observables,
-    solve_delta_tilde_exact,
     solve_delta_tilde_scaling,
 )
 
@@ -49,7 +48,6 @@ __all__ = [
     "lambert_w0",
     "minimize_energy",
     "observables",
-    "solve_delta_tilde_exact",
     "solve_delta_tilde_scaling",
     "spectral_density",
 ]

@@ -137,10 +137,11 @@ def bath_measure_rule(
     """Quadrature rule for ``(1/pi) J(w) w^extra dw`` on ``[0, omega_c]``.
 
     ``kind='gauss'`` gives the measure's own n-point Gauss rule (exact
-    moments, used for discretization and chain construction).  ``kind='log'``
-    gives the log-segmented composite rule, whose accuracy is uniform in the
-    position of rational-integrand structure down to ``1e-7 * omega_c``; this
-    is the workhorse for the self-consistency and energy integrals.
+    moments, from its closed-form recurrence; used for discretization and
+    chain occupations).  ``kind='log'`` gives the log-segmented composite
+    rule, whose accuracy is uniform in the position of rational-integrand
+    structure down to ``1e-7 * omega_c``; this is the workhorse for the
+    self-consistency and energy integrals.
     """
     if p.alpha == 0.0:
         raise DomainError("bath_measure_rule: measure vanishes at alpha=0")

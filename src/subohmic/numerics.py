@@ -1,10 +1,11 @@
 r"""Special functions and generic 1-d numerical kernels.
 
-Everything here is a pure function of its inputs: quadrature rules for
-power-law measures ``c * w^sigma dw`` on ``[0, upper]``, the principal
-branch of the Lambert W function, a bounded scalar minimizer, a bracketing
-root finder and log-log power-law fitting.  All routines are deterministic;
-identical inputs give bit-identical outputs.
+Everything here is a pure function of its inputs: the orthogonal
+polynomials of power-law measures ``c * w^sigma dw`` on ``[0, upper]`` and
+their quadrature rules, the principal branch of the Lambert W function, a
+bounded scalar minimizer, a bracketing root finder and log-log power-law
+fitting.  All routines are deterministic; identical inputs give
+bit-identical outputs.
 """
 
 from __future__ import annotations
@@ -12,11 +13,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
+from scipy.linalg import eigvalsh_tridiagonal
 from scipy.optimize import brentq
-from scipy.special import roots_jacobi
 
 from .errors import BracketError, ConvergenceError, DomainError
 
@@ -101,14 +102,48 @@ class QuadratureRule:
         return float(np.sum(self.weights))
 
 
+def jacobi_recurrence(sigma: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """First ``n`` recurrence coefficients (the Jacobi matrix's diagonal and
+    ``n - 1`` off-diagonals) of the orthonormal polynomials of ``w^sigma dw``
+    on ``[0, 1]``: the shifted Jacobi(0, sigma) weight, in closed form (Chin,
+    Rivas, Huelga & Plenio, J. Math. Phys. 51, 092109 (2010)).
+    """
+    a = sigma + 2.0 * np.arange(n, dtype=float)
+    diag = np.empty(n)
+    diag[0] = (sigma + 1.0) / (sigma + 2.0)  # the general formula is 0/0 at sigma = 0
+    diag[1:] = 0.5 * (1.0 + sigma * sigma / (a[1:] * (a[1:] + 2.0)))
+    k1 = np.arange(1, n, dtype=float)  # k + 1, with a[k + 1] = sigma + 2k + 2
+    off = k1 * (k1 + sigma) / (a[1:] * np.sqrt((a[1:] - 1.0) * (a[1:] + 1.0)))
+    return diag, off
+
+
+def orthonormal_polys(diag: np.ndarray, off: np.ndarray, x: np.ndarray) -> Iterator[np.ndarray]:
+    """Rows ``p_0(x), p_1(x), ...`` of the polynomials with recurrence
+    coefficients ``diag``/``off``, one per coefficient in ``diag``.
+
+    Upward three-term recurrence from ``p_0 = 1``: orthonormal for the measure
+    scaled to unit mass, and stable for ``x`` inside its support.
+    """
+    prev, cur = np.zeros_like(x), np.ones_like(x)
+    yield cur
+    for k in range(diag.size - 1):
+        # at k = 0, off[-1] multiplies p_(-1) = 0
+        prev, cur = cur, ((x - diag[k]) * cur - off[k - 1] * prev) / off[k]
+        yield cur
+
+
 @lru_cache(maxsize=256)
 def _jacobi_unit(n: int, sigma: float) -> tuple[np.ndarray, np.ndarray]:
-    # Gauss rule for the measure w^sigma dw on [0, 1]; the cache is bounded
+    # Golub-Welsch Gauss rule for w^sigma dw on [0, 1]: the nodes are the
+    # Jacobi matrix's eigenvalues, the Christoffel weights 1/sum_k p_k^2 are
+    # summed row by row (no eigenvector matrix); the cache is bounded
     # because every new bath exponent adds keys
-    x, w = roots_jacobi(n, 0.0, sigma)
-    nodes = 0.5 * (x + 1.0)
-    weights = w / 2.0 ** (sigma + 1.0)
-    return nodes, weights
+    diag, off = jacobi_recurrence(sigma, n)
+    nodes = eigvalsh_tridiagonal(diag, off)
+    norm = np.zeros(n)
+    for row in orthonormal_polys(diag, off, nodes):
+        norm += row * row
+    return nodes, 1.0 / ((sigma + 1.0) * norm)
 
 
 @lru_cache(maxsize=None)

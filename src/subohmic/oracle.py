@@ -20,7 +20,6 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import LinearOperator, eigsh
 
-from .chain import _lanczos_tridiagonalize
 from .errors import ConvergenceError, DomainError, SizeError
 from .model import DiscretizedBath, ModelParams, bath_as_measures, discretize_bath
 from .variational import Functional, VariationalState
@@ -71,10 +70,29 @@ class FidelityResult(NamedTuple):
 
 
 def _chain_form(bath: DiscretizedBath) -> tuple[np.ndarray, np.ndarray, float, np.ndarray]:
+    # Lanczos with full reorthogonalization on diag(w) from the coupling
+    # vector: any mode list, not only a Gauss bath with a closed-form chain.
     # basis[n, l] takes star modes to chain modes; row 0 is the collective
     # coupling mode, so the coupling term becomes |g| (b_0 + b_0^+)
-    eps, hop, basis = _lanczos_tridiagonalize(bath.frequencies, bath.couplings**2, bath.n_modes)
+    w, L = bath.frequencies, bath.n_modes
     g_norm = float(np.linalg.norm(bath.couplings))
+    basis = np.empty((L, L))
+    basis[0] = bath.couplings / g_norm
+    eps = np.empty(L)
+    hop = np.empty(L - 1)
+    for k in range(L):
+        u = w * basis[k]
+        if k > 0:
+            u -= hop[k - 1] * basis[k - 1]
+        eps[k] = basis[k] @ u
+        if k == L - 1:
+            break
+        u -= eps[k] * basis[k]
+        u -= basis[: k + 1].T @ (basis[: k + 1] @ u)
+        hop[k] = np.linalg.norm(u)
+        if hop[k] <= 0.0:
+            raise ConvergenceError("_chain_form: Krylov space exhausted")
+        basis[k + 1] = u / hop[k]
     return eps, hop, g_norm, basis
 
 

@@ -211,11 +211,6 @@ def _solve_delta_tilde(m, delta: float, mu0: QuadratureRule, dt_start: float = 0
     return float(out[0]) if np.ndim(m) == 0 else out
 
 
-def solve_delta_tilde_exact(m: float, p: ModelParams) -> float:
-    """Self-consistent effective tunneling from the full cutoff integral."""
-    return Functional.of(p).dt(m)
-
-
 def solve_delta_tilde_scaling(m: float, p: ModelParams) -> float:
     """Effective tunneling in the wide-band (large cutoff) limit.
 

@@ -26,8 +26,8 @@ from subohmic.oracle import (
     ground_state,
 )
 from subohmic.variational import (
+    Functional,
     minimize_energy,
-    solve_delta_tilde_exact,
     solve_delta_tilde_scaling,
     _overlap_integral,
 )
@@ -76,7 +76,7 @@ def test_criterion_02_self_consistency_residuals():
         mu0, _ = bath_measures(p)
         for m in ms:
             q = math.sqrt(1.0 - m * m)
-            dt = solve_delta_tilde_exact(float(m), p)
+            dt = Functional.of(p).dt(float(m))
             assert dt > 0.0
             rhs = delta * math.exp(-0.5 * _overlap_integral(dt, q, mu0))
             worst_exact = max(worst_exact, abs(dt - rhs) / dt)
@@ -154,7 +154,7 @@ def test_criterion_06_coherence_at_criticality(alpha_c_wc1000):
     worst = 0.0
     for s, ac in alpha_c_wc1000.items():
         p = ModelParams(s=s, alpha=ac, delta=1.0, omega_c=1000.0)
-        sx_c = solve_delta_tilde_exact(0.0, p) / p.delta
+        sx_c = Functional.of(p).dt(0.0) / p.delta
         predicted = math.exp(-s / (2.0 * (1.0 - s)))
         worst = max(worst, abs(sx_c / predicted - 1.0))
 

@@ -12,10 +12,10 @@ import pytest
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
-# not library functions: energies are evaluated inside Functional methods,
-# which the tracer does not wrap
+# not library functions: energies and the self-consistent dt are evaluated
+# inside Functional methods, which the tracer does not wrap
 ALREADY_ABSENT = {"variational.energy_exact", "variational.branch_energy_exact",
-                  "variational.energy_measures"}
+                  "variational.energy_measures", "variational.solve_delta_tilde_exact"}
 
 # arguments read by the tracer's hooks and by its matvec-counting call
 HOOK_ARGUMENTS = [

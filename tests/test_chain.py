@@ -2,16 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal
+from scipy.special import roots_jacobi
 
-from subohmic.chain import _lanczos_tridiagonalize, chain_map, chain_occupations
+from subohmic.chain import chain_map, chain_occupations
 from subohmic.errors import DomainError
 from subohmic.model import ModelParams, discretize_bath, spectral_moment
-from subohmic.numerics import fit_power_law
+from subohmic.numerics import fit_power_law, jacobi_recurrence
+from subohmic.oracle import _chain_form
 from subohmic.variational import (
+    Functional,
     VariationalState,
     minimize_energy,
     occupation_total,
-    solve_delta_tilde_exact,
 )
 
 S, DELTA, WC = 0.3, 1.0, 10.0
@@ -42,6 +45,23 @@ def _naive_lanczos(omegas, weights, n):
     return np.array(eps), np.array(hop)
 
 
+def _eigenvector_gauss(p, extra, order):
+    # Golub-Welsch with eigenvectors: weight = mass * (first component)^2
+    x, v = eigh_tridiagonal(*jacobi_recurrence(p.s + extra, order))
+    return p.omega_c * x, spectral_moment(p, extra) * v[0] ** 2
+
+
+def _poly_rows(rep, mass, x):
+    # p_n(x) orthonormal for the measure of mass ``mass``, by plain recurrence
+    out = np.empty((rep.n_sites, x.size))
+    out[0] = 1.0 / math.sqrt(mass)
+    out[1] = (x - rep.site_energies[0]) * out[0] / rep.hoppings[0]
+    for k in range(1, rep.n_sites - 1):
+        out[k + 1] = ((x - rep.site_energies[k]) * out[k]
+                      - rep.hoppings[k - 1] * out[k - 1]) / rep.hoppings[k]
+    return out
+
+
 class TestChainMap:
     def test_first_site_energy(self):
         rep = chain_map(params(0.1), 4)
@@ -60,32 +80,40 @@ class TestChainMap:
         assert rep.hoppings[50] == pytest.approx(WC / 4.0, rel=0.01)
 
     def test_against_independent_tridiagonalization(self):
-        # reference: plain Lanczos on a 2000-mode Gauss discretization
+        # reference: plain Lanczos on scipy's 2000-point Gauss-Jacobi rule
+        # for w^s dw (accurate for s > 0), not on the library's own rules
         p = params(0.1)
-        bath = discretize_bath(p, 2000)
-        eps_ref, hop_ref = _naive_lanczos(bath.frequencies, bath.couplings**2, 21)
+        x, w = roots_jacobi(2000, 0.0, S)
+        eps_ref, hop_ref = _naive_lanczos(0.5 * WC * (x + 1.0), w, 21)
         rep = chain_map(p, 21)
         assert np.allclose(rep.site_energies[:20], eps_ref[:20], rtol=1e-8)
         assert np.allclose(rep.hoppings[:20], hop_ref[:20], rtol=1e-8)
 
     def test_orthonormal_basis(self):
-        from subohmic.model import bath_measure_rule
-
-        p = params(0.1)
-        rule = bath_measure_rule(p, n=300, kind="gauss")
-        _, _, basis = _lanczos_tridiagonalize(rule.nodes, rule.weights, 120)
+        # the oracle's star-to-chain map of a discrete bath
+        _, _, _, basis = _chain_form(discretize_bath(params(0.1), 120))
         gram = basis @ basis.T
         assert np.max(np.abs(gram - np.eye(120))) < 1e-8
 
     def test_discrete_modes_roundtrip(self):
         p = params(0.05)
         bath = discretize_bath(p, 6)
-        eps, hop, basis = _lanczos_tridiagonalize(bath.frequencies, bath.couplings**2, 6)
+        eps, hop, _, basis = _chain_form(bath)
         # orthogonal transform preserves the one-body spectrum
         h_chain = np.diag(eps) + np.diag(hop, 1) + np.diag(hop, -1)
         got = np.sort(np.linalg.eigvalsh(h_chain))
         assert np.allclose(got, bath.frequencies, rtol=1e-10)
         assert np.allclose(basis @ basis.T, np.eye(6), atol=1e-12)
+
+    @pytest.mark.parametrize("n_modes", [1, 6, 40])
+    def test_discrete_chain_form_matches_closed_form(self, n_modes):
+        # Lanczos on the n-mode Gauss bath reproduces its first n coefficients
+        p = params(0.1)
+        eps, hop, g_norm, _ = _chain_form(discretize_bath(p, n_modes))
+        rep = chain_map(p, n_modes)
+        assert np.allclose(eps, rep.site_energies, rtol=1e-12, atol=0.0)
+        assert np.allclose(hop, rep.hoppings, rtol=1e-12, atol=0.0)
+        assert 0.5 * g_norm == pytest.approx(rep.system_coupling, rel=1e-12)
 
     def test_validation(self):
         with pytest.raises(DomainError):
@@ -123,6 +151,23 @@ class TestOccupations:
         star_total = occupation_total(sol.state, p)
         assert float(np.sum(occ.n_av)) == pytest.approx(star_total, rel=0.01)
 
+    def test_localized_matches_two_rule_reference(self):
+        # a fixed magnetized state against order-2528 rules for dmu (smooth
+        # part) and dmu/w (the 1/w part), built from eigenvectors
+        p = params(1.2 * ALPHA_C_NUM)
+        st = VariationalState.build(0.5, 0.1)
+        rep = chain_map(p, 400)
+        m, dt = st.m, st.delta_tilde
+        q = math.sqrt(1 - m * m)
+        x0, w0 = _eigenvector_gauss(p, 0.0, 2528)
+        x1, w1 = _eigenvector_gauss(p, -1.0, 2528)
+        mass = spectral_moment(p, 0.0)
+        d_sing = _poly_rows(rep, mass, x1) @ (w1 * -(0.5 * m * dt) / (dt + q * x1))
+        d_smooth = _poly_rows(rep, mass, x0) @ (w0 * 0.5 * q / (dt + q * x0))
+        want = st.c_plus**2 * (d_sing - d_smooth)**2 + st.c_minus**2 * (d_sing + d_smooth)**2
+        got = chain_occupations(st, p, rep).n_av
+        assert np.max(np.abs(got - want)) <= 1e-9 * np.max(want)
+
     def test_localized_power_law_tail(self):
         p = params(1.2 * ALPHA_C_NUM)
         sol = minimize_energy(p)
@@ -147,7 +192,7 @@ class TestDisplacedFrame:
     def test_noop_at_m_zero(self):
         # the displaced frame of an unmagnetized state is the bare frame
         p = params(0.02)
-        st = VariationalState.build(0.0, solve_delta_tilde_exact(0.0, p))
+        st = VariationalState.build(0.0, Functional.of(p).dt(0.0))
         rep = chain_map(p, 12)
         occ = chain_occupations(st, p, rep, m_frame=st.m)
         assert occ.frame == "bare"

@@ -108,6 +108,19 @@ class TestQuadrature:
             want = upper ** (s + k + 1) / (s + k + 1)
             assert got == pytest.approx(want, rel=1e-10)
 
+    @pytest.mark.parametrize("n", [4, 24, 400, 928])
+    @pytest.mark.parametrize("sigma", [-0.95, -0.87, -0.55, 0.05, 0.3, 0.45])
+    def test_gauss_rule_exact_to_degree_2n_minus_1(self, sigma, n):
+        # int_0^1 w^(k + sigma) dw = 1/(k + sigma + 1) for every k <= 2n - 1,
+        # also as sigma approaches -1 (the dmu/w rules of small s)
+        rule = power_rule(sigma, 1.0, n)
+        power = np.ones(n)
+        worst = 0.0
+        for k in range(2 * n):
+            worst = max(worst, abs(float(rule.weights @ power) * (k + sigma + 1.0) - 1.0))
+            power *= rule.nodes
+        assert worst <= 1e-10
+
     def test_against_adaptive_oracle(self):
         # w^0.3 / (1+w)^2 on [0, 10]; adaptive refinement is the reference
         oracle, err = scipy.integrate.quad(

@@ -16,7 +16,6 @@ from subohmic.variational import (
     observables,
     occupation_density,
     occupation_total,
-    solve_delta_tilde_exact,
     solve_delta_tilde_scaling,
     static_shift_energy,
     _overlap_integral,
@@ -100,19 +99,19 @@ class TestVariationalState:
 
 class TestDeltaTildeExact:
     def test_free_limit(self):
-        assert solve_delta_tilde_exact(0.0, params(0.0)) == DELTA
-        assert solve_delta_tilde_exact(0.5, params(0.0)) == DELTA
+        assert Functional.of(params(0.0)).dt(0.0) == DELTA
+        assert Functional.of(params(0.0)).dt(0.5) == DELTA
 
     def test_endpoint_convention(self):
         # complete localization carries the dt = 0 solution
-        assert solve_delta_tilde_exact(1.0, params(0.05)) == 0.0
-        assert solve_delta_tilde_exact(-1.0, params(0.05)) == 0.0
+        assert Functional.of(params(0.05)).dt(1.0) == 0.0
+        assert Functional.of(params(0.05)).dt(-1.0) == 0.0
 
     @pytest.mark.parametrize("alpha", [0.01, 0.03, 0.06])
     @pytest.mark.parametrize("m", [0.0, 0.4, 0.9])
     def test_residual(self, alpha, m):
         p = params(alpha)
-        dt = solve_delta_tilde_exact(m, p)
+        dt = Functional.of(p).dt(m)
         assert dt > 0
         mu0, _ = bath_measures(p)
         q = math.sqrt(1 - m * m)
@@ -135,7 +134,7 @@ class TestDeltaTildeExact:
             else:
                 hi = mid
         oracle = 0.5 * (lo + hi)
-        assert solve_delta_tilde_exact(0.0, p) == pytest.approx(oracle, rel=1e-9)
+        assert Functional.of(p).dt(0.0) == pytest.approx(oracle, rel=1e-9)
 
     def test_largest_root_property(self):
         p = params(0.05)
@@ -147,8 +146,8 @@ class TestDeltaTildeExact:
 
     def test_collapse_at_strong_coupling(self):
         # the finite root disappears just below alpha = 0.1 at these params
-        assert solve_delta_tilde_exact(0.0, params(0.099)) > 0.2
-        assert solve_delta_tilde_exact(0.0, params(0.12)) == 0.0
+        assert Functional.of(params(0.099)).dt(0.0) > 0.2
+        assert Functional.of(params(0.12)).dt(0.0) == 0.0
 
 
 class TestDeltaTildeScaling:
@@ -170,13 +169,13 @@ class TestDeltaTildeScaling:
     def test_agrees_with_exact_solver(self):
         # wide-band corrections are O(delta/omega_c) = 0.1 here
         p = params(0.05)
-        dt_e = solve_delta_tilde_exact(0.0, p)
+        dt_e = Functional.of(p).dt(0.0)
         dt_s = solve_delta_tilde_scaling(0.0, p)
         assert dt_s == pytest.approx(dt_e, rel=0.03)
 
     def test_agrees_tightly_at_large_cutoff(self):
         p = params(0.002, omega_c=1000.0)
-        dt_e = solve_delta_tilde_exact(0.0, p)
+        dt_e = Functional.of(p).dt(0.0)
         dt_s = solve_delta_tilde_scaling(0.0, p)
         assert dt_s == pytest.approx(dt_e, rel=1e-4)
 
@@ -205,7 +204,7 @@ class TestEnergies:
         p = params(0.05)
         mu0, mu_m1 = bath_measures(p)
         for m in (0.0, 0.35, 0.75):
-            dt = solve_delta_tilde_exact(m, p)
+            dt = Functional.of(p).dt(m)
             q = math.sqrt(1 - m * m)
             w = mu_m1.nodes
             alt = (-0.5 * dt * q - 0.25 * mu_m1.total_mass
@@ -216,7 +215,7 @@ class TestEnergies:
     def test_energy_below_tunneling_bound(self):
         p = params(0.05)
         for m in (0.0, 0.4):
-            dt = solve_delta_tilde_exact(m, p)
+            dt = Functional.of(p).dt(m)
             assert Functional.of(p).energy(m) <= -0.5 * dt * math.sqrt(1 - m * m) + 1e-12
 
     def test_scaling_matches_exact_at_large_cutoff(self):
@@ -298,7 +297,7 @@ class TestStationarity:
         ]
         zero = lambda w: np.zeros_like(w)
         for m in (0.0, 0.5):
-            dt = solve_delta_tilde_exact(m, p)
+            dt = Functional.of(p).dt(m)
             e_opt = functional(m, dt, zero, zero, 0.0)
             assert e_opt == pytest.approx(Functional.of(p).energy(m), rel=1e-12)
             for bump in bumps:
@@ -309,7 +308,7 @@ class TestStationarity:
     def test_delta_tilde_perturbations_never_lower_energy(self):
         p = params(0.05)
         for m in (0.0, 0.5):
-            dt = solve_delta_tilde_exact(m, p)
+            dt = Functional.of(p).dt(m)
             e_opt = Functional.of(p).branch(m, dt)
             for eps in (1e-6, -1e-6):
                 e_pert = Functional.of(p).branch(m, dt * (1 + eps))
@@ -321,7 +320,7 @@ class TestMinimizeEnergy:
         p = params(0.5 * ALPHA_C_NUM)
         sol = minimize_energy(p)
         assert sol.sz == 0.0
-        dt = solve_delta_tilde_exact(0.0, p)
+        dt = Functional.of(p).dt(0.0)
         assert sol.sx == pytest.approx(dt / p.delta, rel=1e-12)
         # dense grid confirms the minimum sits at m = 0
         grid = np.linspace(0.0, 0.999, 500)
@@ -383,7 +382,7 @@ class TestObservables:
 class TestOccupation:
     def test_delocalized_density_formula(self):
         p = params(0.03)
-        dt = solve_delta_tilde_exact(0.0, p)
+        dt = Functional.of(p).dt(0.0)
         st = VariationalState.build(0.0, dt)
         from subohmic.model import spectral_density
 
@@ -393,7 +392,7 @@ class TestOccupation:
 
     def test_infrared_divergence_when_magnetized(self):
         p = params(0.05)
-        st = VariationalState.build(0.5, solve_delta_tilde_exact(0.5, p))
+        st = VariationalState.build(0.5, Functional.of(p).dt(0.5))
         w_small = np.array([1e-6, 1e-5])
         n = occupation_density(st, p, w_small)
         ratio = n[1] / n[0]
@@ -402,7 +401,7 @@ class TestOccupation:
 
     def test_total_occupation_converged(self):
         p = params(0.03)
-        dt = solve_delta_tilde_exact(0.0, p)
+        dt = Functional.of(p).dt(0.0)
         st = VariationalState.build(0.0, dt)
         total = occupation_total(st, p)
         assert total > 0
