@@ -3,9 +3,8 @@ r"""Special functions and generic 1-d numerical kernels.
 Everything here is a pure function of its inputs: the orthogonal
 polynomials of power-law measures ``c * w^sigma dw`` on ``[0, upper]`` and
 their quadrature rules, the principal branch of the Lambert W function, a
-bounded scalar minimizer, a bracketing root finder and log-log power-law
-fitting.  All routines are deterministic; identical inputs give
-bit-identical outputs.
+bracketing root finder and log-log power-law fitting.  All routines are
+deterministic; identical inputs give bit-identical outputs.
 """
 
 from __future__ import annotations
@@ -13,13 +12,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal
 from scipy.optimize import brentq
 
-from .errors import BracketError, ConvergenceError, DomainError
+from .errors import BracketError, DomainError
 
 _INV_E = math.exp(-1.0)
 
@@ -199,98 +198,6 @@ def power_rule_log(sigma: float, upper: float, prefactor: float = 1.0) -> Quadra
         all_weights.append(prefactor * half * w * nodes**sigma)
         lo = hi
     return QuadratureRule(np.concatenate(all_nodes), np.concatenate(all_weights))
-
-
-class MinimizeResult(NamedTuple):
-    x: float
-    fun: float
-    boundary: bool
-
-
-_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
-
-
-def minimize_scalar(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    tol: float = 1e-9,
-    max_iter: int = 500,
-) -> MinimizeResult:
-    """Locate a local minimum of ``f`` on ``[lo, hi]``.
-
-    Bounded golden-section search with successive parabolic interpolation
-    (Brent).  ``tol`` is an absolute tolerance on the abscissa.  The
-    endpoints are evaluated explicitly at the end; a minimum at ``lo`` or
-    ``hi`` is returned as-is with ``boundary=True``.  Raises
-    :class:`ConvergenceError` if the bracket is still wider than the
-    tolerance after ``max_iter`` steps.
-    """
-    if not lo < hi:
-        raise DomainError("minimize_scalar: need lo < hi")
-    a, b = float(lo), float(hi)
-    x = w = v = a + _GOLDEN * (b - a)
-    fx = fw = fv = float(f(x))
-    d = e = 0.0
-    for _ in range(max_iter):
-        m = 0.5 * (a + b)
-        tol1 = tol
-        tol2 = 2.0 * tol1
-        if abs(x - m) <= tol2 - 0.5 * (b - a):
-            break
-        use_golden = True
-        if abs(e) > tol1:
-            # trial parabolic step through (v, w, x)
-            r = (x - w) * (fx - fv)
-            q = (x - v) * (fx - fw)
-            p = (x - v) * q - (x - w) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            e_old = e
-            e = d
-            if abs(p) < abs(0.5 * q * e_old) and q * (a - x) < p < q * (b - x):
-                d = p / q
-                u = x + d
-                if (u - a) < tol2 or (b - u) < tol2:
-                    d = tol1 if x < m else -tol1
-                use_golden = False
-        if use_golden:
-            e = (b if x < m else a) - x
-            d = _GOLDEN * e
-        u = x + (d if abs(d) >= tol1 else (tol1 if d > 0.0 else -tol1))
-        fu = float(f(u))
-        if fu <= fx:
-            if u < x:
-                b = x
-            else:
-                a = x
-            v, fv = w, fw
-            w, fw = x, fx
-            x, fx = u, fu
-        else:
-            if u < x:
-                a = u
-            else:
-                b = u
-            if fu <= fw or w == x:
-                v, fv = w, fw
-                w, fw = u, fu
-            elif fu <= fv or v == x or v == w:
-                v, fv = u, fu
-    else:
-        raise ConvergenceError(
-            f"minimize_scalar: bracket width {b - a:.3e} after {max_iter} iterations "
-            f"(tolerance {tol:.1e})")
-    flo = float(f(lo))
-    fhi = float(f(hi))
-    if flo <= fx and flo <= fhi:
-        return MinimizeResult(float(lo), flo, True)
-    if fhi < fx:
-        return MinimizeResult(float(hi), fhi, True)
-    boundary = (x - lo) <= 2.0 * tol or (hi - x) <= 2.0 * tol
-    return MinimizeResult(float(x), float(fx), boundary)
 
 
 def find_root(f: Callable[[float], float], lo: float, hi: float, tol: float = 1e-12) -> float:

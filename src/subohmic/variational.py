@@ -16,6 +16,24 @@ with ``dmu = (1/pi) J(w) dw``.  The variational energy at the optimum is
     E(m) = -(dt q / 2) + (1+m)/2 int (phi+ + w phi+^2) dmu
                        - (1-m)/2 int (phi- - w phi-^2) dmu.
 
+In moments of the measure, at any ``(m, dt)`` with the shapes above,
+
+    E(m, dt) = -(q delta / 2) e^{-I/2} - (1/4) int dmu/w
+               + (q^2 dt^2 / 4) int dmu / (w (dt + q w)^2),   I = q^2 int dmu/(dt + q w)^2.
+
+On the self-consistent curve, parametrized by ``y = dt / q``, ``I = int
+dmu/(y + w)^2`` no longer holds ``m``: ``dt(y) = delta e^{-I(y)/2}`` and
+``m(y) = sqrt(1 - (dt/y)^2)`` are explicit, and since ``E`` is stationary in
+``dt`` there, ``dE/dq = -(dt/2) (1 - Phi(y))`` with ``Phi(y) = y int dmu /
+(w (y + w)^2)``.  Every magnetized stationary point is a root of the scalar
+equation ``Phi(y) = 1``, which holds no ``m``, and ``Phi(y) <= (int dmu/w) /
+y`` puts the roots below ``int dmu / w``.  The wide-band energy is not
+stationary in ``dt``, but its curve is explicit as well: ``E_s(y) = dt^2 [A
+y^(s-2) omega_c^(-s) - 1/(2y)] - alpha omega_c / (2s)`` with ``dt = D
+e^{-B y^(s-1)}``, ``A = alpha pi omega_c (1-s) / (2 sin pi s)``, ``B =
+(alpha pi s / sin pi s) omega_c^(1-s)`` and ``D = delta e^{alpha/(1-s)}``;
+its largest roots lie at ``y > ((1-s) B)^(1/(1-s))``.
+
 Everything below is written against a generic measure pair (continuum
 quadrature rules or a discrete mode list), so the same kernels serve the
 continuum solver and the exact-diagonalization cross-checks.
@@ -23,23 +41,21 @@ continuum solver and the exact-diagonalization cross-checks.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
 from .model import ModelParams, bath_measures, spectral_density
-from .numerics import QuadratureRule, lambert_w0, minimize_scalar
+from .numerics import QuadratureRule, find_root, lambert_w0
 
 _COLLAPSE_FRACTION = 1e-12  # iterates below this * delta count as the dt = 0 root
 _NEWTON_TOL = 1e-13  # Newton correction in log dt at which a root is accepted
 _FIXED_POINT_MAX_ITER = 10_000
 _LOG_COLLAPSE = math.log(_COLLAPSE_FRACTION)
 _EPS = float(np.finfo(float).eps)
-_M_MIN_TOL = 1e-9  # abscissa tolerance of the magnetization minimization
 
 
 def displacements(omega, m: float, delta_tilde: float):
@@ -167,7 +183,7 @@ class _LargestRoot:
         return None
 
 
-def _solve_delta_tilde(m, delta: float, mu0: QuadratureRule, dt_start: float = 0.0,
+def _solve_delta_tilde(m, delta: float, mu0: QuadratureRule,
                        max_iter: int = _FIXED_POINT_MAX_ITER):
     """Largest fixed point of ``dt = delta * exp(-overlap/2)``, for one ``m``
     or an array of them (float in, float out; array in, array out).
@@ -177,16 +193,14 @@ def _solve_delta_tilde(m, delta: float, mu0: QuadratureRule, dt_start: float = 0
     dt q^2 int dmu/(dt+qw)^3``; all unfinished rows are evaluated together.
     A Newton point replaces the upper point only when ``g`` provably has no
     root between them; otherwise, and where ``g' <= 0``, the fixed-point
-    step is taken.  Roots below ``1e-12 * delta`` count as ``dt = 0``.  A
-    positive ``dt_start`` replaces the start ``delta``; it must not lie below
-    the root, as the root at any larger ``|m|`` does.  Raises
-    :class:`ConvergenceError` after ``max_iter`` steps.
+    step is taken, starting from ``delta``.  Roots below ``1e-12 * delta``
+    count as ``dt = 0``.  Raises :class:`ConvergenceError` after ``max_iter``
+    steps.
     """
     ms = np.atleast_1d(np.asarray(m, dtype=float))
     out = np.zeros(ms.shape)
     log_delta = math.log(delta)
-    start = math.log(min(dt_start, delta)) if dt_start > 0.0 else log_delta
-    pending = [_LargestRoot(i, math.sqrt(1.0 - x * x), start)
+    pending = [_LargestRoot(i, math.sqrt(1.0 - x * x), log_delta)
                for i, x in enumerate(ms.tolist()) if abs(x) < 1.0]
     for _ in range(max_iter):
         if not pending:
@@ -304,14 +318,49 @@ def _like(m, out: np.ndarray):
     return float(out[0]) if np.ndim(m) == 0 else out
 
 
-_M_GRID_POINTS = 64
-_M_UPPER = 1.0 - 1e-9
+class _Curve(NamedTuple):
+    """The self-consistent pairs ``(m, dt)`` parametrized by ``y = dt / q``:
+    ``residual(ys)`` vanishes exactly at the magnetized stationary points of
+    the branch, ``dt(ys)`` is the tunneling there (``m = sqrt(1 - (dt/y)^2)``)
+    and every such point on the largest-root branch lies inside ``span``."""
 
-# pre-scan grid: uniform coverage plus a geometric ladder in q = sqrt(1 - m^2),
-# since strongly coupled discrete baths develop narrow wells close to m = 1
-_M_GRID = np.unique(np.concatenate([np.linspace(0.0, 1.0, _M_GRID_POINTS + 1),
-                                    np.sqrt(1.0 - np.geomspace(1e-4, 1.0, 17)[:-1] ** 2)]))
+    residual: Callable[[np.ndarray], np.ndarray]
+    dt: Callable[[np.ndarray], np.ndarray]
+    span: tuple[float, float]
 
+
+def _measure_curve(delta: float, mu0: QuadratureRule, mu_m1: QuadratureRule) -> _Curve:
+    # I = int dmu/(y+w)^2 and dE/dq = -(dt/2)(1 - Phi), Phi(y) = y int dmu/(w (y+w)^2);
+    # Phi <= (int dmu/w)/y bounds the roots, and dt = q y >= 1e-12 delta
+    def residual(ys):
+        return ys * ((1.0 / np.add.outer(ys, mu_m1.nodes) ** 2) @ mu_m1.weights) - 1.0
+
+    def dt(ys):
+        return delta * np.exp(-0.5 * ((1.0 / np.add.outer(ys, mu0.nodes) ** 2) @ mu0.weights))
+
+    return _Curve(residual, dt, (_COLLAPSE_FRACTION * delta, mu_m1.total_mass))
+
+
+def _wide_band_curve(p: ModelParams) -> _Curve:
+    # E_s(y) = dt^2 [a y^(s-2) - 1/(2y)] + const with dt = D exp(-b y^(s-1)); y^2 dE_s/dy
+    # / dt^2 is a quadratic in x = y^(s-1), positive for x < 1/(2 (b t + (2-s) a)), and
+    # the largest root needs t b x < 1 (z < 1 in solve_delta_tilde_scaling)
+    s, t = p.s, 1.0 - p.s
+    a = p.alpha * math.pi * t * p.omega_c ** t / (2.0 * math.sin(math.pi * s))
+    b = p.alpha * math.pi * s * p.omega_c ** t / math.sin(math.pi * s)
+    big_d = p.delta * math.exp(p.alpha / t)
+
+    def residual(ys):
+        x = ys ** (s - 1.0)
+        return (2.0 * b * t * a * x - (b * t + (2.0 - s) * a)) * x + 0.5
+
+    def dt(ys):
+        return big_d * np.exp(-b * ys ** (s - 1.0))
+
+    return _Curve(residual, dt, ((t * b) ** (1.0 / t), (2.0 * (b * t + (2.0 - s) * a)) ** (1.0 / t)))
+
+
+_Y_GRID_PER_DECADE = 8  # one mode's term of Phi stays above half its peak over a factor 34 in y
 _LANDAU_STEP = 1e-3
 
 
@@ -322,14 +371,15 @@ class Functional:
     ``e_one`` at ``|m| = 1``.  (The intermediate unstable fixed point always
     lies above the static branch.)  Methods take one ``m`` (float out) or an
     array (array out).  The constructor takes the batched kernels
-    ``solve(ms, start) -> dts`` and ``branch(ms, dts) -> energies``.
+    ``solve(ms) -> dts`` and ``branch(ms, dts) -> energies`` and the
+    self-consistent curve that :meth:`minimize` searches.
     """
 
     def __init__(self, static: float, e_one: float,
-                 solve: Callable[[np.ndarray, float], np.ndarray],
-                 branch: Callable[[np.ndarray, np.ndarray], np.ndarray]):
+                 solve: Callable[[np.ndarray], np.ndarray],
+                 branch: Callable[[np.ndarray, np.ndarray], np.ndarray], curve: _Curve):
         self.static, self.e_one = static, e_one
-        self._solve, self._branch = solve, branch
+        self._solve, self._branch, self.curve = solve, branch, curve
 
     @classmethod
     def measures(cls, delta: float, mu0: QuadratureRule, mu_m1: QuadratureRule,
@@ -338,8 +388,9 @@ class Functional:
         or a discrete mode list); ``e_one`` defaults to ``-(1/4) int dmu / w``."""
         static = _static_energy(mu_m1)
         return cls(static, static if e_one is None else e_one,
-                   lambda ms, start: _solve_delta_tilde(ms, delta, mu0, start),
-                   lambda ms, dts: _energy_at(ms, dts, mu0, mu_m1, delta))
+                   lambda ms: _solve_delta_tilde(ms, delta, mu0),
+                   lambda ms, dts: _energy_at(ms, dts, mu0, mu_m1, delta),
+                   _measure_curve(delta, mu0, mu_m1))
 
     @classmethod
     def of(cls, p: ModelParams, kind: str = "exact") -> "Functional":
@@ -355,14 +406,14 @@ class Functional:
             mu0, mu_m1 = bath_measures(p)
             return cls.measures(p.delta, mu0, mu_m1, e_one=e_static)
         return cls(e_static, e_static,
-                   lambda ms, start: np.array([solve_delta_tilde_scaling(m, p)
-                                               for m in ms.tolist()]),
+                   lambda ms: np.array([solve_delta_tilde_scaling(m, p) for m in ms.tolist()]),
                    lambda ms, dts: np.array([_wide_band_branch(m, dt, p)
-                                             for m, dt in zip(ms.tolist(), dts.tolist())]))
+                                             for m, dt in zip(ms.tolist(), dts.tolist())]),
+                   _wide_band_curve(p))
 
-    def dt(self, m, start: float = 0.0):
-        """Effective tunneling; a positive ``start`` must not lie below it."""
-        return _like(m, self._solve(_floats(m), start))
+    def dt(self, m):
+        """Effective tunneling, the largest self-consistent root."""
+        return _like(m, self._solve(_floats(m)))
 
     def branch(self, m, dt=None):
         """Finite-tunneling branch energy, at the self-consistent ``dt``
@@ -370,7 +421,7 @@ class Functional:
         ms = _floats(m)
         if np.any(np.abs(ms) > 1.0):
             raise DomainError("Functional: |m| must be <= 1")
-        return _like(m, self._branch(ms, self._solve(ms, 0.0) if dt is None else _floats(dt)))
+        return _like(m, self._branch(ms, self._solve(ms) if dt is None else _floats(dt)))
 
     def energy(self, m, dt=None):
         """``min(branch, static)``, and ``e_one`` at ``|m| = 1``."""
@@ -380,36 +431,36 @@ class Functional:
 
     def minimize(self) -> tuple[float, float, float]:
         """Minimum of the even :meth:`energy` over ``m`` in ``[0, 1]``: ``(m,
-        E, dt)``.  A batched pre-scan grid guards against capture in a
-        metastable well; Brent refines the winning bracket, each solve
-        starting from the ``dt`` of the nearest solved point at larger
-        ``m`` (the largest root grows with ``|m|``, so it lies above).
+        E, dt)``.
+
+        The search runs along the self-consistent curve ``y = dt/q`` (module
+        docstring): every sign change of the curve's stationarity residual on
+        a log-``y`` grid over its ``span`` is refined to a root, and each
+        root's ``m`` gets a cold solve, whose ``dt`` is the largest root there
+        and is returned.  A root whose curve point is a smaller root at its
+        ``m`` thus only adds one more value of :meth:`energy`.  The best root
+        must undercut ``m = 0`` and ``e_one`` by ``1e-13`` relative to win.
         """
-        dts = self.dt(_M_GRID)
-        values = self.energy(_M_GRID, dts)
-        solved_m, solved_dt = _M_GRID.tolist(), dts.tolist()
-        known = dict(zip(solved_m, values.tolist()))
-
-        def energy(m: float) -> float:
-            if m in known:
-                return known[m]
-            k = bisect.bisect_left(solved_m, m)
-            dt = self.dt(m, solved_dt[k])
-            solved_m.insert(k, m)
-            solved_dt.insert(k, dt)
-            return self.energy(m, dt)
-
-        j = int(np.argmin(values))
-        lo, hi = _M_GRID[max(j - 1, 0)], min(_M_GRID[min(j + 1, _M_GRID.size - 1)], _M_UPPER)
-        res = minimize_scalar(energy, float(lo), float(hi), tol=_M_MIN_TOL)
-        e0, e1 = known[0.0], known[1.0]
-        if res.fun >= e0 - 1e-13 * max(1.0, abs(e0)):
-            m, e = 0.0, e0
-        elif e1 < res.fun - 1e-13 * max(1.0, abs(e1)):
-            m, e = 1.0, e1
-        else:
-            m, e = res.x, res.fun
-        return m, e, solved_dt[bisect.bisect_left(solved_m, m)]
+        curve, roots = self.curve, []
+        lo, hi = curve.span
+        if hi > lo:
+            grid = np.geomspace(lo, hi, 2 + int(_Y_GRID_PER_DECADE * math.log10(hi / lo)))
+            r = curve.residual(grid)
+            for k in np.flatnonzero(np.signbit(r[:-1]) != np.signbit(r[1:])).tolist():
+                roots.append(find_root(lambda y: float(curve.residual(y)),
+                                       grid[k], grid[k + 1], tol=_EPS * grid[k]))
+        ys = np.array(roots)
+        qs = curve.dt(ys) / ys
+        ms = [0.0] + [math.sqrt((1.0 - q) * (1.0 + q)) for q in qs.tolist() if 0.0 < q < 1.0]
+        dts = [self.dt(m) for m in ms]  # one cold solve per m, so dt(m) comes back bit for bit
+        es = self.energy(np.array(ms), np.array(dts)).tolist()
+        j = min(range(1, len(es)), key=es.__getitem__, default=0)
+        e0, e1 = es[0], self.e_one
+        if j == 0 or es[j] >= e0 - 1e-13 * max(1.0, abs(e0)):
+            return 0.0, e0, dts[0]
+        if e1 < es[j] - 1e-13 * max(1.0, abs(e1)):
+            return 1.0, e1, 0.0
+        return ms[j], es[j], dts[j]
 
     def landau(self) -> tuple[float, float, float]:
         """Coefficients ``(c0, c1, c2)`` of ``branch = c0 + c1 m^2 + c2 m^4 +

@@ -5,13 +5,12 @@ import pytest
 import scipy.integrate
 import scipy.special
 
-from subohmic.errors import BracketError, ConvergenceError, DomainError
+from subohmic.errors import BracketError, DomainError
 from subohmic.numerics import (
     QuadratureRule,
     find_root,
     fit_power_law,
     lambert_w0,
-    minimize_scalar,
     power_rule,
     power_rule_log,
 )
@@ -139,51 +138,6 @@ class TestQuadrature:
         rule = power_rule(-0.7, 2.0, 60)
         assert integrate(lambda w: np.ones_like(w), rule) == pytest.approx(
             2.0**0.3 / 0.3, rel=1e-12)
-
-
-class TestMinimizeScalar:
-    def test_quadratic(self):
-        res = minimize_scalar(lambda x: (x - 0.25) ** 2, 0.0, 1.0, tol=1e-10)
-        assert res.x == pytest.approx(0.25, abs=1e-8)
-        assert not res.boundary
-
-    def test_cosine_symmetric(self):
-        res = minimize_scalar(lambda x: -math.cos(x), -1.0, 1.0, tol=1e-10)
-        assert res.x == pytest.approx(0.0, abs=1e-7)
-
-    def test_boundary_flagged(self):
-        res = minimize_scalar(lambda x: x, 0.0, 1.0, tol=1e-9)
-        assert res.x == 0.0
-        assert res.boundary
-
-    def test_matches_grid_oracle(self):
-        def f(x):
-            return math.sin(3 * x) + 0.5 * (x - 0.3) ** 2
-
-        grid = np.linspace(1.0, 2.2, 20001)
-        oracle = grid[np.argmin([f(x) for x in grid])]
-        res = minimize_scalar(f, 1.0, 2.2, tol=1e-10)
-        assert res.x == pytest.approx(oracle, abs=1e-4)
-        assert res.fun <= f(oracle) + 1e-12
-
-    def test_deterministic(self):
-        f = lambda x: (x - math.pi / 7) ** 4 + 0.1 * x
-        a = minimize_scalar(f, 0.0, 1.0, tol=1e-11)
-        b = minimize_scalar(f, 0.0, 1.0, tol=1e-11)
-        assert a == b
-
-    def test_exhausted_iterations_raise(self):
-        f = lambda x: (x - 0.25) ** 2
-        with pytest.raises(ConvergenceError, match="bracket width"):
-            minimize_scalar(f, 0.0, 1.0, tol=1e-10, max_iter=3)
-        # enough iterations: the same answer as with the default budget
-        full = minimize_scalar(f, 0.0, 1.0, tol=1e-10)
-        for n in range(1, 40):
-            try:
-                res = minimize_scalar(f, 0.0, 1.0, tol=1e-10, max_iter=n)
-            except ConvergenceError:
-                continue
-            assert res == full
 
 
 class TestFindRoot:

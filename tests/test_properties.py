@@ -1,5 +1,5 @@
-"""Property tests of the self-consistency kernel, the energy functional, the
-exact-diagonalization oracle and the Lambert W function.
+"""Property tests of the self-consistency kernel, the energy functional and
+its minimizer, the exact-diagonalization oracle and the Lambert W function.
 
 The kernel is checked against an independent largest-root search written
 here: a dense downward scan of ``g(u) = u - log(delta) + I(e^u)/2`` followed
@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 from scipy.sparse.linalg import eigsh
 
+from subohmic.critical import critical_coupling_closed
 from subohmic.errors import ConvergenceError
 from subohmic.model import DiscretizedBath, ModelParams, bath_as_measures, bath_measures
 from subohmic.numerics import lambert_w0
@@ -155,6 +156,39 @@ def test_one_iteration_is_not_enough():
     mu0, _ = bath_measures(p)
     with pytest.raises(ConvergenceError, match="residual"):
         _solve_delta_tilde(0.2, p.delta, mu0, max_iter=1)
+
+
+# 4001 uniform points plus a geometric ladder in q = sqrt(1 - m^2) down to
+# q = 1e-4, where strongly coupled discrete baths develop narrow wells
+DENSE_M = np.unique(np.concatenate([np.linspace(0.0, 1.0, 4001),
+                                    np.sqrt(1.0 - np.geomspace(1e-4, 1.0, 17)[:-1] ** 2)]))
+
+
+def assert_minimum_undercuts_dense_grid(fn):
+    m, e, dt = fn.minimize()
+    assert e <= float(np.min(fn.energy(DENSE_M))) + 1e-12 * abs(e), (m, e)
+    assert dt == fn.dt(m)
+
+
+@SETTINGS
+@given(s=st.floats(0.1, 0.45), omega_c=st.sampled_from([5.0, 10.0, 100.0]),
+       ratio=st.floats(0.3, 8.0), kind=st.sampled_from(["exact", "scaling"]))
+def test_minimum_undercuts_dense_grid_on_continuum(s, omega_c, ratio, kind):
+    alpha = ratio * critical_coupling_closed(s, 1.0, omega_c)[0]
+    assert_minimum_undercuts_dense_grid(
+        Functional.of(ModelParams(s=s, alpha=alpha, delta=1.0, omega_c=omega_c), kind))
+
+
+@SETTINGS
+@given(log_freqs=st.lists(st.floats(math.log(1e-3), math.log(20.0)), min_size=1, max_size=5,
+                         unique=True),
+       couplings=st.lists(st.floats(0.05, 4.0), min_size=5, max_size=5),
+       delta=st.floats(0.1, 5.0))
+def test_minimum_undercuts_dense_grid_on_discrete_baths(log_freqs, couplings, delta):
+    w = np.exp(sorted(log_freqs))
+    assume(np.all(np.diff(w) > 1e-9))
+    mu0, mu_m1 = bath_as_measures(DiscretizedBath(w, np.array(couplings[: w.size])))
+    assert_minimum_undercuts_dense_grid(Functional.measures(delta, mu0, mu_m1))
 
 
 # Small baths with displacements g/(2w) <= 0.4, so that 12 Fock levels per

@@ -5,7 +5,8 @@ import pytest
 import scipy.integrate
 
 from subohmic.errors import DomainError
-from subohmic.model import ModelParams, bath_measures
+from subohmic.critical import critical_coupling_numeric
+from subohmic.model import ModelParams, bath_as_measures, bath_measures, discretize_bath
 from subohmic.numerics import power_rule
 from subohmic.variational import (
     Functional,
@@ -250,10 +251,11 @@ class TestPrefactorResolution:
         def c1_at(alpha, kappa):
             p = ModelParams(s=s, alpha=alpha, delta=delta, omega_c=wc)
             half = Functional.of(p, "scaling")
-            # prefactor kappa: E_kappa = E_half - (kappa - 1/2) dt q
-            fn = Functional(half.static, half.e_one, lambda ms, start: half.dt(ms),
+            # prefactor kappa: E_kappa = E_half - (kappa - 1/2) dt q; only
+            # landau() runs, so the kappa = 1/2 curve can stand in
+            fn = Functional(half.static, half.e_one, half.dt,
                             lambda ms, dts: half.branch(ms, dts)
-                            - (kappa - 0.5) * dts * np.sqrt(1.0 - ms * ms))
+                            - (kappa - 0.5) * dts * np.sqrt(1.0 - ms * ms), half.curve)
             return fn.landau()[1]
 
         # derived prefactor 1/2: c1 crosses zero within ~alpha/(1-s) of the
@@ -340,6 +342,32 @@ class TestMinimizeEnergy:
         m1 = minimize_energy(params(ALPHA_C_NUM * (1 + 1e-3))).sz
         m4 = minimize_energy(params(ALPHA_C_NUM * (1 + 4e-3))).sz
         assert m4 / m1 == pytest.approx(2.0, rel=0.05)
+
+    @pytest.mark.parametrize("s", [0.1, 0.3, 0.4])
+    def test_magnetization_resolved_next_to_the_transition(self, s):
+        # the energy is flat in m here, but M is a root of the stationarity
+        # equation, so a last-bit change of alpha moves it only by rounding
+        alpha_c = critical_coupling_numeric(s, DELTA, WC)
+        for reduced in (1e-4, 1e-3):
+            alpha = alpha_c * (1.0 + reduced)
+            m = minimize_energy(params(alpha, s=s)).sz
+            assert m > 0.0
+            for _ in range(3):
+                alpha = math.nextafter(alpha, math.inf)
+                assert minimize_energy(params(alpha, s=s)).sz == pytest.approx(m, rel=1e-10)
+
+    def test_minimum_next_to_full_polarization_is_found(self):
+        # a 4-mode Gauss bath whose largest-root branch dips below the m = 0
+        # energy only at m ~ 0.979; a 2001-point grid on [0.9, 1] confirms it
+        p = ModelParams(s=0.3913257300935681, alpha=0.2574701735381716, delta=1.0, omega_c=10.0)
+        fn = Functional.measures(p.delta, *bath_as_measures(discretize_bath(p, 4)))
+        m, e, dt = fn.minimize()
+        assert m == pytest.approx(0.9789521287, abs=1e-8)
+        assert e == pytest.approx(-2.5564453459, abs=1e-10)
+        assert e < fn.energy(0.0) - 3e-4
+        grid = np.linspace(0.9, 1.0, 2001)
+        assert e <= float(np.min(fn.energy(grid)))
+        assert dt == fn.dt(m)
 
     def test_scaling_functional_route(self):
         p = params(0.001, omega_c=1000.0)
