@@ -2,7 +2,7 @@
 
 Library layout:
 
-- :mod:`subohmic.numerics` -- Lambert W, quadrature, 1-d optimization, fits
+- :mod:`subohmic.numerics` -- Lambert W, quadrature, Jacobi recurrences, root finding, fits
 - :mod:`subohmic.model` -- parameters, spectral density, bath discretization
 - :mod:`subohmic.variational` -- displaced-oscillator ansatz and observables
 - :mod:`subohmic.critical` -- critical coupling, sweeps, exponents

@@ -7,11 +7,12 @@ wide-band limit this has the closed form
     alpha_c = sin(pi s) e^{-s/2} / (2 pi (1-s)) * (delta / omega_c)^(1-s),
 
 with critical effective tunneling ``delta * exp(-s / (2 (1-s)))``.  The
-numeric route bisects ``c1(alpha)`` from finite differences of the full
-functional; both are always reported side by side because different
-normalization conventions for the coupling are in circulation (they differ
-by powers of ``omega_c / delta``) and the ratio makes the comparison to
-other work explicit.
+numeric route solves ``c1 = 0`` of the chosen functional directly, the full
+one by one scalar root in the critical tunneling; the wide-band one gives
+``alpha_c e^{-alpha_c}`` equal to the closed form.  Both are always reported
+side by side because different normalization conventions for the coupling
+are in circulation (they differ by powers of ``omega_c / delta``) and the
+ratio makes the comparison to other work explicit.
 """
 
 from __future__ import annotations
@@ -23,11 +24,10 @@ from typing import Sequence
 import numpy as np
 
 from .errors import BracketError, ConvergenceError, DomainError
-from .model import ModelParams
-from .numerics import FitResult, find_root, fit_power_law
-from .variational import Functional, landau_coefficients, minimize_energy
+from .model import ModelParams, bath_measures
+from .numerics import FitResult, find_root, fit_power_law, lambert_w0
+from .variational import Functional, VariationalState, observables
 
-_ALPHA_C_RTOL = 1e-10  # keeps alpha_c stable to 1e-8 when c1 changes in its last bits
 _ROW_ERRORS = (DomainError, ConvergenceError, BracketError)  # recorded per row
 _FIT_WINDOW = (1e-4, 1e-2)  # reduced-coupling window for exponent fits
 
@@ -97,31 +97,45 @@ def critical_coupling_closed(s: float, delta: float, omega_c: float) -> tuple[fl
 
 def critical_coupling_numeric(s: float, delta: float, omega_c: float,
                               functional: str = "exact") -> float:
-    """Coupling where the quadratic Landau coefficient crosses zero.
-
-    Brackets the sign change on a geometric ladder anchored at the closed
-    form, up to ``64`` times it, then bisects to ``1e-10`` relative in
-    ``alpha``.
-    """
+    """Coupling where :meth:`~subohmic.variational.Functional.c1` of
+    ``functional`` crosses zero: one scalar root for the full functional
+    (:func:`_critical_root`); the wide-band ``c1 = dt/4 - a dt^s``, ``a``
+    linear in ``alpha``, with the Lambert-W ``dt`` gives ``alpha_c
+    e^{-alpha_c} = alpha_closed``."""
     _require_subohmic_window(s)
-    alpha_closed, _ = critical_coupling_closed(s, delta, omega_c)
+    if functional == "scaling":
+        alpha_closed = critical_coupling_closed(s, delta, omega_c)[0]
+        if alpha_closed > math.exp(-1.0):
+            raise DomainError(f"critical_coupling_numeric: no c1 zero, {alpha_closed!r} > 1/e")
+        return -lambert_w0(-alpha_closed)
+    if functional != "exact":
+        raise DomainError(f"unknown functional {functional!r}")
+    return _critical_root(s, delta, omega_c)[0]
 
-    def c1_of(alpha: float) -> float:
-        p = ModelParams(s=s, alpha=alpha, delta=delta, omega_c=omega_c)
-        return landau_coefficients(p, functional=functional)[1]
 
-    lo = 0.25 * alpha_closed
-    if c1_of(lo) <= 0.0:
-        lo /= 16.0
-        if c1_of(lo) <= 0.0:
-            raise ConvergenceError("critical_coupling_numeric: no delocalized side found")
-    hi = 1.3 * lo
-    while not c1_of(hi) < 0.0:  # a NaN c1 climbs on, like a positive one
-        if hi > 64.0 * alpha_closed:
-            raise ConvergenceError("critical_coupling_numeric: no transition in range")
-        lo, hi = hi, 1.3 * hi
-    root = find_root(c1_of, lo, hi, tol=_ALPHA_C_RTOL * alpha_closed)
-    return float(root)
+def _critical_root(s: float, delta: float, omega_c: float) -> tuple[float, float]:
+    """``(alpha_c, d)`` of the full functional, ``d`` the critical ``dt(0)``.
+
+    On the unit-coupling measure ``dmu_1``, ``c1 = (d/4) (1 - alpha d
+    K1(d))`` vanishes at ``alpha = 1/(d K1(d))``, and the self-consistency
+    becomes ``log(delta/d) = I1(d) / (2 d K1(d))``, with ``I1 = int
+    dmu_1/(d+w)^2 = s J - B``, ``d K1 = d int dmu_1/(w (d+w)^2) = (1-s) J +
+    B`` (by parts; ``J = int dmu_1/(w (d+w))``, ``B = 2 omega_c/(d +
+    omega_c) > 0``).  The right side lies in ``(0, s/(2(1-s)))``, so ``log
+    d`` has a root within ``s/(2(1-s))`` below ``log delta``."""
+    mu1, mu1_m1 = bath_measures(ModelParams(s=s, alpha=1.0, delta=delta, omega_c=omega_c))
+    log_delta = math.log(delta)
+
+    def d_k1(d: float) -> float:
+        return d * float(np.dot(mu1_m1.weights, 1.0 / (d + mu1_m1.nodes) ** 2))
+
+    def gap(u: float) -> float:  # log(delta/d) - I1/(2 d K1) at d = e^u
+        d = math.exp(u)
+        i1 = float(np.dot(mu1.weights, 1.0 / (d + mu1.nodes) ** 2))
+        return log_delta - u - 0.5 * i1 / d_k1(d)
+
+    d = math.exp(find_root(gap, log_delta - 0.5 * s / (1.0 - s), log_delta, tol=1e-15))
+    return 1.0 / d_k1(d), d
 
 
 def critical_point(s: float, delta: float, omega_c: float,
@@ -143,7 +157,8 @@ def critical_point(s: float, delta: float, omega_c: float,
 
 def sweep_alpha(s: float, delta: float, omega_c: float,
                 alphas: Sequence[float], functional: str = "exact") -> SweepTable:
-    """One ground-state solve per coupling; rows are independent.
+    """Ground state and Landau ``c1`` per coupling, both from the row's
+    :class:`~subohmic.variational.Functional`; rows are independent.
 
     A row that raises a domain, convergence or bracket error is filled with
     NaN and recorded in ``status`` and ``failures``; the sweep continues.
@@ -158,8 +173,10 @@ def sweep_alpha(s: float, delta: float, omega_c: float,
     for i, alpha in enumerate(alphas.tolist()):
         try:
             p = ModelParams(s=s, alpha=alpha, delta=delta, omega_c=omega_c)
-            sol = minimize_energy(p, functional=functional)
-            _, c1, _ = landau_coefficients(p, functional=functional)
+            fn = Functional.of(p, functional)
+            m, e, dt = fn.minimize()
+            sol = observables(VariationalState.build(m, dt), p, energy=e)
+            c1 = fn.c1()
         except _ROW_ERRORS as exc:
             status[i] = type(exc).__name__
             failures.append((i, exc))

@@ -32,7 +32,9 @@ stationary in ``dt``, but its curve is explicit as well: ``E_s(y) = dt^2 [A
 y^(s-2) omega_c^(-s) - 1/(2y)] - alpha omega_c / (2s)`` with ``dt = D
 e^{-B y^(s-1)}``, ``A = alpha pi omega_c (1-s) / (2 sin pi s)``, ``B =
 (alpha pi s / sin pi s) omega_c^(1-s)`` and ``D = delta e^{alpha/(1-s)}``;
-its largest roots lie at ``y > ((1-s) B)^(1/(1-s))``.
+its largest roots lie at ``y > ((1-s) B)^(1/(1-s))``, and there ``(2/dt)
+dE_s/dq = Phi_s(y) - 1`` with the wide-band ``Phi_s(y) = 4 A omega_c^(-s)
+y^(s-1)``.
 
 Everything below is written against a generic measure pair (continuum
 quadrature rules or a discrete mode list), so the same kernels serve the
@@ -176,11 +178,18 @@ class _LargestRoot:
         if self.hi < log_delta + _LOG_COLLAPSE:
             return self.hi
         # Newton from hi, unless that point was just refuted or g' <= 0 there;
-        # else the fixed-point step u - g(u), which is increasing in u and so
-        # never crosses the root
+        # else the largest step that provably stays above the root
         self.trusted = not accepted or self.slope_hi <= 0.0
-        self.c = self.hi - (self.g_hi if self.trusted else self.g_hi / self.slope_hi)
+        self.c = self.hi - (_safe_step(self.g_hi, 1.0 - self.slope_hi) if self.trusted
+                            else self.g_hi / self.slope_hi)
         return None
+
+
+def _safe_step(g: float, k: float) -> float:
+    # each term of K = dt q^2 int dmu/(dt+qw)^3 gives K(u) >= e^(u-hi) K(hi) for u <= hi, so
+    # g(hi-d) >= g - d + K (1 - e^-d) >= g - (1-K) d - K d^2/2 >= 0 up to its positive root
+    r = math.sqrt((1.0 - k) ** 2 + 2.0 * k * g)
+    return 2.0 * g / ((1.0 - k) + r) if k <= 1.0 else ((k - 1.0) + r) / k
 
 
 def _solve_delta_tilde(m, delta: float, mu0: QuadratureRule,
@@ -192,10 +201,10 @@ def _solve_delta_tilde(m, delta: float, mu0: QuadratureRule,
     ``I = q^2 int dmu/(dt+qw)^2`` and the exact ``g' = 1 - K <= 1``, ``K =
     dt q^2 int dmu/(dt+qw)^3``; all unfinished rows are evaluated together.
     A Newton point replaces the upper point only when ``g`` provably has no
-    root between them; otherwise, and where ``g' <= 0``, the fixed-point
-    step is taken, starting from ``delta``.  Roots below ``1e-12 * delta``
-    count as ``dt = 0``.  Raises :class:`ConvergenceError` after ``max_iter``
-    steps.
+    root between them; otherwise, and where ``g' <= 0``, a step that
+    provably stays above the root is taken, starting from ``delta``.  Roots
+    below ``1e-12 * delta`` count as ``dt = 0``.  Raises
+    :class:`ConvergenceError` after ``max_iter`` steps.
     """
     ms = np.atleast_1d(np.asarray(m, dtype=float))
     out = np.zeros(ms.shape)
@@ -319,10 +328,10 @@ def _like(m, out: np.ndarray):
 
 
 class _Curve(NamedTuple):
-    """The self-consistent pairs ``(m, dt)`` parametrized by ``y = dt / q``:
-    ``residual(ys)`` vanishes exactly at the magnetized stationary points of
-    the branch, ``dt(ys)`` is the tunneling there (``m = sqrt(1 - (dt/y)^2)``)
-    and every such point on the largest-root branch lies inside ``span``."""
+    """The self-consistent pairs ``(m, dt = q y)``: ``residual(ys) = (2/dt)
+    dE/dq`` vanishes exactly at the magnetized stationary points of the
+    branch, ``dt(ys)`` is the tunneling there, and ``span`` holds every such
+    point on the largest-root branch."""
 
     residual: Callable[[np.ndarray], np.ndarray]
     dt: Callable[[np.ndarray], np.ndarray]
@@ -342,17 +351,16 @@ def _measure_curve(delta: float, mu0: QuadratureRule, mu_m1: QuadratureRule) -> 
 
 
 def _wide_band_curve(p: ModelParams) -> _Curve:
-    # E_s(y) = dt^2 [a y^(s-2) - 1/(2y)] + const with dt = D exp(-b y^(s-1)); y^2 dE_s/dy
-    # / dt^2 is a quadratic in x = y^(s-1), positive for x < 1/(2 (b t + (2-s) a)), and
-    # the largest root needs t b x < 1 (z < 1 in solve_delta_tilde_scaling)
+    # E_s(y) = dt^2 [a y^(s-2) - 1/(2y)] + const, dt = D exp(-b x), x = y^(s-1); with v =
+    # t b x = 2 s a x: y^2 dE_s/dy / dt^2 = (2v - s)(v - 1)/(2s) and dq/dy = (dt/y^2)(v - 1),
+    # so (2/dt) dE/dq = 4 a x - 1; the largest dt root needs v < 1, and the span holds v = s/2
     s, t = p.s, 1.0 - p.s
     a = p.alpha * math.pi * t * p.omega_c ** t / (2.0 * math.sin(math.pi * s))
     b = p.alpha * math.pi * s * p.omega_c ** t / math.sin(math.pi * s)
     big_d = p.delta * math.exp(p.alpha / t)
 
     def residual(ys):
-        x = ys ** (s - 1.0)
-        return (2.0 * b * t * a * x - (b * t + (2.0 - s) * a)) * x + 0.5
+        return 4.0 * a * ys ** (s - 1.0) - 1.0
 
     def dt(ys):
         return big_d * np.exp(-b * ys ** (s - 1.0))
@@ -361,7 +369,6 @@ def _wide_band_curve(p: ModelParams) -> _Curve:
 
 
 _Y_GRID_PER_DECADE = 8  # one mode's term of Phi stays above half its peak over a factor 34 in y
-_LANDAU_STEP = 1e-3
 
 
 class Functional:
@@ -462,31 +469,17 @@ class Functional:
             return 1.0, e1, 0.0
         return ms[j], es[j], dts[j]
 
-    def landau(self) -> tuple[float, float, float]:
-        """Coefficients ``(c0, c1, c2)`` of ``branch = c0 + c1 m^2 + c2 m^4 +
-        O(m^6)`` near ``m = 0``.
-
-        Central finite differences with the self-consistency re-solved at
-        every stencil point, Richardson-extrapolated from steps ``h`` and
-        ``h/2``.  The branch is even in ``m``: ``0, h/2, h, 2h`` are solved
-        in one call and the negative points mirrored.
-        """
-        h = _LANDAU_STEP
-        e0, e_half, e_h, e_2h = self.branch(np.array([0.0, h / 2, h, 2 * h])).tolist()
-
-        def second(e1, hh):
-            return (e1 - 2.0 * e0 + e1) / (hh * hh)
-
-        def fourth(e2, e1, hh):
-            return (e2 - 4.0 * e1 + 6.0 * e0 - 4.0 * e1 + e2) / hh**4
-
-        c1 = (4.0 * second(e_half, h / 2) - second(e_h, h)) / 3.0 / 2.0
-        c2 = (16.0 * fourth(e_h, e_half, h / 2) - fourth(e_2h, e_h, h)) / 15.0 / 24.0
-        return e0, c1, c2
+    def c1(self) -> float:
+        """Landau coefficient of ``branch = c0 + c1 m^2 + O(m^4)``, whose zero
+        locates the transition: ``dt`` depends on ``m`` only through ``q``,
+        so ``c1 = -(1/2) dE/dq = -(dt/4) residual(dt)`` at ``q = 1``, one
+        solve of ``dt(0)``; 0 where that collapses to the static energy."""
+        dt = self.dt(0.0)
+        return -0.25 * dt * float(self.curve.residual(dt)) if dt > 0.0 else 0.0
 
 
 # ---------------------------------------------------------------------------
-# ground state, observables, Landau expansion
+# ground state, observables
 # ---------------------------------------------------------------------------
 
 
@@ -558,14 +551,3 @@ def occupation_total(state: VariationalState, p: ModelParams) -> float:
     w = mu0.nodes
     return float(np.dot(mu0.weights, 0.25 / (dt + w) ** 2))
 
-
-def landau_coefficients(p: ModelParams, functional: str = "exact") -> tuple[float, float, float]:
-    """Ginzburg-Landau coefficients ``(c0, c1, c2)`` of the energy in ``m``.
-
-    Expansion of the finite-tunneling branch (see :meth:`Functional.landau`);
-    ``c1 = 0`` locates the transition.  The branch, not the energy, is
-    expanded: at strong coupling the energy crosses over to the
-    m-independent fully displaced configuration, which would flatten the
-    finite differences.
-    """
-    return Functional.of(p, functional).landau()

@@ -13,11 +13,12 @@ import pytest
 SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
 # not library functions: energies and the self-consistent dt are evaluated
-# inside Functional methods, which the tracer does not wrap, and the
-# magnetization comes from a root on the self-consistent curve, not a minimizer
+# inside Functional methods, which the tracer does not wrap, the
+# magnetization comes from a root on the self-consistent curve, not a
+# minimizer, and the Landau c1 from Functional.c1 in closed form
 ALREADY_ABSENT = {"variational.energy_exact", "variational.branch_energy_exact",
                   "variational.energy_measures", "variational.solve_delta_tilde_exact",
-                  "numerics.minimize_scalar"}
+                  "numerics.minimize_scalar", "variational.landau_coefficients"}
 
 # arguments read by the tracer's hooks and by its matvec-counting call
 HOOK_ARGUMENTS = [

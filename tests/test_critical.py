@@ -68,6 +68,11 @@ class TestNumericCoupling:
         ac_closed = critical_coupling_closed(0.3, 1.0, 1000.0)[0]
         assert ac_num == pytest.approx(ac_closed, rel=0.01)
 
+    def test_scaling_without_transition_is_a_domain_error(self):
+        # alpha e^-alpha never reaches a closed form above 1/e
+        with pytest.raises(DomainError, match="no c1 zero"):
+            critical_coupling_numeric(0.45, 1.0, 0.3, functional="scaling")
+
     def test_critical_point_record(self):
         cp = critical_point(0.3, 1.0, 10.0)
         assert cp.alpha_c_numeric == pytest.approx(ALPHA_C_S03_WC10, rel=1e-7)

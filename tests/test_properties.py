@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 from scipy.sparse.linalg import eigsh
 
-from subohmic.critical import critical_coupling_closed
+from subohmic.critical import _critical_root, critical_coupling_closed, critical_coupling_numeric
 from subohmic.errors import ConvergenceError
 from subohmic.model import DiscretizedBath, ModelParams, bath_as_measures, bath_measures
 from subohmic.numerics import lambert_w0
@@ -189,6 +189,22 @@ def test_minimum_undercuts_dense_grid_on_discrete_baths(log_freqs, couplings, de
     assume(np.all(np.diff(w) > 1e-9))
     mu0, mu_m1 = bath_as_measures(DiscretizedBath(w, np.array(couplings[: w.size])))
     assert_minimum_undercuts_dense_grid(Functional.measures(delta, mu0, mu_m1))
+
+
+@SETTINGS
+@given(s=st.floats(0.05, 0.49), log_ratio=st.floats(math.log(2.0), math.log(1e4)),
+       delta=st.floats(0.1, 10.0))
+def test_critical_root_is_the_sign_change_of_c1(s, log_ratio, delta):
+    omega_c = delta * math.exp(log_ratio)
+    alpha_c, d = _critical_root(s, delta, omega_c)
+    # the root is the largest fixed point at alpha_c, not another one
+    p_c = ModelParams(s=s, alpha=alpha_c, delta=delta, omega_c=omega_c)
+    assert d == pytest.approx(Functional.of(p_c).dt(0.0), rel=1e-12, abs=0.0)
+    for kind in ("exact", "scaling"):
+        alpha_c = critical_coupling_numeric(s, delta, omega_c, kind)
+        c1 = [Functional.of(ModelParams(s=s, alpha=alpha_c * f, delta=delta, omega_c=omega_c),
+                            kind).c1() for f in (1.0 - 1e-6, 1.0 + 1e-6)]
+        assert c1[0] > 0.0 > c1[1], (kind, c1)
 
 
 # Small baths with displacements g/(2w) <= 0.4, so that 12 Fock levels per

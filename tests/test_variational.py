@@ -5,14 +5,13 @@ import pytest
 import scipy.integrate
 
 from subohmic.errors import DomainError
-from subohmic.critical import critical_coupling_numeric
+from subohmic.critical import critical_coupling_closed, critical_coupling_numeric
 from subohmic.model import ModelParams, bath_as_measures, bath_measures, discretize_bath
 from subohmic.numerics import power_rule
 from subohmic.variational import (
     Functional,
     VariationalState,
     displacements,
-    landau_coefficients,
     minimize_energy,
     observables,
     occupation_density,
@@ -29,6 +28,25 @@ ALPHA_C_NUM = 0.032649799936969884  # pinned by the 1e-8 bisection in test_criti
 
 def params(alpha, s=S, delta=DELTA, omega_c=WC):
     return ModelParams(s=s, alpha=alpha, delta=delta, omega_c=omega_c)
+
+
+def landau_stencil(fn):
+    """Reference ``(c0, c1, c2)`` of ``fn.branch = c0 + c1 m^2 + c2 m^4 +
+    O(m^6)``: central finite differences with the self-consistency re-solved
+    at ``m = 0, h/2, h, 2h`` (the branch is even), Richardson-extrapolated
+    from steps ``h = 1e-3`` and ``h/2``."""
+    h = 1e-3
+    e0, e_half, e_h, e_2h = fn.branch(np.array([0.0, h / 2, h, 2 * h])).tolist()
+
+    def second(e1, hh):
+        return (e1 - 2.0 * e0 + e1) / (hh * hh)
+
+    def fourth(e2, e1, hh):
+        return (e2 - 4.0 * e1 + 6.0 * e0 - 4.0 * e1 + e2) / hh**4
+
+    c1 = (4.0 * second(e_half, h / 2) - second(e_h, h)) / 3.0 / 2.0
+    c2 = (16.0 * fourth(e_h, e_half, h / 2) - fourth(e_2h, e_h, h)) / 15.0 / 24.0
+    return e0, c1, c2
 
 
 def rhs_independent(dt, m, p):
@@ -145,6 +163,19 @@ class TestDeltaTildeExact:
             rhs = p.delta * math.exp(-0.5 * _overlap_integral(x, 1.0, mu0))
             assert rhs < x
 
+    def test_fold_next_to_collapse(self):
+        # g dips to 4e-7 above zero at m = 0.3075 and just below it at 0.3076;
+        # fixed-point steps used to crawl through the fold until the
+        # iterations ran out
+        p = ModelParams(s=0.3615428321408152, alpha=0.025753458228936033,
+                        delta=1.0, omega_c=100.0)
+        mu0, _ = bath_measures(p)
+        assert Functional.of(p).dt(0.3075) == 0.0
+        dt = Functional.of(p).dt(0.3076)
+        assert dt > 0.1
+        q = math.sqrt(1.0 - 0.3076**2)
+        assert abs(dt - p.delta * math.exp(-0.5 * _overlap_integral(dt, q, mu0))) <= 1e-10 * dt
+
     def test_collapse_at_strong_coupling(self):
         # the finite root disappears just below alpha = 0.1 at these params
         assert Functional.of(params(0.099)).dt(0.0) > 0.2
@@ -251,12 +282,13 @@ class TestPrefactorResolution:
         def c1_at(alpha, kappa):
             p = ModelParams(s=s, alpha=alpha, delta=delta, omega_c=wc)
             half = Functional.of(p, "scaling")
-            # prefactor kappa: E_kappa = E_half - (kappa - 1/2) dt q; only
-            # landau() runs, so the kappa = 1/2 curve can stand in
+            # prefactor kappa: E_kappa = E_half - (kappa - 1/2) dt q; the
+            # curve, and so Functional.c1, knows only kappa = 1/2, but the
+            # stencil reads the branch alone
             fn = Functional(half.static, half.e_one, half.dt,
                             lambda ms, dts: half.branch(ms, dts)
                             - (kappa - 0.5) * dts * np.sqrt(1.0 - ms * ms), half.curve)
-            return fn.landau()[1]
+            return landau_stencil(fn)[1]
 
         # derived prefactor 1/2: c1 crosses zero within ~alpha/(1-s) of the
         # closed form (the residual finite-coupling correction)
@@ -442,25 +474,48 @@ class TestOccupation:
 
 class TestLandauAndSusceptibility:
     def test_free_limit_quarter_delta(self):
-        c0, c1, c2 = landau_coefficients(params(1e-14))
-        assert c1 == pytest.approx(DELTA / 4.0, rel=1e-6)
-        assert c0 == pytest.approx(-0.5, rel=1e-9)
+        fn = Functional.of(params(1e-14))
+        assert fn.c1() == pytest.approx(DELTA / 4.0, rel=1e-6)
+        assert landau_stencil(fn)[0] == pytest.approx(-0.5, rel=1e-9)
 
     def test_c1_vanishes_at_critical_coupling(self):
-        _, c1, _ = landau_coefficients(params(ALPHA_C_NUM))
-        assert abs(c1) <= 1e-6 * DELTA
+        assert abs(Functional.of(params(ALPHA_C_NUM)).c1()) <= 1e-6 * DELTA
 
     def test_quartic_positive_at_criticality(self):
-        _, _, c2 = landau_coefficients(params(ALPHA_C_NUM))
+        _, _, c2 = landau_stencil(Functional.of(params(ALPHA_C_NUM)))
         assert c2 > 0
 
     def test_susceptibility_monotone_growth(self):
         # chi = 1/(4 c1) grows toward the transition and has no finite
         # delocalized value beyond it
-        c1s = [landau_coefficients(params(f * ALPHA_C_NUM))[1]
-               for f in (0.3, 0.6, 0.9, 0.99)]
+        c1s = [Functional.of(params(f * ALPHA_C_NUM)).c1() for f in (0.3, 0.6, 0.9, 0.99)]
         assert all(0.0 < b < a for a, b in zip(c1s, c1s[1:]))
-        assert landau_coefficients(params(1.2 * ALPHA_C_NUM))[1] < 0.0
+        assert Functional.of(params(1.2 * ALPHA_C_NUM)).c1() < 0.0
+
+    @pytest.mark.parametrize("kind", ["exact", "scaling"])
+    @pytest.mark.parametrize("s", [0.1, 0.3, 0.44])
+    @pytest.mark.parametrize("omega_c", [10.0, 100.0])
+    def test_c1_matches_stencil(self, kind, s, omega_c):
+        # the closed form against the finite differences, whose rounding
+        # error, amplified by 1/h^2, reaches a few 1e-7 relative at 0.99
+        alpha_c = critical_coupling_numeric(s, DELTA, omega_c, kind)
+        for ratio in (0.5, 0.99, 1.2):
+            fn = Functional.of(params(ratio * alpha_c, s=s, omega_c=omega_c), kind)
+            c1 = fn.c1()
+            assert c1 == pytest.approx(landau_stencil(fn)[1], rel=1e-6)
+            assert (c1 > 0.0) == (ratio < 1.0)
+
+    def test_c1_vanishes_where_tunneling_collapses(self):
+        # the branch is the flat static energy there
+        fn = Functional.of(params(0.12))
+        assert fn.dt(0.0) == 0.0
+        assert fn.c1() == 0.0 == landau_stencil(fn)[1]
+
+    def test_scaling_critical_coupling_is_lambert_w_of_closed_form(self):
+        alpha_closed, _ = critical_coupling_closed(S, DELTA, WC)
+        alpha_c = critical_coupling_numeric(S, DELTA, WC, "scaling")
+        assert alpha_c * math.exp(-alpha_c) == pytest.approx(alpha_closed, rel=1e-14)
+        assert abs(Functional.of(params(alpha_c), "scaling").c1()) <= 1e-14 * DELTA
 
 
 class TestDomainErrors:
