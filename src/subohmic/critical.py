@@ -30,6 +30,7 @@ from .variational import Functional, VariationalState, observables
 
 _ROW_ERRORS = (DomainError, ConvergenceError, BracketError)  # recorded per row
 _FIT_WINDOW = (1e-4, 1e-2)  # reduced-coupling window for exponent fits
+_WINDOW_SLACK = 1e-9  # relative; a row at a window edge is not dropped for rounding
 
 
 @dataclass(frozen=True)
@@ -198,9 +199,11 @@ def extract_exponents(table: SweepTable, alpha_c: float,
     the transition.  ``gamma``: magnitude of the divergence of ``chi = 1/(4
     c1)`` below it (the returned ``exponent`` field holds gamma itself, i.e.
     minus the raw log-log slope).  Both fits use rows whose reduced coupling
-    falls inside ``window``.
+    falls inside ``window``, widened by ``1e-9`` relative: ``red`` is
+    recomputed from couplings built as ``alpha_c (1 -/+ r)``, so a row at an
+    edge of the window lies within rounding of it.
     """
-    lo, hi = window
+    lo, hi = window[0] * (1.0 - _WINDOW_SLACK), window[1] * (1.0 + _WINDOW_SLACK)
     red = (table.alphas - alpha_c) / alpha_c
 
     above = (red >= lo) & (red <= hi) & (table.m > 0.0) & np.isfinite(table.m)

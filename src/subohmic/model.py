@@ -38,6 +38,9 @@ class ModelParams:
     omega_c: float
 
     def __post_init__(self):
+        for name in ("s", "alpha", "delta", "omega_c"):
+            if not math.isfinite(getattr(self, name)):
+                raise DomainError(f"ModelParams: {name}={getattr(self, name)!r} is not finite")
         if not 0.0 < self.s < 1.0:
             raise DomainError(f"ModelParams: s={self.s!r} outside (0, 1)")
         if self.alpha < 0.0:

@@ -18,9 +18,10 @@ import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal
 from scipy.optimize import brentq
 
-from .errors import BracketError, DomainError
+from .errors import BracketError, ConvergenceError, DomainError
 
 _INV_E = math.exp(-1.0)
+_EPS = float(np.finfo(float).eps)
 
 
 def lambert_w0(x: float) -> float:
@@ -28,7 +29,10 @@ def lambert_w0(x: float) -> float:
 
     Halley iteration from a piecewise initial guess (branch-point series
     near ``-1/e``, ``log1p`` in the middle, asymptotic expansion for large
-    arguments).  The result satisfies ``|w e^w - x| <= 1e-12 * max(1, |x|)``.
+    arguments), until the step or the residual ``|w e^w - x|`` reaches
+    rounding level.  The result satisfies ``|w e^w - x| <= 1e-12 * max(1,
+    |x|)``; :class:`ConvergenceError` is raised if neither test is met in
+    100 steps.
 
     Arguments up to ``1e-14`` below ``-1/e`` are clamped onto the branch
     point; anything lower raises :class:`DomainError`.
@@ -54,6 +58,10 @@ def lambert_w0(x: float) -> float:
         l2 = math.log(l1)
         w = l1 - l2 + l2 / l1
 
+    # next to -1/e the step test alone is never met: W is ill-conditioned there,
+    # so the iteration also stops once the residual is at rounding level,
+    # relative to |x| so that small arguments keep full relative precision
+    f_tol = 4.0 * _EPS * abs(x)
     for _ in range(100):
         ew = math.exp(w)
         f = w * ew - x
@@ -63,9 +71,10 @@ def lambert_w0(x: float) -> float:
             continue
         dw = f / (ew * w1 - (w + 2.0) * f / (2.0 * w1))
         w -= dw
-        if abs(dw) <= 2e-16 * (2.0 + abs(w)):
-            break
-    return w
+        if abs(dw) <= 2e-16 * (2.0 + abs(w)) or abs(f) <= f_tol:
+            return w
+    raise ConvergenceError(f"lambert_w0: x={x!r} unconverged after 100 Halley steps; "
+                           f"residual {abs(f):.3e}")
 
 
 @dataclass(frozen=True)

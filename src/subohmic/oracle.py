@@ -232,7 +232,7 @@ def ado_on_discrete(bath: DiscretizedBath, p: ModelParams) -> tuple[float, Varia
     fn = Functional.measures(p.delta, *bath_as_measures(bath))
     m, energy, dt = fn.minimize()
     tol = 1e-13 * max(1.0, abs(fn.static))
-    if abs(m) < 1.0 and dt > 0.0 and fn.branch(m, dt) <= fn.static + tol:
+    if abs(m) < 1.0 and dt > 0.0 and fn.branch(m) <= fn.static + tol:
         return energy, VariationalState.build(m, dt)
     return fn.static, VariationalState.build(1.0, 0.0)
 

@@ -36,6 +36,17 @@ its largest roots lie at ``y > ((1-s) B)^(1/(1-s))``, and there ``(2/dt)
 dE_s/dq = Phi_s(y) - 1`` with the wide-band ``Phi_s(y) = 4 A omega_c^(-s)
 y^(s-1)``.
 
+At a self-consistent point ``delta e^{-I/2} = dt``, so the moment form
+reduces to the curve alone,
+
+    E(m) = E_static - (q dt / 4) (2 - Phi(dt / q)),    E_static = -(1/4) int dmu/w,
+
+which is also ``E_s`` at any ``dt``, with ``Phi_s`` and ``E_static = -alpha
+omega_c / (2s)``.  Where ``dt`` collapses to 0 the energy is ``E_static``.
+The tunneling prefactor 1/2 of ``E_s`` is the large-cutoff limit of the full
+functional and reproduces the closed-form critical coupling; a prefactor 1
+does not.
+
 Everything below is written against a generic measure pair (continuum
 quadrature rules or a discrete mode list), so the same kernels serve the
 continuum solver and the exact-diagonalization cross-checks.
@@ -266,33 +277,6 @@ def solve_delta_tilde_scaling(m: float, p: ModelParams) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _energy_at(ms, dts, mu0: QuadratureRule, mu_m1: QuadratureRule, delta: float):
-    """Variational energy of the shape family parameterized by ``dt``, for
-    equal-shape arrays of ``(m, dt)`` pairs.
-
-    The tunneling term uses the actual branch overlap of the shapes, so this
-    is a true variational energy for any ``dt >= 0``, stationary at the
-    self-consistent fixed point.  The bath part is written in terms of
-    ``u = w * phi`` (bounded at ``w -> 0``) against ``dmu / w``.
-    """
-    out = np.full(ms.shape, _static_energy(mu_m1))
-    live = (np.abs(ms) < 1.0) & (dts != 0.0)
-    mm, d = ms[live, None], dts[live, None]
-    q = np.sqrt(1.0 - mm * mm)
-    big_i = (q * q)[:, 0] * ((1.0 / (d + q * mu0.nodes) ** 2) @ mu0.weights)
-    overlap = np.exp(-0.5 * big_i)
-    w = mu_m1.nodes
-    den = 2.0 * (d + q * w)
-    up = -(mm * d + q * w) / den
-    um = -(mm * d - q * w) / den
-    i_plus = (up * (1.0 + up)) @ mu_m1.weights
-    i_minus = (um * (1.0 - um)) @ mu_m1.weights
-    mm = mm[:, 0]
-    out[live] = (-0.5 * q[:, 0] * delta * overlap
-                 + (0.5 * (1.0 + mm) * i_plus - 0.5 * (1.0 - mm) * i_minus))
-    return out
-
-
 def _static_energy(mu_m1: QuadratureRule) -> float:
     # fully displaced oscillators, dead tunneling: -(1/4) int dmu / w
     return -0.25 * mu_m1.total_mass
@@ -301,21 +285,6 @@ def _static_energy(mu_m1: QuadratureRule) -> float:
 def static_shift_energy(p: ModelParams) -> float:
     """Energy of the fully localized state: ``-alpha omega_c / (2 s)``."""
     return -p.alpha * p.omega_c / (2.0 * p.s)
-
-
-def _wide_band_branch(m: float, dt: float, p: ModelParams) -> float:
-    """Finite-tunneling branch of the wide-band energy at one ``(m, dt)``:
-    ``-dt q / 2 - alpha omega_c / (2s) + [alpha pi omega_c (1-s) q^2 / (2 sin
-    pi s)] (dt / (omega_c q))^s``, ``q = sqrt(1-m^2)``.  The 1/2 is the
-    large-cutoff limit of the full functional and reproduces the closed-form
-    critical coupling; the prefactor 1 of some statements does not."""
-    if dt == 0.0:
-        return static_shift_energy(p)
-    s = p.s
-    q = math.sqrt(1.0 - m * m)
-    corr = (p.alpha * math.pi * p.omega_c * (1.0 - s) * q * q
-            / (2.0 * math.sin(math.pi * s))) * (dt / (p.omega_c * q)) ** s
-    return -0.5 * dt * q + static_shift_energy(p) + corr
 
 
 def _floats(x) -> np.ndarray:
@@ -331,7 +300,8 @@ class _Curve(NamedTuple):
     """The self-consistent pairs ``(m, dt = q y)``: ``residual(ys) = (2/dt)
     dE/dq`` vanishes exactly at the magnetized stationary points of the
     branch, ``dt(ys)`` is the tunneling there, and ``span`` holds every such
-    point on the largest-root branch."""
+    point on the largest-root branch.  The branch energy at a pair is
+    ``static - (q dt/4) (1 - residual(dt/q))`` (module docstring)."""
 
     residual: Callable[[np.ndarray], np.ndarray]
     dt: Callable[[np.ndarray], np.ndarray]
@@ -377,16 +347,15 @@ class Functional:
     finite-tunneling ``branch(m)`` and ``energy(m) = min(branch, static)``,
     ``e_one`` at ``|m| = 1``.  (The intermediate unstable fixed point always
     lies above the static branch.)  Methods take one ``m`` (float out) or an
-    array (array out).  The constructor takes the batched kernels
-    ``solve(ms) -> dts`` and ``branch(ms, dts) -> energies`` and the
-    self-consistent curve that :meth:`minimize` searches.
+    array (array out).  The constructor takes the batched kernel ``solve(ms)
+    -> dts`` and the self-consistent curve, which gives both the branch
+    energy and the search of :meth:`minimize`.
     """
 
     def __init__(self, static: float, e_one: float,
-                 solve: Callable[[np.ndarray], np.ndarray],
-                 branch: Callable[[np.ndarray, np.ndarray], np.ndarray], curve: _Curve):
+                 solve: Callable[[np.ndarray], np.ndarray], curve: _Curve):
         self.static, self.e_one = static, e_one
-        self._solve, self._branch, self.curve = solve, branch, curve
+        self._solve, self.curve = solve, curve
 
     @classmethod
     def measures(cls, delta: float, mu0: QuadratureRule, mu_m1: QuadratureRule,
@@ -396,7 +365,6 @@ class Functional:
         static = _static_energy(mu_m1)
         return cls(static, static if e_one is None else e_one,
                    lambda ms: _solve_delta_tilde(ms, delta, mu0),
-                   lambda ms, dts: _energy_at(ms, dts, mu0, mu_m1, delta),
                    _measure_curve(delta, mu0, mu_m1))
 
     @classmethod
@@ -414,27 +382,35 @@ class Functional:
             return cls.measures(p.delta, mu0, mu_m1, e_one=e_static)
         return cls(e_static, e_static,
                    lambda ms: np.array([solve_delta_tilde_scaling(m, p) for m in ms.tolist()]),
-                   lambda ms, dts: np.array([_wide_band_branch(m, dt, p)
-                                             for m, dt in zip(ms.tolist(), dts.tolist())]),
                    _wide_band_curve(p))
 
     def dt(self, m):
         """Effective tunneling, the largest self-consistent root."""
         return _like(m, self._solve(_floats(m)))
 
-    def branch(self, m, dt=None):
-        """Finite-tunneling branch energy, at the self-consistent ``dt``
-        unless one is given (the energy is stationary in ``dt`` there)."""
+    def branch(self, m):
+        """Finite-tunneling branch energy at the self-consistent ``dt``."""
         ms = _floats(m)
-        if np.any(np.abs(ms) > 1.0):
-            raise DomainError("Functional: |m| must be <= 1")
-        return _like(m, self._branch(ms, self._solve(ms) if dt is None else _floats(dt)))
+        return _like(m, self._branch(ms, self._solve(ms)))
 
-    def energy(self, m, dt=None):
+    def energy(self, m):
         """``min(branch, static)``, and ``e_one`` at ``|m| = 1``."""
         ms = _floats(m)
-        e = np.where(np.abs(ms) == 1.0, self.e_one, np.minimum(self.branch(ms, dt), self.static))
-        return _like(m, e)
+        return _like(m, self._energy(ms, self._solve(ms)))
+
+    def _branch(self, ms: np.ndarray, dts: np.ndarray) -> np.ndarray:
+        # static - (q dt/4)(1 - residual(dt/q)) on the self-consistent pairs; collapsed
+        # rows stay static and never reach the residual, which is inf at y = 0
+        if np.any(np.abs(ms) > 1.0):
+            raise DomainError("Functional: |m| must be <= 1")
+        out = np.full(ms.shape, self.static)
+        live = (dts > 0.0) & (np.abs(ms) < 1.0)
+        q, d = np.sqrt(1.0 - ms[live] * ms[live]), dts[live]
+        out[live] = self.static - 0.25 * q * d * (1.0 - self.curve.residual(d / q))
+        return out
+
+    def _energy(self, ms: np.ndarray, dts: np.ndarray) -> np.ndarray:
+        return np.where(np.abs(ms) == 1.0, self.e_one, np.minimum(self._branch(ms, dts), self.static))
 
     def minimize(self) -> tuple[float, float, float]:
         """Minimum of the even :meth:`energy` over ``m`` in ``[0, 1]``: ``(m,
@@ -460,7 +436,7 @@ class Functional:
         qs = curve.dt(ys) / ys
         ms = [0.0] + [math.sqrt((1.0 - q) * (1.0 + q)) for q in qs.tolist() if 0.0 < q < 1.0]
         dts = [self.dt(m) for m in ms]  # one cold solve per m, so dt(m) comes back bit for bit
-        es = self.energy(np.array(ms), np.array(dts)).tolist()
+        es = self._energy(np.array(ms), np.array(dts)).tolist()
         j = min(range(1, len(es)), key=es.__getitem__, default=0)
         e0, e1 = es[0], self.e_one
         if j == 0 or es[j] >= e0 - 1e-13 * max(1.0, abs(e0)):

@@ -77,6 +77,23 @@ class TestSolveCommand:
         assert run_cli(["solve", "--s", "1.3", "--alpha", "0.0", "--delta", "1",
                         "--omega-c", "10"]) == 2
 
+    @pytest.mark.parametrize("flag, value", [("--alpha", "nan"), ("--alpha", "inf"),
+                                             ("--delta", "inf"), ("--omega-c", "nan")])
+    def test_non_finite_input_exit_2(self, flag, value, capsys):
+        args = {"--s": "0.3", "--alpha": "0.02", "--delta": "1", "--omega-c": "10", flag: value}
+        assert run_cli(["solve", *[x for kv in args.items() for x in kv]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "domain error" in captured.err and "not finite" in captured.err
+
+    def test_non_finite_config_value_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("s = 0.3\nalpha = nan\ndelta = 1\nomega_c = 10\n")
+        assert run_cli(["solve", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "alpha=nan is not finite" in captured.err
+
     def test_usage_error_exit_64(self):
         with pytest.raises(SystemExit) as exc:
             run_cli(["solve", "--nope", "1"])
@@ -234,6 +251,16 @@ class TestPhaseDiagramCommand:
         assert rows[0].endswith(",ok")
         assert rows[1].startswith("0.6,10,nan,nan,") and rows[1].endswith(",DomainError")
         assert "domain error" in capsys.readouterr().err
+
+    def test_non_finite_cutoff_row_shown_and_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "pd.csv"
+        code = run_cli(["phase-diagram", "--s-grid", "0.3:0.3:1", "--delta", "1",
+                        "--omega-c-list", "10,nan", "--output", str(out)])
+        assert code == 2
+        rows = out.read_text().splitlines()[2:]
+        assert rows[0].endswith(",ok")
+        assert rows[1] == "0.3,nan,nan,nan,DomainError"
+        assert "not finite" in capsys.readouterr().err
 
 
 class TestDeterminism:

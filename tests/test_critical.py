@@ -13,7 +13,7 @@ from subohmic.critical import (
     sweep_alpha,
 )
 from subohmic.model import ModelParams
-from subohmic.numerics import FitResult
+from subohmic.numerics import FitResult, fit_power_law
 from subohmic.variational import minimize_energy, solve_delta_tilde_scaling
 
 S, DELTA, WC = 0.3, 1.0, 10.0
@@ -165,6 +165,29 @@ class TestExponents:
         assert beta.exponent == pytest.approx(0.5, abs=1e-12)
         assert gamma.exponent == pytest.approx(1.0, abs=1e-12)
         assert isinstance(beta, FitResult)
+
+    def test_edge_rows_enter_for_any_last_bit_of_alpha_c(self):
+        # couplings built as alpha_c (1 -/+ r) with r from exactly lo to hi;
+        # the data wiggle off a power law, so a dropped row moves both fits
+        from subohmic.critical import SweepTable
+
+        red = np.geomspace(1e-4, 1e-2, 12)
+        wiggle = np.exp(0.05 * np.sin(np.arange(red.size)))
+        want_beta = fit_power_law(red, np.sqrt(red) * wiggle).exponent
+        want_gamma = -fit_power_law(red, 1.0 / (red * wiggle)).exponent
+        for base in np.geomspace(1e-3, 1.0, 25).tolist():
+            alpha_c = base
+            for _ in range(4):
+                alpha_c = math.nextafter(alpha_c, math.inf)
+                alphas = np.concatenate([alpha_c * (1 - red), alpha_c * (1 + red)])
+                m = np.concatenate([np.zeros(red.size), np.sqrt(red) * wiggle])
+                c1 = np.concatenate([0.25 * red * wiggle, -np.ones(red.size)])
+                table = SweepTable(alphas=alphas, m=m, sx=np.ones_like(alphas),
+                                   entanglement=np.zeros_like(alphas),
+                                   energy=np.zeros_like(alphas), c1=c1)
+                beta, gamma = extract_exponents(table, alpha_c)
+                assert beta.exponent == pytest.approx(want_beta, rel=1e-9), alpha_c
+                assert gamma.exponent == pytest.approx(want_gamma, rel=1e-9), alpha_c
 
     def test_solver_beta(self, solver_fits):
         table, ac = solver_fits

@@ -35,6 +35,13 @@ class TestModelParams:
         with pytest.raises(DomainError):
             ModelParams(s=0.3, alpha=0.1, delta=1.0, omega_c=-1.0)
 
+    @pytest.mark.parametrize("name", ["s", "alpha", "delta", "omega_c"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, name, value):
+        values = {"s": 0.3, "alpha": 0.1, "delta": 1.0, "omega_c": 10.0, name: value}
+        with pytest.raises(DomainError, match=f"{name}=.*not finite"):
+            ModelParams(**values)
+
     def test_theory_valid_flag(self):
         assert ModelParams(s=0.3, alpha=0.1, delta=1.0, omega_c=10.0).theory_valid
         assert not ModelParams(s=0.7, alpha=0.1, delta=1.0, omega_c=10.0).theory_valid

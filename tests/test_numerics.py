@@ -64,6 +64,16 @@ class TestLambertW:
         assert abs(w * math.exp(w) - x) <= 1e-12
         assert w > -1.0
 
+    def test_converges_next_to_branch_point(self):
+        # W is ill-conditioned here and Halley steps stall at rounding level;
+        # every point must still meet the residual contract without raising
+        xs = np.concatenate([-math.exp(-1.0) + np.geomspace(1e-16, 1e-2, 2000),
+                             np.linspace(-math.exp(-1.0), -0.3577, 20001)[1:]])
+        for x in xs.tolist():
+            w = lambert_w0(x)
+            assert w >= -1.0
+            assert abs(w * math.exp(w) - x) <= 1e-12
+
     def test_branch_point_clamp(self):
         assert lambert_w0(-math.exp(-1.0)) == -1.0
         assert lambert_w0(-math.exp(-1.0) - 5e-15) == -1.0

@@ -134,6 +134,64 @@ def test_energies_are_bitwise_even(s, log_alpha, omega_c, m):
     assert fn.branch(-m) == fn.branch(m)
 
 
+def shape_energy(m, dt, delta, mu0, mu_m1):
+    """ADO energy of the optimal shapes at ``(m, dt)``, from the shapes: the
+    true branch overlap and the bath terms in ``u = w phi`` against ``dmu/w``."""
+    q = math.sqrt(1.0 - m * m)
+    overlap = math.exp(-0.5 * q * q * float(np.sum(mu0.weights / (dt + q * mu0.nodes) ** 2)))
+    w = mu_m1.nodes
+    u_p = -(m * dt + q * w) / (2.0 * (dt + q * w))
+    u_m = -(m * dt - q * w) / (2.0 * (dt + q * w))
+    return (-0.5 * q * delta * overlap
+            + 0.5 * (1.0 + m) * float(np.dot(mu_m1.weights, u_p * (1.0 + u_p)))
+            - 0.5 * (1.0 - m) * float(np.dot(mu_m1.weights, u_m * (1.0 - u_m))))
+
+
+def wide_band_energy(m, dt, p):
+    # -dt q/2 - alpha omega_c/(2s) + [alpha pi omega_c (1-s) q^2 / (2 sin pi s)] (dt/(omega_c q))^s
+    q = math.sqrt(1.0 - m * m)
+    a = p.alpha * math.pi * p.omega_c * (1.0 - p.s) / (2.0 * math.sin(math.pi * p.s))
+    return (-0.5 * dt * q - p.alpha * p.omega_c / (2.0 * p.s)
+            + a * q * q * (dt / (p.omega_c * q)) ** p.s)
+
+
+def assert_branch_matches(fn, ms, energy_at):
+    # the branch is static minus a correction, so its rounding is relative to
+    # |static| where the correction cancels most of it (branch far above
+    # static, never the energy there) and to |branch| wherever it wins
+    for m in ms:
+        dt, got = fn.dt(m), fn.branch(m)
+        if dt == 0.0:
+            assert got == fn.static
+        else:
+            want = energy_at(m, dt)
+            assert abs(got - want) <= 1e-13 * max(abs(want), abs(fn.static)), (m, got, want)
+
+
+@SETTINGS
+@given(s=st.floats(0.1, 0.9), log_alpha=st.floats(math.log(1e-3), math.log(0.5)),
+       omega_c=st.sampled_from([5.0, 10.0, 100.0, 1000.0]), ms=magnetizations)
+def test_branch_is_the_shape_energy_on_continuum(s, log_alpha, omega_c, ms):
+    p = ModelParams(s=s, alpha=math.exp(log_alpha), delta=1.0, omega_c=omega_c)
+    mu0, mu_m1 = bath_measures(p)
+    assert_branch_matches(Functional.of(p), ms,
+                          lambda m, dt: shape_energy(m, dt, p.delta, mu0, mu_m1))
+    assert_branch_matches(Functional.of(p, "scaling"), ms, lambda m, dt: wide_band_energy(m, dt, p))
+
+
+@SETTINGS
+@given(log_freqs=st.lists(st.floats(math.log(1e-3), math.log(20.0)), min_size=1, max_size=6,
+                         unique=True),
+       couplings=st.lists(st.floats(0.05, 4.0), min_size=6, max_size=6),
+       delta=st.floats(0.1, 5.0), ms=magnetizations)
+def test_branch_is_the_shape_energy_on_discrete_baths(log_freqs, couplings, delta, ms):
+    w = np.exp(sorted(log_freqs))
+    assume(np.all(np.diff(w) > 1e-9))
+    mu0, mu_m1 = bath_as_measures(DiscretizedBath(w, np.array(couplings[: w.size])))
+    assert_branch_matches(Functional.measures(delta, mu0, mu_m1), ms,
+                          lambda m, dt: shape_energy(m, dt, delta, mu0, mu_m1))
+
+
 @SETTINGS
 @given(s=st.floats(0.1, 0.9), log_alpha=st.floats(math.log(1e-3), math.log(0.5)),
        max_iter=st.integers(1, 3), ms=magnetizations)

@@ -30,13 +30,13 @@ def params(alpha, s=S, delta=DELTA, omega_c=WC):
     return ModelParams(s=s, alpha=alpha, delta=delta, omega_c=omega_c)
 
 
-def landau_stencil(fn):
-    """Reference ``(c0, c1, c2)`` of ``fn.branch = c0 + c1 m^2 + c2 m^4 +
+def landau_stencil(branch):
+    """Reference ``(c0, c1, c2)`` of ``branch = c0 + c1 m^2 + c2 m^4 +
     O(m^6)``: central finite differences with the self-consistency re-solved
     at ``m = 0, h/2, h, 2h`` (the branch is even), Richardson-extrapolated
     from steps ``h = 1e-3`` and ``h/2``."""
     h = 1e-3
-    e0, e_half, e_h, e_2h = fn.branch(np.array([0.0, h / 2, h, 2 * h])).tolist()
+    e0, e_half, e_h, e_2h = branch(np.array([0.0, h / 2, h, 2 * h])).tolist()
 
     def second(e1, hh):
         return (e1 - 2.0 * e0 + e1) / (hh * hh)
@@ -285,10 +285,8 @@ class TestPrefactorResolution:
             # prefactor kappa: E_kappa = E_half - (kappa - 1/2) dt q; the
             # curve, and so Functional.c1, knows only kappa = 1/2, but the
             # stencil reads the branch alone
-            fn = Functional(half.static, half.e_one, half.dt,
-                            lambda ms, dts: half.branch(ms, dts)
-                            - (kappa - 0.5) * dts * np.sqrt(1.0 - ms * ms), half.curve)
-            return landau_stencil(fn)[1]
+            return landau_stencil(lambda ms: half.branch(ms)
+                                  - (kappa - 0.5) * half.dt(ms) * np.sqrt(1.0 - ms * ms))[1]
 
         # derived prefactor 1/2: c1 crosses zero within ~alpha/(1-s) of the
         # closed form (the residual finite-coupling correction)
@@ -304,49 +302,55 @@ class TestPrefactorResolution:
             assert fn.branch(m) == -0.5 * DELTA * math.sqrt(1 - m * m)
 
 
+def zero_bump(w):
+    return np.zeros_like(w)
+
+
+def shape_energy(p, m, dt, bump_p=zero_bump, bump_m=zero_bump, eps=0.0):
+    """ADO energy of the optimal shapes at ``(m, dt)`` plus ``eps`` times a
+    bump on either branch, from the shapes themselves: the true branch
+    overlap and the bath terms against ``dmu / w``, for any ``dt > 0``."""
+    mu0, mu_m1 = bath_measures(p)
+    q_nodes0, w0 = mu0.nodes, mu0.weights
+    q_nodes1, w1 = mu_m1.nodes, mu_m1.weights
+    q = math.sqrt(1 - m * m)
+    u_p = -(m * dt + q * q_nodes1) / (2 * (dt + q * q_nodes1))
+    u_m = -(m * dt - q * q_nodes1) / (2 * (dt + q * q_nodes1))
+    u_p = u_p + eps * q_nodes1 * bump_p(q_nodes1)
+    u_m = u_m + eps * q_nodes1 * bump_m(q_nodes1)
+    diff = -q / (dt + q * q_nodes0) + eps * (bump_p(q_nodes0) - bump_m(q_nodes0))
+    overlap = math.exp(-0.5 * float(np.dot(w0, diff**2)))
+    i_plus = float(np.dot(w1, u_p * (1 + u_p)))
+    i_minus = float(np.dot(w1, u_m * (1 - u_m)))
+    return (-0.5 * q * p.delta * overlap
+            + 0.5 * (1 + m) * i_plus - 0.5 * (1 - m) * i_minus)
+
+
 class TestStationarity:
     def test_shape_perturbations_never_lower_energy(self):
         p = params(0.05)
-        mu0, mu_m1 = bath_measures(p)
-        q_nodes0, w0 = mu0.nodes, mu0.weights
-        q_nodes1, w1 = mu_m1.nodes, mu_m1.weights
-
-        def functional(m, dt, bump_p, bump_m, eps):
-            q = math.sqrt(1 - m * m)
-            u_p = -(m * dt + q * q_nodes1) / (2 * (dt + q * q_nodes1))
-            u_m = -(m * dt - q * q_nodes1) / (2 * (dt + q * q_nodes1))
-            u_p = u_p + eps * q_nodes1 * bump_p(q_nodes1)
-            u_m = u_m + eps * q_nodes1 * bump_m(q_nodes1)
-            diff = -q / (dt + q * q_nodes0) + eps * (bump_p(q_nodes0) - bump_m(q_nodes0))
-            overlap = math.exp(-0.5 * float(np.dot(w0, diff**2)))
-            i_plus = float(np.dot(w1, u_p * (1 + u_p)))
-            i_minus = float(np.dot(w1, u_m * (1 - u_m)))
-            return (-0.5 * q * p.delta * overlap
-                    + 0.5 * (1 + m) * i_plus - 0.5 * (1 - m) * i_minus)
-
         bumps = [
             lambda w: np.ones_like(w),
             lambda w: w / (1.0 + w),
             lambda w: np.exp(-((w - 3.0) ** 2)),
         ]
-        zero = lambda w: np.zeros_like(w)
         for m in (0.0, 0.5):
             dt = Functional.of(p).dt(m)
-            e_opt = functional(m, dt, zero, zero, 0.0)
+            e_opt = shape_energy(p, m, dt)
             assert e_opt == pytest.approx(Functional.of(p).energy(m), rel=1e-12)
             for bump in bumps:
                 for eps in (1e-6, -1e-6):
-                    assert functional(m, dt, bump, zero, eps) >= e_opt - 1e-10 * p.delta
-                    assert functional(m, dt, zero, bump, eps) >= e_opt - 1e-10 * p.delta
+                    assert shape_energy(p, m, dt, bump, zero_bump, eps) >= e_opt - 1e-10 * p.delta
+                    assert shape_energy(p, m, dt, zero_bump, bump, eps) >= e_opt - 1e-10 * p.delta
 
     def test_delta_tilde_perturbations_never_lower_energy(self):
         p = params(0.05)
         for m in (0.0, 0.5):
             dt = Functional.of(p).dt(m)
-            e_opt = Functional.of(p).branch(m, dt)
+            e_opt = shape_energy(p, m, dt)
+            assert e_opt == pytest.approx(Functional.of(p).branch(m), rel=1e-12)
             for eps in (1e-6, -1e-6):
-                e_pert = Functional.of(p).branch(m, dt * (1 + eps))
-                assert e_pert >= e_opt - 1e-10 * p.delta
+                assert shape_energy(p, m, dt * (1 + eps)) >= e_opt - 1e-10 * p.delta
 
 
 class TestMinimizeEnergy:
@@ -476,13 +480,13 @@ class TestLandauAndSusceptibility:
     def test_free_limit_quarter_delta(self):
         fn = Functional.of(params(1e-14))
         assert fn.c1() == pytest.approx(DELTA / 4.0, rel=1e-6)
-        assert landau_stencil(fn)[0] == pytest.approx(-0.5, rel=1e-9)
+        assert landau_stencil(fn.branch)[0] == pytest.approx(-0.5, rel=1e-9)
 
     def test_c1_vanishes_at_critical_coupling(self):
         assert abs(Functional.of(params(ALPHA_C_NUM)).c1()) <= 1e-6 * DELTA
 
     def test_quartic_positive_at_criticality(self):
-        _, _, c2 = landau_stencil(Functional.of(params(ALPHA_C_NUM)))
+        _, _, c2 = landau_stencil(Functional.of(params(ALPHA_C_NUM)).branch)
         assert c2 > 0
 
     def test_susceptibility_monotone_growth(self):
@@ -502,14 +506,14 @@ class TestLandauAndSusceptibility:
         for ratio in (0.5, 0.99, 1.2):
             fn = Functional.of(params(ratio * alpha_c, s=s, omega_c=omega_c), kind)
             c1 = fn.c1()
-            assert c1 == pytest.approx(landau_stencil(fn)[1], rel=1e-6)
+            assert c1 == pytest.approx(landau_stencil(fn.branch)[1], rel=1e-6)
             assert (c1 > 0.0) == (ratio < 1.0)
 
     def test_c1_vanishes_where_tunneling_collapses(self):
         # the branch is the flat static energy there
         fn = Functional.of(params(0.12))
         assert fn.dt(0.0) == 0.0
-        assert fn.c1() == 0.0 == landau_stencil(fn)[1]
+        assert fn.c1() == 0.0 == landau_stencil(fn.branch)[1]
 
     def test_scaling_critical_coupling_is_lambert_w_of_closed_form(self):
         alpha_closed, _ = critical_coupling_closed(S, DELTA, WC)
