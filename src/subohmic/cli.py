@@ -398,7 +398,9 @@ def _cmd_exponents(cfg: RunConfig) -> _Output:
         "gamma_residual": gamma.residual,
     }
     return _Output(_json_text(record), f"exponents: beta={_format_float(beta.exponent)} "
-                                        f"gamma={_format_float(gamma.exponent)}")
+                                        f"gamma={_format_float(gamma.exponent)}, "
+                                        f"{len(table.failures)} failures",
+                   table.failures[0][1] if table.failures else None)
 
 
 class _Command(NamedTuple):

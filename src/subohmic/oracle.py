@@ -200,25 +200,6 @@ def ground_state(h: sp.spmatrix, count_matvecs: bool = False):
     return energy, vec
 
 
-def discrete_state_energy(m: float, f_plus: np.ndarray, f_minus: np.ndarray,
-                          bath: DiscretizedBath, delta: float) -> float:
-    """Energy of an arbitrary ADO configuration on a discrete bath.
-
-    Valid for any magnetization and displacement vectors, not only the
-    optimal ones; used for variational-bound and stationarity checks.
-    """
-    if abs(m) > 1.0:
-        raise DomainError("discrete_state_energy: |m| must be <= 1")
-    w = bath.frequencies
-    g = bath.couplings
-    q = math.sqrt(max(0.0, 1.0 - m * m))
-    overlap = math.exp(-0.5 * float(np.sum((f_plus - f_minus) ** 2)))
-    e_plus = float(np.sum(w * f_plus**2 + g * f_plus))
-    e_minus = float(np.sum(w * f_minus**2 - g * f_minus))
-    return (-0.5 * delta * q * overlap
-            + 0.5 * (1.0 + m) * e_plus + 0.5 * (1.0 - m) * e_minus)
-
-
 def ado_on_discrete(bath: DiscretizedBath, p: ModelParams) -> tuple[float, VariationalState]:
     """Variational minimization with sums over the discrete modes.
 

@@ -61,11 +61,11 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .model import ModelParams, bath_measures, spectral_density
+from .model import ModelParams, bath_measures
 from .numerics import QuadratureRule, find_root, lambert_w0
 
 _COLLAPSE_FRACTION = 1e-12  # iterates below this * delta count as the dt = 0 root
-_NEWTON_TOL = 1e-13  # Newton correction in log dt at which a root is accepted
+_NEWTON_TOL = 1e-13  # step in log dt at which a root is accepted
 _FIXED_POINT_MAX_ITER = 10_000
 _LOG_COLLAPSE = math.log(_COLLAPSE_FRACTION)
 _EPS = float(np.finfo(float).eps)
@@ -158,49 +158,12 @@ def _overlap_integral(dt: float, q: float, mu0: QuadratureRule) -> float:
     return q * q * float(np.dot(mu0.weights, 1.0 / (dt + q * w) ** 2))
 
 
-class _LargestRoot:
-    """One row of :func:`_solve_delta_tilde`: ``hi`` lies at or above the
-    largest root of ``g``, and ``c`` is the next point to evaluate,
-    ``trusted`` when it cannot lie below the root either."""
-
-    __slots__ = ("row", "q", "c", "trusted", "hi", "g_hi", "slope_hi")
-
-    def __init__(self, row: int, q: float, start: float):
-        self.row, self.q, self.c, self.trusted = row, q, start, True
-        self.hi, self.g_hi, self.slope_hi = math.inf, 0.0, 0.0
-
-    def advance(self, big_i: float, k: float, log_delta: float) -> float | None:
-        """Take ``I`` and ``K`` at ``c``; return the root's ``u``, or None
-        after picking the next ``c``."""
-        c, g = self.c, self.c - log_delta + 0.5 * big_i
-        if g < 0.0 and self.trusted:  # c is not below the root: g < 0 is rounding
-            return c
-        # a Newton point is accepted when K <= e^(hi-c) K(c) stays <= 1 on
-        # [c, hi]: g increases there, so g(c) >= 0 leaves no root in between
-        span = self.hi - c
-        accepted = g >= 0.0 and (self.trusted or (span < 700.0 and math.exp(span) * k <= 1.0))
-        if accepted:
-            self.hi, self.g_hi, self.slope_hi = c, g, 1.0 - k
-            step = g / (1.0 - k) if k < 1.0 else math.inf
-            if step <= _NEWTON_TOL:
-                return c - step
-            if g <= 8.0 * _EPS * (abs(c) + abs(log_delta) + 0.5 * big_i):
-                return c
-        if self.hi < log_delta + _LOG_COLLAPSE:
-            return self.hi
-        # Newton from hi, unless that point was just refuted or g' <= 0 there;
-        # else the largest step that provably stays above the root
-        self.trusted = not accepted or self.slope_hi <= 0.0
-        self.c = self.hi - (_safe_step(self.g_hi, 1.0 - self.slope_hi) if self.trusted
-                            else self.g_hi / self.slope_hi)
-        return None
-
-
 def _safe_step(g: float, k: float) -> float:
     # each term of K = dt q^2 int dmu/(dt+qw)^3 gives K(u) >= e^(u-hi) K(hi) for u <= hi, so
-    # g(hi-d) >= g - d + K (1 - e^-d) >= g - (1-K) d - K d^2/2 >= 0 up to its positive root
-    r = math.sqrt((1.0 - k) ** 2 + 2.0 * k * g)
-    return 2.0 * g / ((1.0 - k) + r) if k <= 1.0 else ((k - 1.0) + r) / k
+    # g(hi-d) >= g - d + K (1 - e^-d) >= g - (1-K) d - K d^2/2 >= 0 up to its positive root,
+    # which tends to the Newton step g/(1-K) as g -> 0
+    r = math.sqrt(max(0.0, (1.0 - k) ** 2 + 2.0 * k * g))
+    return 2.0 * g / ((1.0 - k) + r) if k < 1.0 else ((k - 1.0) + r) / k
 
 
 def _solve_delta_tilde(m, delta: float, mu0: QuadratureRule,
@@ -208,40 +171,45 @@ def _solve_delta_tilde(m, delta: float, mu0: QuadratureRule,
     """Largest fixed point of ``dt = delta * exp(-overlap/2)``, for one ``m``
     or an array of them (float in, float out; array in, array out).
 
-    Newton steps on ``g(u) = u - log(delta) + I/2`` in ``u = log dt``, with
-    ``I = q^2 int dmu/(dt+qw)^2`` and the exact ``g' = 1 - K <= 1``, ``K =
-    dt q^2 int dmu/(dt+qw)^3``; all unfinished rows are evaluated together.
-    A Newton point replaces the upper point only when ``g`` provably has no
-    root between them; otherwise, and where ``g' <= 0``, a step that
-    provably stays above the root is taken, starting from ``delta``.  Roots
-    below ``1e-12 * delta`` count as ``dt = 0``.  Raises
+    Descends on ``g(u) = u - log(delta) + I/2`` in ``u = log dt`` from ``u =
+    log(delta)``, where ``g >= 0``, with ``I = q^2 int dmu/(dt+qw)^2`` and
+    ``g' = 1 - K``, ``K = dt q^2 int dmu/(dt+qw)^3``; all unfinished rows are
+    evaluated together.  Each step is the largest one that provably keeps
+    ``g >= 0``, so no step passes the largest root, and next to it the step
+    is Newton's.  Roots below ``1e-12 * delta`` count as ``dt = 0``.  Raises
     :class:`ConvergenceError` after ``max_iter`` steps.
     """
     ms = np.atleast_1d(np.asarray(m, dtype=float))
     out = np.zeros(ms.shape)
     log_delta = math.log(delta)
-    pending = [_LargestRoot(i, math.sqrt(1.0 - x * x), log_delta)
-               for i, x in enumerate(ms.tolist()) if abs(x) < 1.0]
+    floor = log_delta + _LOG_COLLAPSE
+    rows = [(i, math.sqrt(1.0 - x * x), log_delta, math.inf)  # (row, q, u, g at the last u)
+            for i, x in enumerate(ms.tolist()) if abs(x) < 1.0]
     for _ in range(max_iter):
-        if not pending:
+        if not rows:
             break
-        dt = np.exp([r.c for r in pending])
-        q = np.array([r.q for r in pending])
+        q = np.array([r[1] for r in rows])
+        dt = np.exp([r[2] for r in rows])
         den = dt[:, None] + q[:, None] * mu0.nodes
         inv2 = 1.0 / (den * den)
         big_i, k = q * q * (inv2 @ mu0.weights), q * q * dt * ((inv2 / den) @ mu0.weights)
-        unfinished = []
-        for r, i_r, k_r in zip(pending, big_i.tolist(), k.tolist()):
-            u = r.advance(i_r, k_r, log_delta)
-            if u is None:
-                unfinished.append(r)
-            elif u >= log_delta + _LOG_COLLAPSE:
-                out[r.row] = math.exp(u)
-        pending = unfinished
-    if pending:
+        pending = []
+        for (row, q_r, u, _), i_r, k_r in zip(rows, big_i.tolist(), k.tolist()):
+            g = u - log_delta + 0.5 * i_r
+            step = _safe_step(g, k_r)
+            if step <= _NEWTON_TOL:
+                u -= step
+            elif g > 8.0 * _EPS * (abs(u) + abs(log_delta) + 0.5 * i_r):
+                if u >= floor:  # else the largest root lies below the floor: dt = 0
+                    pending.append((row, q_r, u - step, g))
+                continue
+            if u >= floor:
+                out[row] = math.exp(u)
+        rows = pending
+    if rows:
         raise ConvergenceError(
-            f"_solve_delta_tilde: {len(pending)} fixed point(s) unconverged after "
-            f"{max_iter} iterations; residual g up to {max(r.g_hi for r in pending):.3e}")
+            f"_solve_delta_tilde: {len(rows)} fixed point(s) unconverged after "
+            f"{max_iter} iterations; residual g up to {max(r[3] for r in rows):.3e}")
     return float(out[0]) if np.ndim(m) == 0 else out
 
 
@@ -498,32 +466,3 @@ def _binary_entropy_bits(prob: float) -> float:
         if x > 0.0:
             out -= x * math.log2(x)
     return out
-
-
-def occupation_density(state: VariationalState, p: ModelParams, omega):
-    """Boson occupation per unit frequency of the ADO state.
-
-    ``n(w) = (1/pi) J(w) [C+^2 (f+/g)^2 + C-^2 (f-/g)^2]``; behaves like
-    ``w^(s-2)`` as ``w -> 0`` whenever ``m != 0``, so the total occupation
-    diverges in the magnetized phase.
-    """
-    j = spectral_density(omega, p)
-    fp, fm = state.f_pm(omega)
-    dens = (j / math.pi) * (state.c_plus**2 * np.asarray(fp) ** 2
-                            + state.c_minus**2 * np.asarray(fm) ** 2)
-    if np.isscalar(omega) or np.ndim(omega) == 0:
-        return float(dens)
-    return dens
-
-
-def occupation_total(state: VariationalState, p: ModelParams) -> float:
-    """Integrated boson occupation; ``inf`` in the magnetized phase."""
-    if state.m != 0.0:
-        return math.inf
-    if p.alpha == 0.0:
-        return 0.0
-    mu0, _ = bath_measures(p)
-    dt = state.delta_tilde
-    w = mu0.nodes
-    return float(np.dot(mu0.weights, 0.25 / (dt + w) ** 2))
-

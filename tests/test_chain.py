@@ -5,6 +5,7 @@ import pytest
 from scipy.linalg import eigh_tridiagonal
 from scipy.special import roots_jacobi
 
+from occupation_reference import occupation_total
 from subohmic.chain import chain_map, chain_occupations
 from subohmic.errors import DomainError
 from subohmic.model import ModelParams, discretize_bath, spectral_moment
@@ -14,7 +15,6 @@ from subohmic.variational import (
     Functional,
     VariationalState,
     minimize_energy,
-    occupation_total,
 )
 
 S, DELTA, WC = 0.3, 1.0, 10.0

@@ -212,6 +212,28 @@ class TestExponentsCommand:
         assert record["beta"] == pytest.approx(0.5, abs=0.01)
         assert record["gamma"] == pytest.approx(1.0, abs=0.02)
 
+    def test_failed_row_exit_3(self, tmp_path, monkeypatch, capsys):
+        # one sweep row fails; the fit still runs on the others, but the
+        # failure must show in the summary and the exit code
+        import subohmic.critical
+        from subohmic.errors import ConvergenceError
+
+        real, calls = subohmic.critical.observables, []
+
+        def observables(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 3:
+                raise ConvergenceError("injected")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(subohmic.critical, "observables", observables)
+        out = tmp_path / "exp.json"
+        assert run_cli(["exponents", "--s", "0.3", "--delta", "1", "--omega-c", "10",
+                        "--output", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "1 failures" in err and "injected" in err
+        assert "gamma" in json.loads(out.read_text())
+
     def test_refuses_outside_validity_window(self):
         assert run_cli(["exponents", "--s", "0.6", "--delta", "1",
                         "--omega-c", "10"]) == 2

@@ -13,7 +13,6 @@ from subohmic.oracle import (
     ado_vector,
     build_hamiltonian,
     discrete_critical_coupling,
-    discrete_state_energy,
     fidelity,
     ground_state,
     run_oracle,
@@ -22,6 +21,18 @@ from subohmic.variational import Functional, minimize_energy
 
 S, DELTA, WC = 0.3, 1.0, 10.0
 ALPHA_C_NUM = 0.032649799936969884
+
+
+def discrete_state_energy(m, f_plus, f_minus, bath, delta):
+    """Energy of any ADO configuration on a discrete bath, not only the
+    optimal one: for variational-bound and stationarity checks."""
+    w, g = bath.frequencies, bath.couplings
+    q = math.sqrt(max(0.0, 1.0 - m * m))
+    overlap = math.exp(-0.5 * float(np.sum((f_plus - f_minus) ** 2)))
+    e_plus = float(np.sum(w * f_plus**2 + g * f_plus))
+    e_minus = float(np.sum(w * f_minus**2 - g * f_minus))
+    return (-0.5 * delta * q * overlap
+            + 0.5 * (1.0 + m) * e_plus + 0.5 * (1.0 - m) * e_minus)
 
 
 def params(alpha, s=S, delta=DELTA):

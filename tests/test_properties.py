@@ -7,7 +7,8 @@ by ``brentq`` on the first sign change.  Since ``g'(u) <= 1``, ``g`` cannot
 fall by more than the scan spacing ``h`` between two samples, so a scan whose
 samples all exceed ``h`` proves that no root was skipped; examples where that
 proof fails, or where the root is too ill-conditioned to fix to 1e-12, are
-discarded rather than compared.
+discarded rather than compared.  The kernel's one step rule is checked on
+its own: from any point above the largest root it must not pass that root.
 """
 
 import math
@@ -19,12 +20,15 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 from scipy.sparse.linalg import eigsh
 
-from subohmic.critical import _critical_root, critical_coupling_closed, critical_coupling_numeric
+from subohmic import variational
+from subohmic.critical import (_critical_root, critical_coupling_closed,
+                               critical_coupling_numeric, critical_point)
 from subohmic.errors import ConvergenceError
-from subohmic.model import DiscretizedBath, ModelParams, bath_as_measures, bath_measures
+from subohmic.model import (DiscretizedBath, ModelParams, bath_as_measures, bath_measures,
+                            discretize_bath)
 from subohmic.numerics import lambert_w0
 from subohmic.oracle import OracleConfig, ado_on_discrete, build_hamiltonian, ground_state
-from subohmic.variational import Functional, _solve_delta_tilde
+from subohmic.variational import Functional, _safe_step, _solve_delta_tilde, minimize_energy
 
 COLLAPSE = 1e-12
 SCAN_STEP = 0.01
@@ -109,9 +113,9 @@ def test_kernel_matches_reference_on_discrete_baths(log_freqs, couplings, delta,
 
 def test_newton_step_across_a_root_pair_is_refused():
     # g < 0 only between the unstable root (dt ~ 0.012) and the largest one
-    # (dt ~ 0.074).  The first Newton step from log(delta), where g' ~ 0.13,
-    # lands below both, where g > 0 again; taken as an upper point unchecked,
-    # it would lead the search down to the collapsed root.
+    # (dt ~ 0.074).  A Newton step from log(delta), where g' ~ 0.13, lands
+    # below both, where g > 0 again, and a descent that took it would end at
+    # the collapsed root; the safe step must stop short of the largest root.
     bath = DiscretizedBath(
         np.array([0.004514939543181209, 0.3699824738469502, 2.566882354559983,
                   3.2548522096444885]),
@@ -122,6 +126,109 @@ def test_newton_step_across_a_root_pair_is_refused():
     want, slope = largest_root_reference(m, delta, mu0)
     assert want > 0.0 and slope > MIN_SLOPE
     assert _solve_delta_tilde(m, delta, mu0) == pytest.approx(want, rel=1e-12)
+
+
+def assert_safe_step_keeps_g_nonnegative(q, delta, rule, log_offset):
+    # from any u with g(u) > 0 the step may not reach a point with g < 0, up
+    # to the rounding of both ends; u is drawn just above the kernel's root,
+    # where the step's lower bound on g is tightest
+    log_delta = math.log(delta)
+
+    def g_k_scale(u):
+        dt = math.exp(u)
+        den = dt + q * rule.nodes
+        big_i = q * q * float(np.sum(rule.weights / den**2))
+        k = q * q * dt * float(np.sum(rule.weights / den**3))
+        return u - log_delta + 0.5 * big_i, k, abs(u) + abs(log_delta) + 0.5 * big_i
+
+    root = _solve_delta_tilde(math.sqrt((1.0 - q) * (1.0 + q)), delta, rule)
+    u = (math.log(root) if root > 0.0 else log_delta - 40.0) + math.exp(log_offset)
+    g, k, scale = g_k_scale(u)
+    assume(g > 0.0)
+    step = _safe_step(g, k)
+    assert step > 0.0
+    for t in np.linspace(0.0, 1.0, 17)[1:].tolist():
+        g_t, _, scale_t = g_k_scale(u - t * step)
+        assert g_t >= -8.0 * np.finfo(float).eps * (scale + scale_t), (t, g_t)
+
+
+log_qs = st.floats(math.log(1e-4), 0.0)
+log_offsets = st.floats(math.log(1e-14), math.log(30.0))
+
+
+@SETTINGS
+@given(s=st.floats(0.1, 0.9), log_alpha=st.floats(math.log(1e-3), math.log(0.5)),
+       omega_c=st.sampled_from([5.0, 10.0, 100.0]), log_q=log_qs, log_offset=log_offsets)
+def test_safe_step_stays_above_the_root_on_continuum(s, log_alpha, omega_c, log_q, log_offset):
+    p = ModelParams(s=s, alpha=math.exp(log_alpha), delta=1.0, omega_c=omega_c)
+    assert_safe_step_keeps_g_nonnegative(math.exp(log_q), p.delta, bath_measures(p)[0],
+                                         log_offset)
+
+
+@SETTINGS
+@given(log_freqs=st.lists(st.floats(math.log(1e-3), math.log(20.0)), min_size=1, max_size=6,
+                         unique=True),
+       couplings=st.lists(st.floats(0.05, 4.0), min_size=6, max_size=6),
+       delta=st.floats(0.1, 5.0), log_q=log_qs, log_offset=log_offsets)
+def test_safe_step_stays_above_the_root_on_discrete_baths(log_freqs, couplings, delta, log_q,
+                                                          log_offset):
+    w = np.exp(sorted(log_freqs))
+    assume(np.all(np.diff(w) > 1e-9))
+    mu0, _ = bath_as_measures(DiscretizedBath(w, np.array(couplings[: w.size])))
+    assert_safe_step_keeps_g_nonnegative(math.exp(log_q), delta, mu0, log_offset)
+
+
+def _traffic_rows():
+    # the kernel's inputs, row by row, as the benchmark's commands make them:
+    # minimize_energy and critical_point at s in [0.1, 0.45], omega_c 10 or
+    # 100 and alpha in [0.5, 2] alpha_c (interactive-mix: 14 minimizations
+    # to 2 critical points a block), ado_on_discrete on 4- and 5-mode
+    # discretize_bath baths at omega_c = 10 and alpha in [0.3, 1.5] alpha_c
+    # (oracle-ed); see perfbench/workloads.py
+    seen, solve = [], variational._solve_delta_tilde
+
+    def recording(m, delta, mu0, max_iter=variational._FIXED_POINT_MAX_ITER):
+        seen.extend((x, delta, mu0) for x in np.atleast_1d(m).tolist())
+        return solve(m, delta, mu0, max_iter)
+
+    rng = np.random.default_rng(11)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(variational, "_solve_delta_tilde", recording)
+        for k in range(28):
+            s, omega_c = rng.uniform(0.1, 0.45), (10.0, 100.0)[k % 2]
+            alpha = rng.uniform(0.5, 2.0) * critical_coupling_closed(s, 1.0, omega_c)[0]
+            minimize_energy(ModelParams(s=s, alpha=alpha, delta=1.0, omega_c=omega_c))
+        for k in range(4):
+            critical_point(rng.uniform(0.1, 0.45), 1.0, (10.0, 100.0)[k % 2])
+        for n_modes in (4, 4, 5, 4, 4, 5):
+            s = rng.uniform(0.1, 0.45)
+            alpha = rng.uniform(0.3, 1.5) * critical_coupling_closed(s, 1.0, 10.0)[0]
+            p = ModelParams(s=s, alpha=alpha, delta=1.0, omega_c=10.0)
+            ado_on_discrete(discretize_bath(p, n_modes), p)
+    return seen
+
+
+def _iterations_to_converge(m, delta, mu0, cap=64):
+    for n in range(1, cap + 1):
+        try:
+            _solve_delta_tilde(m, delta, mu0, max_iter=n)
+            return n
+        except ConvergenceError:
+            pass
+    pytest.fail(f"_solve_delta_tilde did not converge in {cap} iterations at m={m!r}, "
+                f"delta={delta!r}, {mu0.nodes.size} nodes")
+
+
+# Iterations the kernel needs on _traffic_rows, summed: each row counts the
+# smallest max_iter at which it converges.  Lower it when the kernel improves.
+WORK_TOTAL = 264
+
+
+def test_kernel_iteration_total_within_record():
+    rows = _traffic_rows()
+    assert len(rows) >= 50
+    total = sum(_iterations_to_converge(*row) for row in rows)
+    assert total <= WORK_TOTAL
 
 
 @SETTINGS

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.integrate
 
+from occupation_reference import occupation_density, occupation_total
 from subohmic.errors import DomainError
 from subohmic.critical import critical_coupling_closed, critical_coupling_numeric
 from subohmic.model import ModelParams, bath_as_measures, bath_measures, discretize_bath
@@ -14,8 +15,6 @@ from subohmic.variational import (
     displacements,
     minimize_energy,
     observables,
-    occupation_density,
-    occupation_total,
     solve_delta_tilde_scaling,
     static_shift_energy,
     _overlap_integral,
