@@ -97,7 +97,7 @@ def chain_occupations(state: VariationalState, p: ModelParams,
         return OccupationProfile(np.zeros(chain.n_sites), "bare")
     m = state.m
     dt = state.delta_tilde
-    q = math.sqrt(max(0.0, 1.0 - m * m))
+    q = state.q
     rule = bath_measure_rule(p, n=max(2 * chain.n_sites + 128, 256),
                              extra_exponent=-1.0, kind="gauss")
     w = rule.nodes

@@ -4,7 +4,9 @@ Everything here is a pure function of its inputs: the orthogonal
 polynomials of power-law measures ``c * w^sigma dw`` on ``[0, upper]`` and
 their quadrature rules, the principal branch of the Lambert W function, a
 bracketing root finder and log-log power-law fitting.  All routines are
-deterministic; identical inputs give bit-identical outputs.
+deterministic; identical inputs give bit-identical outputs.  Only numpy is
+imported here: scipy's tridiagonal eigensolver is loaded on first use, by
+Gauss rules above order 64.
 """
 
 from __future__ import annotations
@@ -15,13 +17,13 @@ from functools import lru_cache
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
-from scipy.linalg import eigvalsh_tridiagonal
-from scipy.optimize import brentq
 
 from .errors import BracketError, ConvergenceError, DomainError
 
 _INV_E = math.exp(-1.0)
 _EPS = float(np.finfo(float).eps)
+_DENSE_MAX_N = 64  # Gauss rules up to this order take their nodes from a dense eigvalsh
+_ROOT_MAX_ITER = 200
 
 
 def lambert_w0(x: float) -> float:
@@ -145,9 +147,16 @@ def _jacobi_unit(n: int, sigma: float) -> tuple[np.ndarray, np.ndarray]:
     # Golub-Welsch Gauss rule for w^sigma dw on [0, 1]: the nodes are the
     # Jacobi matrix's eigenvalues, the Christoffel weights 1/sum_k p_k^2 are
     # summed row by row (no eigenvector matrix); the cache is bounded
-    # because every new bath exponent adds keys
+    # because every new bath exponent adds keys.  Small orders diagonalize
+    # the dense matrix with numpy; only large ones load scipy's tridiagonal
+    # solver, which is several times faster there
     diag, off = jacobi_recurrence(sigma, n)
-    nodes = eigvalsh_tridiagonal(diag, off)
+    if n <= _DENSE_MAX_N:
+        nodes = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, -1))
+    else:
+        from scipy.linalg import eigvalsh_tridiagonal
+
+        nodes = eigvalsh_tridiagonal(diag, off)
     norm = np.zeros(n)
     for row in orthonormal_polys(diag, off, nodes):
         norm += row * row
@@ -212,18 +221,55 @@ def power_rule_log(sigma: float, upper: float, prefactor: float = 1.0) -> Quadra
 def find_root(f: Callable[[float], float], lo: float, hi: float, tol: float = 1e-12) -> float:
     """Root of ``f`` inside ``[lo, hi]``, which must bracket a sign change.
 
-    Thin wrapper around a bisection/secant/inverse-quadratic hybrid; the
-    returned abscissa is within ``tol`` of a sign change of ``f``.
+    Brent's zeroin, step for step the one of scipy's ``brentq`` (so results
+    agree bit for bit): each step interpolates (secant or inverse quadratic)
+    inside the block ``[xcur, xblk]`` of the sign change when that shrinks
+    the block fast enough, and bisects otherwise.  The returned abscissa is
+    within ``tol + 4 eps |x|`` of a sign change of ``f``.  Raises
+    :class:`BracketError` when ``f(lo)`` and ``f(hi)`` have the same sign
+    (or one is NaN), and :class:`ConvergenceError` when ``f`` turns NaN or
+    200 steps do not reach that width.
     """
-    flo = float(f(lo))
-    fhi = float(f(hi))
-    if flo == 0.0:
-        return float(lo)
-    if fhi == 0.0:
-        return float(hi)
-    if flo * fhi > 0.0:
+    xpre, xcur = float(lo), float(hi)
+    fpre, fcur = float(f(xpre)), float(f(xcur))
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if not (fpre < 0.0 < fcur or fcur < 0.0 < fpre):
         raise BracketError(f"find_root: no sign change on [{lo!r}, {hi!r}]")
-    return float(brentq(f, lo, hi, xtol=tol, rtol=4.0 * np.finfo(float).eps, maxiter=200))
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_ROOT_MAX_ITER):
+        if (fpre < 0.0) != (fcur < 0.0):  # the sign change moved: xpre ends the block
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):  # keep the better end in xcur
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (tol + 4.0 * _EPS * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic through the three points
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0.0 else -delta)
+        fcur = float(f(xcur))
+        if math.isnan(fcur):
+            raise ConvergenceError(f"find_root: f is NaN at x={xcur!r}")
+    raise ConvergenceError(f"find_root: bracket [{lo!r}, {hi!r}] not narrowed to {tol!r} "
+                           f"after {_ROOT_MAX_ITER} steps; last x={xcur!r}")
 
 
 @dataclass(frozen=True)

@@ -71,6 +71,14 @@ _LOG_COLLAPSE = math.log(_COLLAPSE_FRACTION)
 _EPS = float(np.finfo(float).eps)
 
 
+def _q_of(m):
+    # q = sqrt(1 - m^2) as sqrt((1-m)(1+m)), clamped at 0: 1 - m*m would carry the
+    # rounding of m*m, 1.25e-9 relative at q = 1e-4; this stays within 4 eps
+    if np.ndim(m) == 0:
+        return math.sqrt(max(0.0, (1.0 - m) * (1.0 + m)))
+    return np.sqrt(np.maximum(0.0, (1.0 - m) * (1.0 + m)))
+
+
 def displacements(omega, m: float, delta_tilde: float):
     """Optimal displacement shapes ``(f+/g, f-/g)`` at frequency ``omega``.
 
@@ -85,7 +93,7 @@ def displacements(omega, m: float, delta_tilde: float):
         raise DomainError("displacements: delta_tilde must be >= 0")
     w = np.asarray(omega, dtype=float)
     scalar = np.isscalar(omega) or np.ndim(omega) == 0
-    q = math.sqrt(max(0.0, 1.0 - m * m))
+    q = _q_of(m)
     if q == 0.0 and delta_tilde == 0.0:
         # fully localized static shift, the limit of the general formula
         with np.errstate(divide="ignore"):
@@ -129,6 +137,11 @@ class VariationalState:
             c_plus=math.sqrt(0.5 * (1.0 + m)),
             c_minus=math.sqrt(0.5 * (1.0 - m)),
         )
+
+    @property
+    def q(self) -> float:
+        """``sqrt(1 - m^2) = 2 c_plus c_minus``."""
+        return _q_of(self.m)
 
     def f_pm(self, omega):
         return displacements(omega, self.m, self.delta_tilde)
@@ -183,7 +196,7 @@ def _solve_delta_tilde(m, delta: float, mu0: QuadratureRule,
     out = np.zeros(ms.shape)
     log_delta = math.log(delta)
     floor = log_delta + _LOG_COLLAPSE
-    rows = [(i, math.sqrt(1.0 - x * x), log_delta, math.inf)  # (row, q, u, g at the last u)
+    rows = [(i, _q_of(x), log_delta, math.inf)  # (row, q, u, g at the last u)
             for i, x in enumerate(ms.tolist()) if abs(x) < 1.0]
     for _ in range(max_iter):
         if not rows:
@@ -228,7 +241,7 @@ def solve_delta_tilde_scaling(m: float, p: ModelParams) -> float:
         return 0.0
     s = p.s
     t = 1.0 - s
-    q = math.sqrt(1.0 - m * m)
+    q = _q_of(m)
     big_c = (p.alpha * math.pi * s / math.sin(math.pi * s)) * (p.omega_c * q) ** t
     big_d = p.delta * math.exp(p.alpha / t)
     a = t * big_c * big_d ** (-t)
@@ -373,7 +386,7 @@ class Functional:
             raise DomainError("Functional: |m| must be <= 1")
         out = np.full(ms.shape, self.static)
         live = (dts > 0.0) & (np.abs(ms) < 1.0)
-        q, d = np.sqrt(1.0 - ms[live] * ms[live]), dts[live]
+        q, d = _q_of(ms[live]), dts[live]
         out[live] = self.static - 0.25 * q * d * (1.0 - self.curve.residual(d / q))
         return out
 
@@ -402,7 +415,7 @@ class Functional:
                                        grid[k], grid[k + 1], tol=_EPS * grid[k]))
         ys = np.array(roots)
         qs = curve.dt(ys) / ys
-        ms = [0.0] + [math.sqrt((1.0 - q) * (1.0 + q)) for q in qs.tolist() if 0.0 < q < 1.0]
+        ms = [0.0] + [_q_of(q) for q in qs.tolist() if 0.0 < q < 1.0]  # m = sqrt(1 - q^2)
         dts = [self.dt(m) for m in ms]  # one cold solve per m, so dt(m) comes back bit for bit
         es = self._energy(np.array(ms), np.array(dts)).tolist()
         j = min(range(1, len(es)), key=es.__getitem__, default=0)
@@ -444,7 +457,7 @@ def observables(state: VariationalState, p: ModelParams, energy: float) -> Groun
     """
     m = state.m
     dt = state.delta_tilde
-    q = math.sqrt(max(0.0, 1.0 - m * m))
+    q = state.q
     sx = q * dt / p.delta
     r = math.hypot(sx, m)
     ent = _binary_entropy_bits(0.5 * (1.0 + min(r, 1.0)))

@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import subohmic
 from subohmic.cli import load_config, main, parse_args, _sanitize_record
 from subohmic.errors import DomainError
 
@@ -369,3 +374,29 @@ class TestRequiredAlpha:
         code = run_cli([command, "--s", "0.3", "--delta", "1", "--omega-c", "10"])
         assert code == 2
         assert "alpha" in capsys.readouterr().err
+
+
+def test_variational_commands_load_no_scipy(tmp_path):
+    # scipy takes most of a fresh process's start-up; only oracle and
+    # chain --occupations (its large Gauss rule) may load it
+    script = f"""
+import sys
+import subohmic.cli as cli
+out = {str(tmp_path / "out")!r}
+base = ["--s", "0.3", "--delta", "1", "--omega-c", "10"]
+for argv in (["solve", "--alpha", "0.05"], ["critical"],
+             ["sweep", "--alpha-grid", "0.01:0.05:5"], ["exponents", "--points-per-side", "3"],
+             ["phase-diagram", "--s-grid", "0.2:0.4:3", "--omega-c-list", "10"]):
+    assert cli.main(argv + base + ["--output", out]) == 0, argv
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+assert cli.main(["chain", "--alpha", "0.05", "--occupations"] + base + ["--output", out]) == 0
+print("scipy.linalg" in sys.modules)
+"""
+    env = dict(os.environ)
+    src = str(Path(subohmic.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env=env, timeout=300)
+    assert res.returncode == 0, res.stderr
+    # the second line shows that the check sees an import when one happens
+    assert res.stdout.splitlines() == ["[]", "True"]

@@ -4,12 +4,18 @@ import numpy as np
 import pytest
 import scipy.integrate
 import scipy.special
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy.linalg import eigvalsh_tridiagonal
+from scipy.optimize import brentq
 
-from subohmic.errors import BracketError, DomainError
+from subohmic.errors import BracketError, ConvergenceError, DomainError
 from subohmic.numerics import (
     QuadratureRule,
+    _jacobi_unit,
     find_root,
     fit_power_law,
+    jacobi_recurrence,
     lambert_w0,
     power_rule,
     power_rule_log,
@@ -165,6 +171,53 @@ class TestFindRoot:
     def test_deterministic(self):
         f = lambda x: math.cos(x) - x
         assert find_root(f, 0.0, 1.0) == find_root(f, 0.0, 1.0)
+
+    def test_exhausted_iterations_raise(self):
+        # the root sits at 1e-300 and a tol below it asks for ~4 eps |x| there:
+        # 200 bisections of [-1, 1] do not get that close
+        for tol in (0.0, 5e-324):
+            with pytest.raises(ConvergenceError):
+                find_root(lambda x: math.copysign(1.0, x - 1e-300), -1.0, 1.0, tol=tol)
+
+    def test_nan_raises(self):
+        with pytest.raises(ConvergenceError):
+            find_root(lambda x: math.nan if 0.0 < x < 1.0 else x - 0.5, -1.0, 2.0)
+        with pytest.raises(BracketError):
+            find_root(lambda x: math.nan if x < 0.0 else x - 0.5, -1.0, 2.0)
+
+
+_SMOOTH = (
+    lambda x, r, a, b: math.expm1(a * (x - r)) + b * (x - r) ** 3,
+    lambda x, r, a, b: math.tanh(a * (x - r)) + 1e-3 * b * (x - r),
+    lambda x, r, a, b: math.sin(a * x) - 0.9 * math.tanh(b - r),
+    lambda x, r, a, b: (x - r) * ((x - b) ** 2 + a) - 0.1 * b,
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(kind=st.sampled_from(range(len(_SMOOTH))), r=st.floats(-2.0, 2.0),
+       a=st.floats(0.05, 8.0), b=st.floats(0.0, 3.0), lo=st.floats(-6.0, -2.0),
+       hi=st.floats(2.0, 6.0), log_tol=st.floats(-16.0, -2.0))
+def test_find_root_is_brentq_bit_for_bit(kind, r, a, b, lo, hi, log_tol):
+    def f(x):
+        return _SMOOTH[kind](x, r, a, b)
+
+    f_lo, f_hi = f(lo), f(hi)
+    assume(f_lo < 0.0 < f_hi or f_hi < 0.0 < f_lo)
+    tol = 10.0 ** log_tol
+    want = brentq(f, lo, hi, xtol=tol, rtol=4.0 * np.finfo(float).eps, maxiter=200)
+    assert find_root(f, lo, hi, tol=tol) == want
+
+
+def test_dense_nodes_match_the_tridiagonal_solver():
+    # the numpy nodes of every rule order up to 64 against scipy's tridiagonal
+    # eigenvalues, on the bath exponents sigma = s (dmu) and s - 1 (dmu / w)
+    for s in np.linspace(0.01, 0.99, 99).tolist():
+        for sigma in (s, s - 1.0):
+            for n in range(4, 65, 4):
+                nodes, _ = _jacobi_unit(n, sigma)
+                want = eigvalsh_tridiagonal(*jacobi_recurrence(sigma, n))
+                assert np.all(np.abs(nodes - want) <= 2.0 * np.spacing(np.abs(want)))
 
 
 class TestFitPowerLaw:

@@ -13,6 +13,7 @@ its own: from any point above the largest root it must not pass that root.
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -28,7 +29,8 @@ from subohmic.model import (DiscretizedBath, ModelParams, bath_as_measures, bath
                             discretize_bath)
 from subohmic.numerics import lambert_w0
 from subohmic.oracle import OracleConfig, ado_on_discrete, build_hamiltonian, ground_state
-from subohmic.variational import Functional, _safe_step, _solve_delta_tilde, minimize_energy
+from subohmic.variational import (Functional, VariationalState, _q_of, _safe_step,
+                                  _solve_delta_tilde, minimize_energy)
 
 COLLAPSE = 1e-12
 SCAN_STEP = 0.01
@@ -418,3 +420,15 @@ def test_lambert_w0_inverts_w_exp_w(x):
     w = lambert_w0(x)
     assert w >= -1.0
     assert abs(w * math.exp(w) - x) <= 1e-12 * max(1.0, abs(x))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(m=st.one_of(st.floats(-(1.0 - 1e-12), 1.0 - 1e-12),
+                   st.floats(-12.0, -1.0).map(lambda e: 1.0 - 10.0**e)))
+def test_q_is_within_four_eps_of_exact(m):
+    # q = sqrt(1 - m^2) at 60 digits; next to |m| = 1, 1 - m*m would lose
+    # the digits that m*m rounds away
+    with mpmath.workdps(60):
+        want = mpmath.sqrt(1 - mpmath.mpf(m) ** 2)
+        for got in (VariationalState.build(m, 0.0).q, float(_q_of(np.array([m]))[0])):
+            assert abs(mpmath.mpf(got) - want) <= 4.0 * np.finfo(float).eps * want

@@ -298,7 +298,7 @@ class TestPrefactorResolution:
         # at alpha = 0 the wide-band branch is the tunneling term alone
         fn = Functional.of(params(0.0), "scaling")
         for m in (0.0, 0.3, 0.8):
-            assert fn.branch(m) == -0.5 * DELTA * math.sqrt(1 - m * m)
+            assert fn.branch(m) == -0.5 * DELTA * math.sqrt((1 - m) * (1 + m))
 
 
 def zero_bump(w):
