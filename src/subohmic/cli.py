@@ -128,7 +128,10 @@ def load_config(path: str | Path) -> dict:
     lines and bad values are errors that name the offending line number.
     """
     out: dict = {}
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise DomainError(f"cannot read config {path}: {exc.strerror or exc}") from exc
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -431,7 +434,11 @@ def run(cfg: RunConfig) -> int:
     try:
         out = _COMMANDS[cfg.command].handler(cfg)
         if cfg.options["output"]:
-            _write_atomic(cfg.options["output"], out.text)
+            try:
+                _write_atomic(cfg.options["output"], out.text)
+            except OSError as exc:
+                raise DomainError(
+                    f"cannot write output {cfg.options['output']}: {exc.strerror or exc}") from exc
         else:
             sys.stdout.write(out.text)
         print(out.summary, file=sys.stderr)

@@ -232,9 +232,9 @@ def phase_diagram(s_grid: Sequence[float], delta: float,
     holds the exception (``None`` otherwise); the grid continues.
     """
     rows = []
-    for s in s_grid:
-        for wc in omega_c_list:
-            row = {"s": float(s), "omega_c": float(wc),
+    for s in map(float, s_grid):  # plain floats, so error messages print no numpy reprs
+        for wc in map(float, omega_c_list):
+            row = {"s": s, "omega_c": wc,
                    "alpha_c_numeric": math.nan, "alpha_c_closed": math.nan,
                    "status": "ok", "error": None}
             try:

@@ -56,7 +56,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -227,40 +227,14 @@ def _solve_delta_tilde(m, delta: float, mu0: QuadratureRule,
 
 
 def solve_delta_tilde_scaling(m: float, p: ModelParams) -> float:
-    """Effective tunneling in the wide-band (large cutoff) limit.
-
-    The self-consistency reduces to ``dt = D * exp(-C * dt^(s-1))`` with
-    ``D = delta * exp(alpha/(1-s))`` and ``C = (alpha pi s / sin(pi s)) *
-    (omega_c q)^(1-s)``.  Substituting ``z = (1-s) C dt^(s-1)`` gives
-    ``z e^{-z} = (1-s) C D^(s-1)``, solved on the branch with ``z < 1``
-    (the largest root) by ``z = -W0(-(1-s) C D^(s-1))``.  When the W
-    argument drops below ``-1/e`` no finite root survives and 0 is returned.
-    At ``alpha = 0`` the argument is 0 and ``dt = delta``.
-    """
-    if abs(m) >= 1.0:
-        return 0.0
-    s = p.s
-    t = 1.0 - s
-    q = _q_of(m)
-    big_c = (p.alpha * math.pi * s / math.sin(math.pi * s)) * (p.omega_c * q) ** t
-    big_d = p.delta * math.exp(p.alpha / t)
-    a = t * big_c * big_d ** (-t)
-    if a > math.exp(-1.0):
-        return 0.0
-    z = -lambert_w0(-a)
-    if z <= 0.0:
-        return big_d
-    return (t * big_c / z) ** (1.0 / t)
+    """Effective tunneling in the wide-band (large cutoff) limit, the
+    Lambert-W root of ``Functional.of(p, "scaling")``."""
+    return Functional.of(p, "scaling").dt(m)
 
 
 # ---------------------------------------------------------------------------
 # the energy functional
 # ---------------------------------------------------------------------------
-
-
-def _static_energy(mu_m1: QuadratureRule) -> float:
-    # fully displaced oscillators, dead tunneling: -(1/4) int dmu / w
-    return -0.25 * mu_m1.total_mass
 
 
 def static_shift_energy(p: ModelParams) -> float:
@@ -277,48 +251,6 @@ def _like(m, out: np.ndarray):
     return float(out[0]) if np.ndim(m) == 0 else out
 
 
-class _Curve(NamedTuple):
-    """The self-consistent pairs ``(m, dt = q y)``: ``residual(ys) = (2/dt)
-    dE/dq`` vanishes exactly at the magnetized stationary points of the
-    branch, ``dt(ys)`` is the tunneling there, and ``span`` holds every such
-    point on the largest-root branch.  The branch energy at a pair is
-    ``static - (q dt/4) (1 - residual(dt/q))`` (module docstring)."""
-
-    residual: Callable[[np.ndarray], np.ndarray]
-    dt: Callable[[np.ndarray], np.ndarray]
-    span: tuple[float, float]
-
-
-def _measure_curve(delta: float, mu0: QuadratureRule, mu_m1: QuadratureRule) -> _Curve:
-    # I = int dmu/(y+w)^2 and dE/dq = -(dt/2)(1 - Phi), Phi(y) = y int dmu/(w (y+w)^2);
-    # Phi <= (int dmu/w)/y bounds the roots, and dt = q y >= 1e-12 delta
-    def residual(ys):
-        return ys * ((1.0 / np.add.outer(ys, mu_m1.nodes) ** 2) @ mu_m1.weights) - 1.0
-
-    def dt(ys):
-        return delta * np.exp(-0.5 * ((1.0 / np.add.outer(ys, mu0.nodes) ** 2) @ mu0.weights))
-
-    return _Curve(residual, dt, (_COLLAPSE_FRACTION * delta, mu_m1.total_mass))
-
-
-def _wide_band_curve(p: ModelParams) -> _Curve:
-    # E_s(y) = dt^2 [a y^(s-2) - 1/(2y)] + const, dt = D exp(-b x), x = y^(s-1); with v =
-    # t b x = 2 s a x: y^2 dE_s/dy / dt^2 = (2v - s)(v - 1)/(2s) and dq/dy = (dt/y^2)(v - 1),
-    # so (2/dt) dE/dq = 4 a x - 1; the largest dt root needs v < 1, and the span holds v = s/2
-    s, t = p.s, 1.0 - p.s
-    a = p.alpha * math.pi * t * p.omega_c ** t / (2.0 * math.sin(math.pi * s))
-    b = p.alpha * math.pi * s * p.omega_c ** t / math.sin(math.pi * s)
-    big_d = p.delta * math.exp(p.alpha / t)
-
-    def residual(ys):
-        return 4.0 * a * ys ** (s - 1.0) - 1.0
-
-    def dt(ys):
-        return big_d * np.exp(-b * ys ** (s - 1.0))
-
-    return _Curve(residual, dt, ((t * b) ** (1.0 / t), (2.0 * (b * t + (2.0 - s) * a)) ** (1.0 / t)))
-
-
 _Y_GRID_PER_DECADE = 8  # one mode's term of Phi stays above half its peak over a factor 34 in y
 
 
@@ -326,44 +258,92 @@ class Functional:
     """The ADO energy of one bath as a function of the magnetization ``m``:
     ``dt(m)`` (the largest self-consistent root, 0 where it collapses), the
     finite-tunneling ``branch(m)`` and ``energy(m) = min(branch, static)``,
-    ``e_one`` at ``|m| = 1``.  (The intermediate unstable fixed point always
-    lies above the static branch.)  Methods take one ``m`` (float out) or an
-    array (array out).  The constructor takes the batched kernel ``solve(ms)
-    -> dts`` and the self-consistent curve, which gives both the branch
-    energy and the search of :meth:`minimize`.
+    which is ``static`` at ``|m| = 1``.  (The intermediate unstable fixed
+    point always lies above the static branch.)  Methods take one ``m``
+    (float out) or an array (array out).
+
+    One ``Functional`` holds its self-consistent curve, the pairs ``(m, dt =
+    q y)`` of the module docstring: the constructor takes the batched kernel
+    ``solve(ms) -> dts``, the curve's stationarity residual ``residual(ys) =
+    (2/dt) dE/dq``, which vanishes exactly at the magnetized stationary points
+    of the branch, its tunneling ``curve_dt(ys)``, and a ``span`` of ``y``
+    that holds every such point on the largest-root branch.  The branch
+    energy at a pair is ``static - (q dt/4) (1 - residual(dt/q))``.
     """
 
-    def __init__(self, static: float, e_one: float,
-                 solve: Callable[[np.ndarray], np.ndarray], curve: _Curve):
-        self.static, self.e_one = static, e_one
-        self._solve, self.curve = solve, curve
+    def __init__(self, static: float, solve: Callable[[np.ndarray], np.ndarray],
+                 residual: Callable[[np.ndarray], np.ndarray],
+                 curve_dt: Callable[[np.ndarray], np.ndarray], span: tuple[float, float]):
+        self.static = static
+        self._solve, self._residual, self._curve_dt, self._span = solve, residual, curve_dt, span
 
     @classmethod
-    def measures(cls, delta: float, mu0: QuadratureRule, mu_m1: QuadratureRule,
-                 e_one: float | None = None) -> "Functional":
+    def measures(cls, delta: float, mu0: QuadratureRule, mu_m1: QuadratureRule) -> "Functional":
         """Functional on the measure pair ``dmu``, ``dmu / w`` (continuum rules
-        or a discrete mode list); ``e_one`` defaults to ``-(1/4) int dmu / w``."""
-        static = _static_energy(mu_m1)
-        return cls(static, static if e_one is None else e_one,
-                   lambda ms: _solve_delta_tilde(ms, delta, mu0),
-                   _measure_curve(delta, mu0, mu_m1))
+        or a discrete mode list), with ``static = -(1/4) int dmu / w``, the
+        fully displaced oscillators at dead tunneling."""
+        # I = int dmu/(y+w)^2 and dE/dq = -(dt/2)(1 - Phi), Phi(y) = y int dmu/(w (y+w)^2);
+        # Phi <= (int dmu/w)/y bounds the roots, and dt = q y >= 1e-12 delta
+        def residual(ys):
+            return ys * ((1.0 / np.add.outer(ys, mu_m1.nodes) ** 2) @ mu_m1.weights) - 1.0
+
+        def curve_dt(ys):
+            return delta * np.exp(-0.5 * ((1.0 / np.add.outer(ys, mu0.nodes) ** 2) @ mu0.weights))
+
+        return cls(-0.25 * mu_m1.total_mass, lambda ms: _solve_delta_tilde(ms, delta, mu0),
+                   residual, curve_dt, (_COLLAPSE_FRACTION * delta, mu_m1.total_mass))
 
     @classmethod
     def of(cls, p: ModelParams, kind: str = "exact") -> "Functional":
-        """The ``"exact"`` functional on the full cutoff integral, with the
-        closed-form :func:`static_shift_energy` at ``|m| = 1`` but the
-        quadrature ``-(1/4) int dmu / w`` below it, or its ``"scaling"``
-        (wide-band) limit.  At ``alpha = 0`` both are the free energy, taken
-        in the wide-band form, which needs no bath rules."""
+        """The ``"exact"`` functional on the full cutoff integral, whose
+        ``static`` is the quadrature ``-(1/4) int dmu / w`` (within a few ulp
+        of :func:`static_shift_energy`), or its ``"scaling"`` (wide-band)
+        limit, whose ``static`` is :func:`static_shift_energy`.  At ``alpha =
+        0`` both are the free energy, taken in the wide-band form, which needs
+        no bath rules.
+
+        The wide-band self-consistency is ``dt = D exp(-C dt^(s-1))`` with
+        ``D = delta exp(alpha/(1-s))`` and ``C = (alpha pi s / sin(pi s))
+        (omega_c q)^(1-s)``.  Substituting ``z = (1-s) C dt^(s-1)`` gives ``z
+        e^{-z} = (1-s) C D^(s-1)``, solved on the branch with ``z < 1`` (the
+        largest root) by ``z = -W0(-(1-s) C D^(s-1))``.  When the W argument
+        drops below ``-1/e`` no finite root survives and ``dt = 0``; at
+        ``alpha = 0`` the argument is 0 and ``dt = delta``.
+        """
         if kind not in ("exact", "scaling"):
             raise DomainError(f"unknown functional {kind!r}")
-        e_static = static_shift_energy(p)
         if kind == "exact" and p.alpha != 0.0:
-            mu0, mu_m1 = bath_measures(p)
-            return cls.measures(p.delta, mu0, mu_m1, e_one=e_static)
-        return cls(e_static, e_static,
-                   lambda ms: np.array([solve_delta_tilde_scaling(m, p) for m in ms.tolist()]),
-                   _wide_band_curve(p))
+            return cls.measures(p.delta, *bath_measures(p))
+        # on the curve E_s(y) = dt^2 [a y^(s-2) - 1/(2y)] + const, dt = D exp(-b x), x = y^(s-1);
+        # with v = t b x = 2 s a x: y^2 dE_s/dy / dt^2 = (2v - s)(v - 1)/(2s) and dq/dy =
+        # (dt/y^2)(v - 1), so (2/dt) dE/dq = 4 a x - 1; the largest dt root needs v < 1, and
+        # the span holds v = s/2
+        s, t, sin = p.s, 1.0 - p.s, math.sin(math.pi * p.s)
+        a = p.alpha * math.pi * t * p.omega_c ** t / (2.0 * sin)
+        b = p.alpha * math.pi * s * p.omega_c ** t / sin
+        c_unit = p.alpha * math.pi * s / sin  # C at omega_c q = 1
+        big_d = p.delta * math.exp(p.alpha / t)
+        d_pow = big_d ** (-t)
+
+        def solve_one(m: float) -> float:
+            if abs(m) >= 1.0:
+                return 0.0
+            big_c = c_unit * (p.omega_c * _q_of(m)) ** t
+            arg = t * big_c * d_pow
+            if arg > math.exp(-1.0):
+                return 0.0
+            z = -lambert_w0(-arg)
+            return big_d if z <= 0.0 else (t * big_c / z) ** (1.0 / t)
+
+        def residual(ys):
+            return 4.0 * a * ys ** (s - 1.0) - 1.0
+
+        def curve_dt(ys):
+            return big_d * np.exp(-b * ys ** (s - 1.0))
+
+        return cls(static_shift_energy(p), lambda ms: np.array([solve_one(m) for m in ms.tolist()]),
+                   residual, curve_dt,
+                   ((t * b) ** (1.0 / t), (2.0 * (b * t + (2.0 - s) * a)) ** (1.0 / t)))
 
     def dt(self, m):
         """Effective tunneling, the largest self-consistent root."""
@@ -375,23 +355,20 @@ class Functional:
         return _like(m, self._branch(ms, self._solve(ms)))
 
     def energy(self, m):
-        """``min(branch, static)``, and ``e_one`` at ``|m| = 1``."""
+        """``min(branch, static)``; ``static`` at ``|m| = 1``."""
         ms = _floats(m)
-        return _like(m, self._energy(ms, self._solve(ms)))
+        return _like(m, np.minimum(self._branch(ms, self._solve(ms)), self.static))
 
     def _branch(self, ms: np.ndarray, dts: np.ndarray) -> np.ndarray:
         # static - (q dt/4)(1 - residual(dt/q)) on the self-consistent pairs; collapsed
-        # rows stay static and never reach the residual, which is inf at y = 0
+        # and fully polarized rows stay static and never reach the residual, inf at y = 0
         if np.any(np.abs(ms) > 1.0):
             raise DomainError("Functional: |m| must be <= 1")
         out = np.full(ms.shape, self.static)
         live = (dts > 0.0) & (np.abs(ms) < 1.0)
         q, d = _q_of(ms[live]), dts[live]
-        out[live] = self.static - 0.25 * q * d * (1.0 - self.curve.residual(d / q))
+        out[live] = self.static - 0.25 * q * d * (1.0 - self._residual(d / q))
         return out
-
-    def _energy(self, ms: np.ndarray, dts: np.ndarray) -> np.ndarray:
-        return np.where(np.abs(ms) == 1.0, self.e_one, np.minimum(self._branch(ms, dts), self.static))
 
     def minimize(self) -> tuple[float, float, float]:
         """Minimum of the even :meth:`energy` over ``m`` in ``[0, 1]``: ``(m,
@@ -403,27 +380,26 @@ class Functional:
         root's ``m`` gets a cold solve, whose ``dt`` is the largest root there
         and is returned.  A root whose curve point is a smaller root at its
         ``m`` thus only adds one more value of :meth:`energy`.  The best root
-        must undercut ``m = 0`` and ``e_one`` by ``1e-13`` relative to win.
+        must undercut ``m = 0`` by ``1e-13`` relative to win.  ``m = 1`` needs
+        no candidate of its own: the energy there is ``static``, which no
+        value of :meth:`energy` exceeds.
         """
-        curve, roots = self.curve, []
-        lo, hi = curve.span
+        residual, roots = self._residual, []
+        lo, hi = self._span
         if hi > lo:
             grid = np.geomspace(lo, hi, 2 + int(_Y_GRID_PER_DECADE * math.log10(hi / lo)))
-            r = curve.residual(grid)
+            r = residual(grid)
             for k in np.flatnonzero(np.signbit(r[:-1]) != np.signbit(r[1:])).tolist():
-                roots.append(find_root(lambda y: float(curve.residual(y)),
+                roots.append(find_root(lambda y: float(residual(y)),
                                        grid[k], grid[k + 1], tol=_EPS * grid[k]))
         ys = np.array(roots)
-        qs = curve.dt(ys) / ys
+        qs = self._curve_dt(ys) / ys
         ms = [0.0] + [_q_of(q) for q in qs.tolist() if 0.0 < q < 1.0]  # m = sqrt(1 - q^2)
         dts = [self.dt(m) for m in ms]  # one cold solve per m, so dt(m) comes back bit for bit
-        es = self._energy(np.array(ms), np.array(dts)).tolist()
+        es = np.minimum(self._branch(np.array(ms), np.array(dts)), self.static).tolist()
         j = min(range(1, len(es)), key=es.__getitem__, default=0)
-        e0, e1 = es[0], self.e_one
-        if j == 0 or es[j] >= e0 - 1e-13 * max(1.0, abs(e0)):
-            return 0.0, e0, dts[0]
-        if e1 < es[j] - 1e-13 * max(1.0, abs(e1)):
-            return 1.0, e1, 0.0
+        if j == 0 or es[j] >= es[0] - 1e-13 * max(1.0, abs(es[0])):
+            return 0.0, es[0], dts[0]
         return ms[j], es[j], dts[j]
 
     def c1(self) -> float:
@@ -432,7 +408,7 @@ class Functional:
         so ``c1 = -(1/2) dE/dq = -(dt/4) residual(dt)`` at ``q = 1``, one
         solve of ``dt(0)``; 0 where that collapses to the static energy."""
         dt = self.dt(0.0)
-        return -0.25 * dt * float(self.curve.residual(dt)) if dt > 0.0 else 0.0
+        return -0.25 * dt * float(self._residual(dt)) if dt > 0.0 else 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -52,6 +52,14 @@ class TestLoadConfig:
                          "--alpha", "0.0", "--delta", "1", "--omega-c", "10"])
         assert rc.params().s == 0.3
 
+    def test_missing_file_exit_2_names_path(self, tmp_path, capsys):
+        cfg = tmp_path / "missing.cfg"
+        code = run_cli(["solve", "--config", str(cfg), "--s", "0.3", "--alpha", "0.05",
+                        "--delta", "1", "--omega-c", "10"])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and str(cfg) in err[0]
+
 
 class TestSolveCommand:
     def test_free_limit_record(self, tmp_path, capsys):
@@ -98,6 +106,15 @@ class TestSolveCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "alpha=nan is not finite" in captured.err
+
+    def test_unwritable_output_exit_2_names_path(self, tmp_path, capsys):
+        out = tmp_path / "no_dir" / "x.json"
+        code = run_cli(["solve", "--s", "0.3", "--alpha", "0.05", "--delta", "1",
+                        "--omega-c", "10", "--output", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and str(out) in err[0]
+        assert not out.parent.exists()
 
     def test_usage_error_exit_64(self):
         with pytest.raises(SystemExit) as exc:
@@ -279,6 +296,13 @@ class TestPhaseDiagramCommand:
         assert rows[1].startswith("0.6,10,nan,nan,") and rows[1].endswith(",DomainError")
         assert "domain error" in capsys.readouterr().err
 
+    def test_rejected_s_is_printed_as_a_plain_float(self, tmp_path, capsys):
+        code = run_cli(["phase-diagram", "--s-grid", "0.1:0.8:8", "--omega-c-list", "10,100",
+                        "--delta", "1", "--output", str(tmp_path / "pd.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "s=0.5 outside" in err and "np.float64" not in err
+
     def test_non_finite_cutoff_row_shown_and_exit_2(self, tmp_path, capsys):
         out = tmp_path / "pd.csv"
         code = run_cli(["phase-diagram", "--s-grid", "0.3:0.3:1", "--delta", "1",
@@ -381,6 +405,7 @@ def test_variational_commands_load_no_scipy(tmp_path):
     # chain --occupations (its large Gauss rule) may load it
     script = f"""
 import sys
+at_start = {{m.split(".")[0] for m in sys.modules}}
 import subohmic.cli as cli
 out = {str(tmp_path / "out")!r}
 base = ["--s", "0.3", "--delta", "1", "--omega-c", "10"]
@@ -389,6 +414,8 @@ for argv in (["solve", "--alpha", "0.05"], ["critical"],
              ["phase-diagram", "--s-grid", "0.2:0.4:3", "--omega-c-list", "10"]):
     assert cli.main(argv + base + ["--output", out]) == 0, argv
 print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+loaded = {{m.split(".")[0] for m in sys.modules}} - at_start
+print(sorted(loaded - sys.stdlib_module_names - {{"numpy", "subohmic"}}))
 assert cli.main(["chain", "--alpha", "0.05", "--occupations"] + base + ["--output", out]) == 0
 print("scipy.linalg" in sys.modules)
 """
@@ -398,5 +425,6 @@ print("scipy.linalg" in sys.modules)
     res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                          env=env, timeout=300)
     assert res.returncode == 0, res.stderr
-    # the second line shows that the check sees an import when one happens
-    assert res.stdout.splitlines() == ["[]", "True"]
+    # nor any other third-party package; the last line shows that the check
+    # sees an import when one happens
+    assert res.stdout.splitlines() == ["[]", "[]", "True"]

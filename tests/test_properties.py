@@ -30,7 +30,7 @@ from subohmic.model import (DiscretizedBath, ModelParams, bath_as_measures, bath
 from subohmic.numerics import lambert_w0
 from subohmic.oracle import OracleConfig, ado_on_discrete, build_hamiltonian, ground_state
 from subohmic.variational import (Functional, VariationalState, _q_of, _safe_step,
-                                  _solve_delta_tilde, minimize_energy)
+                                  _solve_delta_tilde, minimize_energy, static_shift_energy)
 
 COLLAPSE = 1e-12
 SCAN_STEP = 0.01
@@ -241,6 +241,24 @@ def test_energies_are_bitwise_even(s, log_alpha, omega_c, m):
     fn = Functional.of(p)
     assert fn.energy(-m) == fn.energy(m)
     assert fn.branch(-m) == fn.branch(m)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(s=st.floats(0.02, 0.98), log_omega_c=st.floats(0.0, math.log(1e3)),
+       log_alpha=st.floats(math.log(1e-3), 0.0))
+def test_static_is_the_energy_at_full_polarization(s, log_omega_c, log_alpha):
+    # minimize offers no m = 1 candidate, since energy(+-1) is static, which
+    # every energy value already lies at or below; for the exact functional
+    # the quadrature static is the closed form to within a few ulp
+    p = ModelParams(s=s, alpha=math.exp(log_alpha), delta=1.0, omega_c=math.exp(log_omega_c))
+    exact = Functional.of(p)
+    want = static_shift_energy(p)
+    assert abs(exact.static - want) <= 1e-14 * abs(want), (exact.static, want)
+    scaling = Functional.of(p, "scaling")
+    assert scaling.static == want
+    discrete = Functional.measures(p.delta, *bath_as_measures(discretize_bath(p, 4)))
+    for fn in (exact, scaling, discrete):
+        assert fn.energy(1.0) == fn.energy(-1.0) == fn.static
 
 
 def shape_energy(m, dt, delta, mu0, mu_m1):
