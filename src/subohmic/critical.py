@@ -142,11 +142,17 @@ def _critical_root(s: float, delta: float, omega_c: float) -> tuple[float, float
 def critical_point(s: float, delta: float, omega_c: float,
                    functional: str = "exact") -> CriticalPoint:
     """Numeric and closed-form critical data assembled in one record; the
-    critical coupling and tunneling both come from ``functional``."""
+    critical coupling and tunneling both come from ``functional``: for the
+    full one, the coupling and ``dt(0)`` of the same root
+    (:func:`_critical_root`), for the wide-band one the Lambert-W ``dt(0)``
+    at its critical coupling."""
     alpha_closed, _ = critical_coupling_closed(s, delta, omega_c)
-    alpha_num = critical_coupling_numeric(s, delta, omega_c, functional)
-    p_c = ModelParams(s=s, alpha=alpha_num, delta=delta, omega_c=omega_c)
-    dt_c = Functional.of(p_c, functional).dt(0.0)
+    if functional == "exact":
+        alpha_num, dt_c = _critical_root(s, delta, omega_c)
+    else:
+        alpha_num = critical_coupling_numeric(s, delta, omega_c, functional)
+        p_c = ModelParams(s=s, alpha=alpha_num, delta=delta, omega_c=omega_c)
+        dt_c = Functional.of(p_c, functional).dt(0.0)
     return CriticalPoint(
         s=s, delta=delta, omega_c=omega_c,
         alpha_c_numeric=alpha_num,

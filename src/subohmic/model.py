@@ -142,9 +142,12 @@ def bath_measure_rule(
     ``kind='gauss'`` gives the measure's own n-point Gauss rule (exact
     moments, from its closed-form recurrence; used for discretization and
     chain occupations).  ``kind='log'`` gives the log-segmented composite
-    rule, whose accuracy is uniform in the position of rational-integrand
-    structure down to ``1e-7 * omega_c``; this is the workhorse for the
-    self-consistency and energy integrals.
+    rule (:func:`~subohmic.numerics.power_rule_log`: an 8-node Gauss-Jacobi
+    head shared by ``dmu`` and ``dmu / w``, then a cached template of
+    Gauss-Legendre decades scaled to ``omega_c``), whose accuracy is uniform
+    in the position of rational-integrand structure down to ``1e-7 *
+    omega_c``; it is the workhorse for the self-consistency and energy
+    integrals, cached per ``(s, omega_c)`` by :func:`bath_measures`.
     """
     if p.alpha == 0.0:
         raise DomainError("bath_measure_rule: measure vanishes at alpha=0")
@@ -158,8 +161,8 @@ def bath_measure_rule(
 
 
 @lru_cache(maxsize=256)
-def _cached_measures(s: float, alpha: float, omega_c: float) -> tuple[QuadratureRule, QuadratureRule]:
-    p = ModelParams(s=s, alpha=alpha, delta=1.0, omega_c=omega_c)
+def _unit_measures(s: float, omega_c: float) -> tuple[QuadratureRule, QuadratureRule]:
+    p = ModelParams(s=s, alpha=1.0, delta=1.0, omega_c=omega_c)
     return (
         bath_measure_rule(p, extra_exponent=0.0, kind="log"),
         bath_measure_rule(p, extra_exponent=-1.0, kind="log"),
@@ -167,8 +170,16 @@ def _cached_measures(s: float, alpha: float, omega_c: float) -> tuple[Quadrature
 
 
 def bath_measures(p: ModelParams) -> tuple[QuadratureRule, QuadratureRule]:
-    """The pair of composite rules for ``dmu`` and ``dmu / w`` (cached)."""
-    return _cached_measures(p.s, p.alpha, p.omega_c)
+    """The pair of composite rules for ``dmu`` and ``dmu / w``.
+
+    The measure is linear in ``alpha``: the pair is built once per ``(s,
+    omega_c)`` at ``alpha = 1`` (cached) and its weights are scaled by
+    ``alpha``.
+    """
+    if p.alpha == 0.0:
+        raise DomainError("bath_measures: measure vanishes at alpha=0")
+    return tuple(QuadratureRule(mu.nodes, p.alpha * mu.weights)
+                 for mu in _unit_measures(p.s, p.omega_c))
 
 
 def bath_as_measures(bath: DiscretizedBath) -> tuple[QuadratureRule, QuadratureRule]:

@@ -96,9 +96,10 @@ class QuadratureRule:
         weights = np.asarray(self.weights, dtype=float)
         if nodes.ndim != 1 or nodes.shape != weights.shape:
             raise DomainError("QuadratureRule: nodes/weights must be equal-length 1-d arrays")
-        if nodes.size and np.any(np.diff(nodes) <= 0.0):
+        # array methods, not np.any: a rule is checked on every bath_measures call
+        if nodes.size and (np.diff(nodes) <= 0.0).any():
             raise DomainError("QuadratureRule: nodes must be strictly increasing")
-        if np.any(weights <= 0.0):
+        if (weights <= 0.0).any():
             raise DomainError("QuadratureRule: weights must be positive")
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "weights", weights)
@@ -163,11 +164,6 @@ def _jacobi_unit(n: int, sigma: float) -> tuple[np.ndarray, np.ndarray]:
     return nodes, 1.0 / ((sigma + 1.0) * norm)
 
 
-@lru_cache(maxsize=None)
-def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.polynomial.legendre.leggauss(n)
-
-
 def power_rule(sigma: float, upper: float, n: int, prefactor: float = 1.0) -> QuadratureRule:
     """Gauss rule for the measure ``prefactor * w^sigma dw`` on ``[0, upper]``.
 
@@ -183,39 +179,48 @@ def power_rule(sigma: float, upper: float, n: int, prefactor: float = 1.0) -> Qu
 
 
 _LOG_HEAD_FRACTION = 1e-8
-_LOG_HEAD_N = 24
+_LOG_HEAD_N = 8
 _LOG_SEGMENT_N = 32
+
+
+@lru_cache(maxsize=None)
+def _log_panels() -> tuple[np.ndarray, np.ndarray]:
+    # the panel template at upper = 1: Gauss-Legendre nodes on the decades
+    # [1e-8, 1e-7], ..., [0.1, 1] and, per node, half the panel width times
+    # the Legendre weight
+    x, w = np.polynomial.legendre.leggauss(_LOG_SEGMENT_N)
+    n_decades = int(round(-math.log10(_LOG_HEAD_FRACTION)))
+    edges = _LOG_HEAD_FRACTION * 10.0 ** np.arange(n_decades + 1.0)
+    edges[-1] = 1.0
+    mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
+    return np.ravel(mid[:, None] + half[:, None] * x), np.ravel(half[:, None] * w)
 
 
 def power_rule_log(sigma: float, upper: float, prefactor: float = 1.0) -> QuadratureRule:
     """Composite rule for ``prefactor * w^sigma dw`` on ``[0, upper]``.
 
-    A small Gauss-Jacobi head handles the endpoint singularity on
-    ``[0, 1e-8 * upper]``; geometric decades of Gauss-Legendre panels cover
-    the rest.  Accuracy is uniform for integrands with structure anywhere in
-    ``(1e-7 * upper, upper)``, e.g. rational factors whose pole distance from
-    the interval is many orders of magnitude smaller than ``upper``.
+    An 8-node Gauss-Jacobi head handles the endpoint singularity on ``[0,
+    1e-8 * upper]``: the rule of ``w^(sigma - j)``, ``j = max(0,
+    ceil(sigma))``, with its weights times ``nodes^j``, so ``w^s`` and
+    ``w^(s-1)`` (``0 < s < 1``) share one head.  Geometric decades of
+    32-node Gauss-Legendre panels cover the rest; they are one cached
+    template at ``upper = 1``, scaled by ``upper``.  Accuracy is uniform for
+    integrands with structure anywhere in ``(1e-7 * upper, upper)``, e.g.
+    rational factors whose pole distance from the interval is many orders of
+    magnitude smaller than ``upper``.
     """
     if sigma <= -1.0:
         raise DomainError(f"power_rule_log: exponent {sigma} not integrable at 0")
     if upper <= 0.0 or prefactor <= 0.0:
         raise DomainError("power_rule_log: need upper > 0, prefactor > 0")
+    lift = max(0, math.ceil(sigma))
+    head_nodes, head_weights = _jacobi_unit(_LOG_HEAD_N, float(sigma - lift))
     cut = _LOG_HEAD_FRACTION * upper
-    head = power_rule(sigma, cut, _LOG_HEAD_N, prefactor)
-    all_nodes = [head.nodes]
-    all_weights = [head.weights]
-    x, w = _leggauss(_LOG_SEGMENT_N)
-    n_decades = int(round(-math.log10(_LOG_HEAD_FRACTION)))
-    lo = cut
-    for k in range(n_decades):
-        hi = upper if k == n_decades - 1 else cut * 10.0 ** (k + 1)
-        mid = 0.5 * (hi + lo)
-        half = 0.5 * (hi - lo)
-        nodes = mid + half * x
-        all_nodes.append(nodes)
-        all_weights.append(prefactor * half * w * nodes**sigma)
-        lo = hi
-    return QuadratureRule(np.concatenate(all_nodes), np.concatenate(all_weights))
+    x, half_w = _log_panels()
+    nodes = np.concatenate([cut * head_nodes, upper * x])
+    weights = np.concatenate([cut ** (sigma + 1.0) * head_weights * head_nodes**lift,
+                              upper ** (sigma + 1.0) * half_w * x**sigma])
+    return QuadratureRule(nodes, prefactor * weights)
 
 
 def find_root(f: Callable[[float], float], lo: float, hi: float, tol: float = 1e-12) -> float:
@@ -225,12 +230,14 @@ def find_root(f: Callable[[float], float], lo: float, hi: float, tol: float = 1e
     agree bit for bit): each step interpolates (secant or inverse quadratic)
     inside the block ``[xcur, xblk]`` of the sign change when that shrinks
     the block fast enough, and bisects otherwise.  The returned abscissa is
-    within ``tol + 4 eps |x|`` of a sign change of ``f``.  Raises
+    within ``tol + 4 eps |x|`` of a sign change of ``f``.  The steps run in
+    plain floats whatever the argument types; an interpolation that divides
+    by zero bisects, as brentq does with the inf or NaN it gets.  Raises
     :class:`BracketError` when ``f(lo)`` and ``f(hi)`` have the same sign
     (or one is NaN), and :class:`ConvergenceError` when ``f`` turns NaN or
     200 steps do not reach that width.
     """
-    xpre, xcur = float(lo), float(hi)
+    xpre, xcur, tol = float(lo), float(hi), float(tol)
     fpre, fcur = float(f(xpre)), float(f(xcur))
     if fpre == 0.0:
         return xpre
@@ -251,12 +258,15 @@ def find_root(f: Callable[[float], float], lo: float, hi: float, tol: float = 1e
         if fcur == 0.0 or abs(sbis) < delta:
             return xcur
         if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # secant
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # inverse quadratic through the three points
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            try:
+                if xpre == xblk:  # secant
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # inverse quadratic through the three points
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:  # brentq's C code gets inf or NaN here, and bisects
+                stry = math.inf
             if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
                 spre, scur = scur, stry
             else:

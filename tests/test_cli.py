@@ -1,11 +1,16 @@
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import subohmic
 from subohmic.cli import load_config, main, parse_args, _sanitize_record
@@ -400,6 +405,15 @@ class TestRequiredAlpha:
         assert "alpha" in capsys.readouterr().err
 
 
+def _run_python(*args):
+    # a fresh interpreter on this checkout's package, so stderr is what a user sees
+    env = dict(os.environ)
+    src = str(Path(subohmic.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=env, timeout=300)
+
+
 def test_variational_commands_load_no_scipy(tmp_path):
     # scipy takes most of a fresh process's start-up; only oracle and
     # chain --occupations (its large Gauss rule) may load it
@@ -419,12 +433,73 @@ print(sorted(loaded - sys.stdlib_module_names - {{"numpy", "subohmic"}}))
 assert cli.main(["chain", "--alpha", "0.05", "--occupations"] + base + ["--output", out]) == 0
 print("scipy.linalg" in sys.modules)
 """
-    env = dict(os.environ)
-    src = str(Path(subohmic.__file__).resolve().parent.parent)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                         env=env, timeout=300)
+    res = _run_python("-c", script)
     assert res.returncode == 0, res.stderr
     # nor any other third-party package; the last line shows that the check
     # sees an import when one happens
     assert res.stdout.splitlines() == ["[]", "[]", "True"]
+
+
+def test_wide_band_solve_prints_only_its_summary():
+    # find_root once took a numpy tol from the minimizer and ran this solve in
+    # numpy scalar arithmetic, which printed an overflow RuntimeWarning
+    res = _run_python("-m", "subohmic.cli", "solve", "--s", "0.9794148864171522",
+                      "--alpha", "0.000238804056666098", "--delta", "0.33998794561569706",
+                      "--omega-c", "155.39225567288008", "--functional", "scaling")
+    assert res.returncode == 0, res.stderr
+    assert "RuntimeWarning" not in res.stderr
+    err = res.stderr.splitlines()
+    assert len(err) == 1 and err[0].startswith("solve: M="), err
+    assert json.loads(res.stdout)["command"] == "solve"
+
+
+def _assert_csv(text):
+    lines = text.splitlines()
+    assert lines[0].startswith("# subohmic ")
+    header = lines[1].split(",")
+    assert len(lines) > 2
+    for line in lines[2:]:
+        cells = line.split(",")
+        assert len(cells) == len(header), line
+        for cell in cells:
+            float(cell)  # every chain cell is a number, nan included
+
+
+_LOG_UNIFORM = {"alpha": (1e-6, 10.0), "delta": (1e-2, 1e2), "omega_c": (0.5, 1e3)}
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(command=st.sampled_from(["solve", "solve-scaling", "critical", "critical-scaling",
+                                "chain", "chain-occupations"]),
+       s=st.floats(0.02, 0.98),
+       logs=st.fixed_dictionaries({k: st.floats(math.log(lo), math.log(hi))
+                                   for k, (lo, hi) in _LOG_UNIFORM.items()}),
+       n_sites=st.integers(2, 12), frame=st.sampled_from(["bare", "displaced"]))
+def test_cli_exit_codes_stderr_and_payload(command, s, logs, n_sites, frame):
+    # any solve, critical or chain input exits 0, 2 or 3 with exactly one
+    # stderr line (a warning counts as one), and stdout is the payload it claims
+    kind, _, variant = command.partition("-")
+    x = {k: math.exp(v) for k, v in logs.items()}
+    argv = [kind, "--s", repr(s), "--delta", repr(x["delta"]), "--omega-c", repr(x["omega_c"])]
+    if kind != "critical":
+        argv += ["--alpha", repr(x["alpha"])]
+    if variant == "scaling":
+        argv += ["--functional", "scaling"]
+    if kind == "chain":
+        argv += ["--n-sites", str(n_sites)]
+        if variant == "occupations":
+            argv += ["--occupations", "--frame", frame]
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = main(argv)
+    lines = err.getvalue().splitlines() + [str(w.message) for w in caught]
+    assert code in (0, 2, 3), (argv, lines)
+    assert len(lines) == 1, (argv, lines)
+    if code != 0:
+        assert out.getvalue() == ""
+    elif kind == "chain":
+        _assert_csv(out.getvalue())
+    else:
+        assert json.loads(out.getvalue())["command"] == kind

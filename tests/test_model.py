@@ -142,3 +142,7 @@ class TestMeasures:
         p = ModelParams(s=0.3, alpha=0.0, delta=1.0, omega_c=10.0)
         with pytest.raises(DomainError):
             bath_measure_rule(p)
+        # also once the pair of the same (s, omega_c) is cached at another alpha
+        bath_measures(ModelParams(s=0.3, alpha=0.1, delta=1.0, omega_c=10.0))
+        with pytest.raises(DomainError):
+            bath_measures(p)

@@ -185,6 +185,27 @@ class TestFindRoot:
         with pytest.raises(BracketError):
             find_root(lambda x: math.nan if x < 0.0 else x - 0.5, -1.0, 2.0)
 
+    def test_numpy_scalar_tol_runs_in_plain_floats(self):
+        # a numpy tol would turn the steps after the first minimal one into
+        # numpy scalar arithmetic, which warns on overflow; the slow triple
+        # root takes such steps
+        def f(x):
+            return (x - 0.3) ** 3
+
+        got = find_root(f, -1.0, 2.0, tol=np.float64(1e-12))
+        assert type(got) is float
+        assert got == find_root(f, -1.0, 2.0, tol=1e-12)
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e-170, 1e-155])
+    def test_zero_interpolation_divisor_bisects_like_brentq(self, scale):
+        # the inverse-quadratic divisor dblk dpre (fblk - fpre) underflows to 0
+        # here; brentq's C code gets inf or NaN from it and bisects
+        def f(x):
+            return scale * ((x - 0.3) ** 3 + 0.1 * (x - 0.3))
+
+        want = brentq(f, -5.0, 5.0, xtol=1e-12, rtol=4.0 * np.finfo(float).eps, maxiter=200)
+        assert find_root(f, -5.0, 5.0) == want
+
 
 _SMOOTH = (
     lambda x, r, a, b: math.expm1(a * (x - r)) + b * (x - r) ** 3,

@@ -1,5 +1,6 @@
 """Property tests of the self-consistency kernel, the energy functional and
-its minimizer, the exact-diagonalization oracle and the Lambert W function.
+its minimizer, the continuum bath rules, the critical point, the
+exact-diagonalization oracle and the Lambert W function.
 
 The kernel is checked against an independent largest-root search written
 here: a dense downward scan of ``g(u) = u - log(delta) + I(e^u)/2`` followed
@@ -184,9 +185,10 @@ def _traffic_rows():
     # the kernel's inputs, row by row, as the benchmark's commands make them:
     # minimize_energy and critical_point at s in [0.1, 0.45], omega_c 10 or
     # 100 and alpha in [0.5, 2] alpha_c (interactive-mix: 14 minimizations
-    # to 2 critical points a block), ado_on_discrete on 4- and 5-mode
-    # discretize_bath baths at omega_c = 10 and alpha in [0.3, 1.5] alpha_c
-    # (oracle-ed); see perfbench/workloads.py
+    # to 2 critical points a block; critical_point solves for its critical
+    # tunneling by a root of its own and adds no kernel rows), ado_on_discrete
+    # on 4- and 5-mode discretize_bath baths at omega_c = 10 and alpha in
+    # [0.3, 1.5] alpha_c (oracle-ed); see perfbench/workloads.py
     seen, solve = [], variational._solve_delta_tilde
 
     def recording(m, delta, mu0, max_iter=variational._FIXED_POINT_MAX_ITER):
@@ -223,7 +225,7 @@ def _iterations_to_converge(m, delta, mu0, cap=64):
 
 # Iterations the kernel needs on _traffic_rows, summed: each row counts the
 # smallest max_iter at which it converges.  Lower it when the kernel improves.
-WORK_TOTAL = 264
+WORK_TOTAL = 248
 
 
 def test_kernel_iteration_total_within_record():
@@ -390,6 +392,44 @@ def test_critical_root_is_the_sign_change_of_c1(s, log_ratio, delta):
         c1 = [Functional.of(ModelParams(s=s, alpha=alpha_c * f, delta=delta, omega_c=omega_c),
                             kind).c1() for f in (1.0 - 1e-6, 1.0 + 1e-6)]
         assert c1[0] > 0.0 > c1[1], (kind, c1)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(s=st.floats(0.05, 0.49), log_omega_c=st.floats(0.0, math.log(1e3)),
+       log_delta=st.floats(math.log(0.1), math.log(10.0)))
+def test_critical_tunneling_is_the_functional_dt(s, log_omega_c, log_delta):
+    # critical_point reports the d of its own root, solving no second dt(0)
+    delta, omega_c = math.exp(log_delta), math.exp(log_omega_c)
+    cp = critical_point(s, delta, omega_c)
+    p_c = ModelParams(s=s, alpha=cp.alpha_c_numeric, delta=delta, omega_c=omega_c)
+    want = Functional.of(p_c).dt(0.0)
+    assert abs(cp.delta_tilde_c - want) <= 1e-14 * want, (cp.delta_tilde_c, want)
+    assert cp.sx_c == cp.delta_tilde_c / delta
+
+
+def _power_moment(sigma, k, y, omega_c):
+    # int_0^omega_c w^sigma (y + w)^-k dw, from Euler's integral of 2F1 at 30 digits
+    with mpmath.workdps(30):
+        a = mpmath.mpf(sigma) + 1
+        return float(mpmath.mpf(omega_c) ** a / (a * mpmath.mpf(y) ** k)
+                     * mpmath.hyp2f1(k, a, a + 1, -mpmath.mpf(omega_c) / y))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(s=st.floats(0.02, 0.95), log_eta=st.floats(math.log(1e-7), math.log(1e3)),
+       log_omega_c=st.floats(0.0, math.log(1e3)), log_alpha=st.floats(math.log(1e-3), 0.0),
+       k=st.sampled_from([2, 3]))
+def test_bath_rules_match_hypergeometric_moments(s, log_eta, log_omega_c, log_alpha, k):
+    # both rules of the continuum pair, for a pole at y = eta omega_c anywhere
+    # in the range the log rule covers: dmu (w^s) and dmu/w (w^(s-1)), with
+    # dmu = 2 alpha omega_c^(1-s) w^s dw
+    omega_c, alpha = math.exp(log_omega_c), math.exp(log_alpha)
+    y = math.exp(log_eta) * omega_c
+    pair = bath_measures(ModelParams(s=s, alpha=alpha, delta=1.0, omega_c=omega_c))
+    for sigma, rule in zip((s, s - 1.0), pair):
+        got = float(np.dot(rule.weights, 1.0 / (y + rule.nodes) ** k))
+        want = 2.0 * alpha * omega_c ** (1.0 - s) * _power_moment(sigma, k, y, omega_c)
+        assert abs(got - want) <= 1e-14 * want, (sigma, got, want)
 
 
 # Small baths with displacements g/(2w) <= 0.4, so that 12 Fock levels per
