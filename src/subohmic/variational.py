@@ -69,6 +69,7 @@ _NEWTON_TOL = 1e-13  # step in log dt at which a root is accepted
 _FIXED_POINT_MAX_ITER = 10_000
 _LOG_COLLAPSE = math.log(_COLLAPSE_FRACTION)
 _EPS = float(np.finfo(float).eps)
+_LOG_FLOAT_MAX = 708.0  # e^(+-708) are normal floats
 
 
 def _q_of(m):
@@ -242,6 +243,14 @@ def static_shift_energy(p: ModelParams) -> float:
     return -p.alpha * p.omega_c / (2.0 * p.s)
 
 
+def _clamped_root(base: float, t: float) -> float:
+    """``base^(1/t)`` for ``base >= 0``, taken in logs and clamped into the
+    normal floats; 0 stays 0."""
+    if base == 0.0:
+        return 0.0
+    return math.exp(min(max(math.log(base) / t, -_LOG_FLOAT_MAX), _LOG_FLOAT_MAX))
+
+
 def _floats(x) -> np.ndarray:
     return np.atleast_1d(np.asarray(x, dtype=float))
 
@@ -322,8 +331,10 @@ class Functional:
         a = p.alpha * math.pi * t * p.omega_c ** t / (2.0 * sin)
         b = p.alpha * math.pi * s * p.omega_c ** t / sin
         c_unit = p.alpha * math.pi * s / sin  # C at omega_c q = 1
-        big_d = p.delta * math.exp(p.alpha / t)
-        d_pow = big_d ** (-t)
+        # D overflows once alpha/t passes ~709, so it is kept as its log and
+        # D^(-t) = delta^(-t) e^(-alpha) is formed without it
+        log_d = math.log(p.delta) + p.alpha / t
+        d_pow = p.delta ** -t * math.exp(-p.alpha)
 
         def solve_one(m: float) -> float:
             if abs(m) >= 1.0:
@@ -333,17 +344,27 @@ class Functional:
             if arg > math.exp(-1.0):
                 return 0.0
             z = -lambert_w0(-arg)
-            return big_d if z <= 0.0 else (t * big_c / z) ** (1.0 / t)
+            try:  # z = 0 where arg is 0 (alpha = 0 or underflow): dt = D
+                dt = p.delta * math.exp(p.alpha / t) if z <= 0.0 else (t * big_c / z) ** (1.0 / t)
+            except OverflowError:
+                dt = math.inf
+            if dt == math.inf:
+                raise DomainError(f"wide-band dt at m={m!r} overflows: D = delta exp(alpha/(1-s)) "
+                                  f"= e^{log_d:.6g}")
+            return dt
 
         def residual(ys):
             return 4.0 * a * ys ** (s - 1.0) - 1.0
 
         def curve_dt(ys):
-            return big_d * np.exp(-b * ys ** (s - 1.0))
+            with np.errstate(over="ignore"):  # an infinite dt has q = dt/y > 1: no candidate
+                return np.exp(log_d - b * ys ** (s - 1.0))
 
+        # the span's ends leave the floats for t -> 0; clamped to e^(+-708)
+        # it still holds every root with |log y| < 708
+        span = (_clamped_root(t * b, t), _clamped_root(2.0 * (b * t + (2.0 - s) * a), t))
         return cls(static_shift_energy(p), lambda ms: np.array([solve_one(m) for m in ms.tolist()]),
-                   residual, curve_dt,
-                   ((t * b) ** (1.0 / t), (2.0 * (b * t + (2.0 - s) * a)) ** (1.0 / t)))
+                   residual, curve_dt, span)
 
     def dt(self, m):
         """Effective tunneling, the largest self-consistent root."""
@@ -387,7 +408,8 @@ class Functional:
         residual, roots = self._residual, []
         lo, hi = self._span
         if hi > lo:
-            grid = np.geomspace(lo, hi, 2 + int(_Y_GRID_PER_DECADE * math.log10(hi / lo)))
+            decades = math.log10(hi) - math.log10(lo)  # hi / lo can overflow
+            grid = np.geomspace(lo, hi, 2 + int(_Y_GRID_PER_DECADE * decades))
             r = residual(grid)
             for k in np.flatnonzero(np.signbit(r[:-1]) != np.signbit(r[1:])).tolist():
                 roots.append(find_root(lambda y: float(residual(y)),

@@ -21,6 +21,10 @@ def run_cli(args):
     return main(args)
 
 
+_WIDE_BAND_OVERFLOW = ["--s", "0.9853351796933449", "--delta", "887.8577120892148",
+                       "--omega-c", "10.462982712806163", "--functional", "scaling"]
+
+
 class TestLoadConfig:
     def test_round_trip(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -121,6 +125,12 @@ class TestSolveCommand:
         assert len(err) == 1 and str(out) in err[0]
         assert not out.parent.exists()
 
+    def test_wide_band_overflow_exit_2(self, capsys):
+        assert run_cli(["solve", *_WIDE_BAND_OVERFLOW, "--alpha", "23.3394277363693"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1 and "domain error" in err and "overflows" in err
+
     def test_usage_error_exit_64(self):
         with pytest.raises(SystemExit) as exc:
             run_cli(["solve", "--nope", "1"])
@@ -160,6 +170,16 @@ class TestSweepCommand:
         rows = out.read_text().splitlines()[2:]
         assert rows[0].startswith("-0.01,nan,") and rows[0].endswith(",DomainError")
         assert rows[1].endswith(",ok")
+
+    def test_wide_band_overflow_fails_its_row(self, tmp_path, capsys):
+        # D = delta exp(alpha/(1-s)) overflows from alpha ~ 10.4 on
+        out = tmp_path / "sweep.csv"
+        code = run_cli(["sweep", *_WIDE_BAND_OVERFLOW, "--alpha-grid", "0.001:23.3394277363693:4",
+                        "--output", str(out)])
+        assert code == 2
+        rows = [row.split(",") for row in out.read_text().splitlines()[2:]]
+        assert [row[-1] for row in rows] == ["ok", "ok", "DomainError", "DomainError"]
+        assert "overflows" in capsys.readouterr().err
 
     def test_bad_grid_exit_2(self):
         assert run_cli(["sweep", "--s", "0.3", "--delta", "1", "--omega-c", "10",
@@ -465,7 +485,7 @@ def _assert_csv(text):
             float(cell)  # every chain cell is a number, nan included
 
 
-_LOG_UNIFORM = {"alpha": (1e-6, 10.0), "delta": (1e-2, 1e2), "omega_c": (0.5, 1e3)}
+_LOG_UNIFORM = {"alpha": (1e-6, 100.0), "delta": (1e-2, 1e2), "omega_c": (0.5, 1e3)}
 
 
 @settings(max_examples=500, deadline=None, derandomize=True)

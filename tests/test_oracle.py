@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from subohmic import oracle
 from subohmic.errors import DomainError, SizeError
 from subohmic.model import ModelParams, discretize_bath
 from subohmic.oracle import (
@@ -112,9 +114,35 @@ class TestBuildHamiltonian:
         p = params(0.1, delta=0.7)
         bath = discretize_bath(p, n_modes)
         basis = _chain_form(bath)[3] if which_basis == "chain" else np.eye(n_modes)
-        h = build_hamiltonian(bath, p, OracleConfig(n_modes, nb, which_basis)).toarray()
+        h = build_hamiltonian(bath, p, OracleConfig(n_modes, nb, which_basis))
         want = dense_hamiltonian(bath, p.delta, nb, basis)
-        assert np.max(np.abs(h - want)) <= 1e-12 * np.max(np.abs(want))
+        tol = 1e-12 * np.max(np.abs(want))
+        assert np.max(np.abs(h.toarray() - want)) <= tol
+        # canonical int32 CSR holding exactly the nonzeros; the chain basis's
+        # dense reference carries rounding-level entries where H is zero
+        assert isinstance(h, sp.csr_matrix)
+        assert h.indices.dtype == np.int32 and h.indptr.dtype == np.int32
+        assert sp.csr_matrix((h.data, h.indices, h.indptr), shape=h.shape).has_canonical_format
+        assert np.count_nonzero(h.data) == h.nnz
+        assert h.nnz == np.count_nonzero(np.abs(want) > tol)
+        if which_basis == "star":
+            assert h.nnz == np.count_nonzero(want)
+        assert (h != h.T).nnz == 0
+
+    @pytest.mark.parametrize("n_modes, nb, which_basis", [(5, 8, "star"), (4, 8, "chain")])
+    def test_build_peak_memory_near_the_matrix(self, n_modes, nb, which_basis):
+        # traced peak of the build, temporaries included, against the bytes of
+        # the CSR arrays it returns; a sum of sparse krons reads ~2.9x
+        p = params(0.03)
+        bath = discretize_bath(p, n_modes)
+        cfg = OracleConfig(n_modes, nb, which_basis)
+        tracemalloc.start()
+        try:
+            h = build_hamiltonian(bath, p, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.75 * (h.data.nbytes + h.indices.nbytes + h.indptr.nbytes)
 
     def test_polaron_beats_both_product_states(self):
         p = params(0.05)
@@ -142,6 +170,14 @@ class TestGroundState:
         assert np.array_equal(v1, v2)
         resid = np.linalg.norm(h @ v1 - e1 * v1)
         assert resid <= 1e-10 * max(1.0, abs(h).sum(axis=1).max())
+
+    def test_scale_is_the_largest_absolute_row_sum(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        dense = rng.normal(size=(50, 40)) * (rng.random((50, 40)) < 0.1)
+        dense[[0, 17, 18, 49]] = 0.0  # empty rows, the last one included
+        h = sp.csr_matrix(dense)
+        monkeypatch.setattr(oracle, "_ROW_BLOCK", 8)
+        assert oracle._max_abs_row_sum(h) == np.abs(h).sum(axis=1).max()
 
     def test_variational_bound_against_ado(self):
         p = params(0.5 * ALPHA_C_NUM)
@@ -291,3 +327,16 @@ class TestRunOracle:
         assert result.energy_exact <= result.energy_ado_discrete + 1e-9
         assert 0.0 <= result.fidelity <= 1.0
         assert result.converged_nb
+
+    def test_resolve_basis_checked_before_any_work(self, monkeypatch):
+        # 4x8 (dim 8192) fits a cap of 10,000; its n_boson + 2 re-solve
+        # (dim 20,000) does not, and nothing is built before that is known
+        monkeypatch.setattr(oracle, "_DIMENSION_CAP", 10_000)
+        cfg = OracleConfig(4, 8)
+
+        def no_build(*args):
+            raise AssertionError("build_hamiltonian called")
+
+        monkeypatch.setattr(oracle, "build_hamiltonian", no_build)
+        with pytest.raises(SizeError, match="re-solve.*20000"):
+            run_oracle(params(0.02), cfg)

@@ -210,6 +210,38 @@ class TestDeltaTildeScaling:
         dt_s = solve_delta_tilde_scaling(0.0, p)
         assert dt_s == pytest.approx(dt_e, rel=1e-4)
 
+    def test_overflowing_cutoff_scale_is_a_domain_error(self):
+        # D = delta exp(alpha/(1-s)) = e^1598 and dt(0) ~ D: no float holds either
+        p = ModelParams(s=0.9853351796933449, alpha=23.3394277363693,
+                        delta=887.8577120892148, omega_c=10.462982712806163)
+        with pytest.raises(DomainError, match="overflows"):
+            Functional.of(p, "scaling").minimize()
+
+    def test_finite_root_beyond_an_overflowing_cutoff_scale(self):
+        # alpha/(1-s) = 5000 overflows D, yet dt(0) ~ omega_c (z -> alpha as s -> 1)
+        p = params(0.5, s=0.9999)
+        dt = Functional.of(p, "scaling").dt(0.0)
+        t = 1.0 - p.s
+        big_c = (p.alpha * math.pi * p.s / math.sin(math.pi * p.s)) * p.omega_c**t
+        log_rhs = math.log(p.delta) + p.alpha / t - big_c * dt ** (-t)
+        assert 0.0 < dt < p.omega_c
+        assert abs(math.log(dt) - log_rhs) <= 1e-12 * p.alpha / t
+
+    def test_underflowing_span_leaves_the_delocalized_root(self):
+        # the span's ends (t b)^(1/t) and the stationary point (4a)^(1/t) lie
+        # below the smallest float: no magnetized candidate, and dt(0) is the
+        # self-consistent root
+        p = ModelParams(s=0.9819482931810822, alpha=5.682664212666706e-07,
+                        delta=0.09835335067386136, omega_c=4.155329280869263)
+        fn = Functional.of(p, "scaling")
+        m, energy, dt = fn.minimize()
+        t = 1.0 - p.s
+        big_c = (p.alpha * math.pi * p.s / math.sin(math.pi * p.s)) * p.omega_c**t
+        assert m == 0.0 and dt == fn.dt(0.0)
+        assert abs(math.log(dt) - (math.log(p.delta) + p.alpha / t - big_c * dt ** (-t))) <= 1e-14
+        ms = np.linspace(0.0, 0.999, 1000)
+        assert energy <= np.min(fn.energy(ms))
+
 
 class TestEnergies:
     def test_free_energy_curve(self):
