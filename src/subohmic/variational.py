@@ -452,12 +452,21 @@ def observables(state: VariationalState, p: ModelParams, energy: float) -> Groun
     entropy of ``p_pm = (1 pm r)/2`` with ``r = sqrt(sx^2 + sz^2)``, in bits.
     ``crossover_scale = m dt / sqrt(1-m^2)`` separates slow modes (same-sign,
     mean-field-like displacements) from fast, adiabatically dressing ones.
+
+    Raises :class:`DomainError` when ``r > 1 + 1e-12``, which no spin state
+    has.  ``dt <= delta`` keeps ``r <= 1`` for the full functional, but the
+    wide-band tunneling, up to ``D = delta e^(alpha/(1-s))``, can exceed
+    ``delta`` when ``omega_c`` is not much larger than ``delta``.
     """
     m = state.m
     dt = state.delta_tilde
     q = state.q
     sx = q * dt / p.delta
     r = math.hypot(sx, m)
+    if r > 1.0 + 1e-12:
+        raise DomainError(f"spin vector length {r:.6g} > 1 (sx = {sx:.6g}, M = {m:.6g}): "
+                          f"dt/delta = {dt / p.delta:.6g}, outside the wide-band limit "
+                          f"omega_c >> delta")
     ent = _binary_entropy_bits(0.5 * (1.0 + min(r, 1.0)))
     crossover = math.inf if q == 0.0 and m != 0.0 else (m * dt / q if q > 0.0 else 0.0)
     return GroundStateSolution(

@@ -8,12 +8,14 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import subohmic
 from subohmic.cli import load_config, main, parse_args, _sanitize_record
+from subohmic.critical import sweep_alpha
 from subohmic.errors import DomainError
 
 
@@ -125,6 +127,14 @@ class TestSolveCommand:
         assert len(err) == 1 and str(out) in err[0]
         assert not out.parent.exists()
 
+    def test_spin_vector_beyond_one_exit_2(self, capsys):
+        # the wide-band dt = 1.0052 delta would print sx = 1.00523 > 1
+        assert run_cli(["solve", *_WIDE_BAND_OVERFLOW, "--alpha", "0.001"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert "domain error" in err and "wide-band limit" in err and "sx = 1.00523" in err
+
     def test_wide_band_overflow_exit_2(self, capsys):
         assert run_cli(["solve", *_WIDE_BAND_OVERFLOW, "--alpha", "23.3394277363693"]) == 2
         out, err = capsys.readouterr()
@@ -172,14 +182,23 @@ class TestSweepCommand:
         assert rows[1].endswith(",ok")
 
     def test_wide_band_overflow_fails_its_row(self, tmp_path, capsys):
-        # D = delta exp(alpha/(1-s)) overflows from alpha ~ 10.4 on
+        # D = delta exp(alpha/(1-s)) overflows from alpha ~ 10.4 on; below
+        # that the wide-band dt exceeds delta (sx = 1.00523 and 2.1e230), which
+        # no spin state allows, and the first such row sets the summary
         out = tmp_path / "sweep.csv"
         code = run_cli(["sweep", *_WIDE_BAND_OVERFLOW, "--alpha-grid", "0.001:23.3394277363693:4",
                         "--output", str(out)])
         assert code == 2
         rows = [row.split(",") for row in out.read_text().splitlines()[2:]]
-        assert [row[-1] for row in rows] == ["ok", "ok", "DomainError", "DomainError"]
-        assert "overflows" in capsys.readouterr().err
+        assert [row[-1] for row in rows] == ["DomainError"] * 4
+        assert all(cell == "nan" for row in rows for cell in row[1:-1])
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2 and "wide-band limit" in err[1] and "sx = 1.00523" in err[1]
+        table = sweep_alpha(0.9853351796933449, 887.8577120892148, 10.462982712806163,
+                            np.linspace(0.001, 23.3394277363693, 4), functional="scaling")
+        messages = [str(exc) for _, exc in table.failures]
+        assert ["wide-band limit" in msg for msg in messages] == [True, True, False, False]
+        assert ["overflows" in msg for msg in messages] == [False, False, True, True]
 
     def test_bad_grid_exit_2(self):
         assert run_cli(["sweep", "--s", "0.3", "--delta", "1", "--omega-c", "10",
@@ -247,6 +266,17 @@ class TestOracleCommand:
         record = json.loads(out.read_text())
         assert record["energy_exact"] <= record["energy_ado_discrete"] + 1e-9
         assert record["fidelity"] > 0.99
+
+    def test_chain_basis_at_zero_coupling(self, capsys):
+        # the chain form of a zero coupling vector once divided by its zero norm
+        code = run_cli(["oracle", "--s", "0.3", "--alpha", "0", "--delta", "1",
+                        "--omega-c", "10", "--n-modes", "2", "--n-boson", "3", "--basis", "chain"])
+        out, err = capsys.readouterr()
+        assert code == 0
+        assert len(err.splitlines()) == 1 and err.startswith("oracle: F=")
+        record = json.loads(out)
+        assert record["energy_exact"] == pytest.approx(-0.5, abs=1e-12)
+        assert record["fidelity"] == pytest.approx(1.0, abs=1e-12)
 
 
 class TestExponentsCommand:

@@ -7,7 +7,8 @@ import scipy.sparse as sp
 
 from subohmic import oracle
 from subohmic.errors import DomainError, SizeError
-from subohmic.model import ModelParams, discretize_bath
+from subohmic.critical import critical_coupling_numeric
+from subohmic.model import ModelParams, bath_as_measures, discretize_bath
 from subohmic.oracle import (
     OracleConfig,
     _chain_form,
@@ -179,6 +180,37 @@ class TestGroundState:
         monkeypatch.setattr(oracle, "_ROW_BLOCK", 8)
         assert oracle._max_abs_row_sum(h) == np.abs(h).sum(axis=1).max()
 
+    @pytest.mark.parametrize("which_basis", ["star", "chain"])
+    def test_krylov_memory_is_a_small_subspace(self, which_basis):
+        # everything eigsh holds is counted in vectors of dim floats; 36
+        # kept Lanczos vectors alone would read about 78
+        p = params(0.03)
+        h = build_hamiltonian(discretize_bath(p, 4), p, OracleConfig(4, 8, which_basis))
+        tracemalloc.start()
+        try:
+            ground_state(h)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 36 * 8 * h.shape[0]
+
+    @pytest.mark.parametrize("which_basis", ["star", "chain"])
+    @pytest.mark.parametrize("n_modes, nb, dense", [(3, 6, True), (4, 8, False)])
+    def test_localized_phase_converges(self, n_modes, nb, dense, which_basis):
+        # deep in the localized phase the lowest two levels form a parity
+        # doublet split by ~1e-4 of the energy or less; the Krylov solve must
+        # still meet its residual contract and find the lower level
+        s = 0.4
+        p = params(30.0 * critical_coupling_numeric(s, DELTA, WC), s=s)
+        h = build_hamiltonian(discretize_bath(p, n_modes), p, OracleConfig(n_modes, nb, which_basis))
+        assert h.shape[0] > oracle._DENSE_CUTOFF
+        e, vec = ground_state(h)
+        assert np.linalg.norm(h @ vec - e * vec) <= 1e-10 * max(1.0, abs(h).sum(axis=1).max())
+        if dense:
+            lowest = np.linalg.eigvalsh(h.toarray())[:2]
+            assert lowest[1] - lowest[0] < 1e-4 * abs(lowest[0])  # the doublet is there
+            assert e == pytest.approx(lowest[0], rel=0.0, abs=1e-12 * max(1.0, abs(lowest[0])))
+
     def test_variational_bound_against_ado(self):
         p = params(0.5 * ALPHA_C_NUM)
         bath = discretize_bath(p, 4)
@@ -236,6 +268,55 @@ class TestAdoOnDiscrete:
             bath, DELTA)
         assert e == pytest.approx(e_alt, rel=1e-10)
 
+    @staticmethod
+    def _static_crossings(s, delta, n_modes):
+        # couplings bisected next to where the delocalized branch at m = 0
+        # rises through the static energy, a few of them within (1e-13, 1e-6)
+        # above it; the bracket comes from a coarse scan, so no digit is pinned
+        def gap(alpha):
+            p = params(alpha, s=s, delta=delta)
+            fn = Functional.measures(delta, *bath_as_measures(discretize_bath(p, n_modes)))
+            return float(fn.branch(0.0)) - fn.static, fn.static
+
+        alphas = np.geomspace(0.1, 3.0, 100)
+        signs = [gap(a)[0] > 0.0 for a in alphas]
+        k = signs.index(True)
+        assert k > 0
+        lo, hi = alphas[k - 1], alphas[k]
+        near = []
+        for _ in range(50):
+            mid = 0.5 * (lo + hi)
+            above, static = gap(mid)
+            if 1e-13 * max(1.0, abs(static)) < above < 1e-6:
+                near.append(mid)
+            lo, hi = (lo, mid) if above > 0.0 else (mid, hi)
+        assert len(near) >= 3
+        return near
+
+    @pytest.mark.parametrize("m_zero_only", [False, True])
+    @pytest.mark.parametrize("s, n_modes", [(0.3, 2), (0.3, 3), (0.5, 4)])
+    def test_returned_state_owns_the_energy(self, s, n_modes, m_zero_only, monkeypatch):
+        # a returned state with tunneling and |m| < 1 carries its own branch
+        # energy; any other returned state carries the static energy.  Where
+        # branch(0) lies above static, a magnetized root of the full minimizer
+        # undercuts both, so ado_on_discrete's guard only meets its case when
+        # offered the m = 0 candidate alone, as minimize reports it when no
+        # root wins; the guard must then return the localized state
+        delta = 10.0
+        near = self._static_crossings(s, delta, n_modes)
+        if m_zero_only:
+            monkeypatch.setattr(Functional, "minimize", lambda fn: (
+                0.0, min(float(fn.branch(0.0)), fn.static), fn.dt(0.0)))
+        for alpha in near:
+            p = params(alpha, s=s, delta=delta)
+            bath = discretize_bath(p, n_modes)
+            e, state = ado_on_discrete(bath, p)
+            fn = Functional.measures(delta, *bath_as_measures(bath))
+            if state.delta_tilde > 0.0 and abs(state.m) < 1.0:
+                assert abs(float(fn.branch(state.m)) - e) <= 1e-13 * max(1.0, abs(fn.static))
+            else:
+                assert e == fn.static
+
     def test_converges_to_continuum(self):
         p = params(0.02)
         e_cont = Functional.of(p).energy(0.0)
@@ -258,6 +339,25 @@ class TestBasisIndependence:
         f_star = fidelity(state, bath, v_star, cfg_star)
         f_chain = fidelity(state, bath, v_chain, cfg_chain)
         assert abs(f_star.fidelity - f_chain.fidelity) <= 1e-6
+
+    @pytest.mark.parametrize("n_modes, nb", [(2, 3), (3, 5)])
+    def test_chain_is_star_at_zero_coupling(self, n_modes, nb):
+        # no coupling, no collective mode: the chain form is the star form
+        # (dims 18 and 250 take the dense and the Krylov path)
+        p = params(0.0)
+        bath = discretize_bath(p, n_modes)
+        eps, hop, g_norm, basis = _chain_form(bath)
+        assert np.array_equal(eps, bath.frequencies) and not hop.any() and g_norm == 0.0
+        assert np.array_equal(basis, np.eye(n_modes))
+        _, state = ado_on_discrete(bath, p)
+        out = {}
+        for which_basis in ("star", "chain"):
+            cfg = OracleConfig(n_modes, nb, which_basis)
+            e, vec = ground_state(build_hamiltonian(bath, p, cfg))
+            out[which_basis] = e, fidelity(state, bath, vec, cfg).fidelity
+        assert out["chain"][0] == pytest.approx(out["star"][0], rel=0.0, abs=1e-12)
+        assert out["chain"][1] == pytest.approx(out["star"][1], rel=0.0, abs=1e-12)
+        assert out["star"] == pytest.approx((-0.5 * DELTA, 1.0), rel=0.0, abs=1e-12)
 
 
 class TestFidelity:

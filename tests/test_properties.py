@@ -263,6 +263,22 @@ def test_static_is_the_energy_at_full_polarization(s, log_omega_c, log_alpha):
         assert fn.energy(1.0) == fn.energy(-1.0) == fn.static
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(s=st.floats(0.02, 0.98), log_alpha=st.floats(math.log(1e-6), math.log(100.0)),
+       log_delta=st.floats(math.log(1e-2), math.log(1e2)),
+       log_omega_c=st.floats(math.log(0.5), math.log(1e3)), m=st.floats(0.0, 1.0))
+def test_exact_functional_gives_a_spin_state(s, log_alpha, log_delta, log_omega_c, m):
+    # dt <= delta makes r = |(sx, sz)| <= 1 for the full functional, at the
+    # minimum and at any m, over the CLI fuzz ranges; observables raises
+    # past 1 + 1e-12, which only the wide-band tunneling reaches
+    delta = math.exp(log_delta)
+    p = ModelParams(s=s, alpha=math.exp(log_alpha), delta=delta, omega_c=math.exp(log_omega_c))
+    fn = Functional.of(p)
+    for m_k, dt in (fn.minimize()[::2], (m, fn.dt(m))):
+        r = math.hypot(_q_of(m_k) * dt / delta, m_k)
+        assert r <= 1.0 + 1e-12, (m_k, dt, r)
+
+
 def shape_energy(m, dt, delta, mu0, mu_m1):
     """ADO energy of the optimal shapes at ``(m, dt)``, from the shapes: the
     true branch overlap and the bath terms in ``u = w phi`` against ``dmu/w``."""
