@@ -26,7 +26,7 @@ import numpy as np
 from .errors import BracketError, ConvergenceError, DomainError
 from .model import ModelParams, bath_measures
 from .numerics import FitResult, find_root, fit_power_law, lambert_w0
-from .variational import Functional, VariationalState, observables
+from .variational import Functional, VariationalState, observables, spin_vector
 
 _ROW_ERRORS = (DomainError, ConvergenceError, BracketError)  # recorded per row
 _FIT_WINDOW = (1e-4, 1e-2)  # reduced-coupling window for exponent fits
@@ -145,7 +145,8 @@ def critical_point(s: float, delta: float, omega_c: float,
     critical coupling and tunneling both come from ``functional``: for the
     full one, the coupling and ``dt(0)`` of the same root
     (:func:`_critical_root`), for the wide-band one the Lambert-W ``dt(0)``
-    at its critical coupling."""
+    at its critical coupling.  ``sx_c`` is :func:`~subohmic.variational.spin_vector`'s
+    at ``m = 0``, which raises where the wide-band ``dt_c`` exceeds ``delta``."""
     alpha_closed, _ = critical_coupling_closed(s, delta, omega_c)
     if functional == "exact":
         alpha_num, dt_c = _critical_root(s, delta, omega_c)
@@ -158,7 +159,7 @@ def critical_point(s: float, delta: float, omega_c: float,
         alpha_c_numeric=alpha_num,
         alpha_c_closed=alpha_closed,
         delta_tilde_c=dt_c,
-        sx_c=dt_c / delta,
+        sx_c=spin_vector(0.0, dt_c, delta)[0],
     )
 
 

@@ -72,12 +72,10 @@ _EPS = float(np.finfo(float).eps)
 _LOG_FLOAT_MAX = 708.0  # e^(+-708) are normal floats
 
 
-def _q_of(m):
+def _q_of(m: float) -> float:
     # q = sqrt(1 - m^2) as sqrt((1-m)(1+m)), clamped at 0: 1 - m*m would carry the
     # rounding of m*m, 1.25e-9 relative at q = 1e-4; this stays within 4 eps
-    if np.ndim(m) == 0:
-        return math.sqrt(max(0.0, (1.0 - m) * (1.0 + m)))
-    return np.sqrt(np.maximum(0.0, (1.0 - m) * (1.0 + m)))
+    return math.sqrt(max(0.0, (1.0 - m) * (1.0 + m)))
 
 
 def displacements(omega, m: float, delta_tilde: float):
@@ -180,51 +178,43 @@ def _safe_step(g: float, k: float) -> float:
     return 2.0 * g / ((1.0 - k) + r) if k < 1.0 else ((k - 1.0) + r) / k
 
 
-def _solve_delta_tilde(m, delta: float, mu0: QuadratureRule,
-                       max_iter: int = _FIXED_POINT_MAX_ITER):
-    """Largest fixed point of ``dt = delta * exp(-overlap/2)``, for one ``m``
-    or an array of them (float in, float out; array in, array out).
+def _solve_delta_tilde(m: float, delta: float, mu0: QuadratureRule,
+                       max_iter: int = _FIXED_POINT_MAX_ITER) -> float:
+    """Largest fixed point of ``dt = delta * exp(-overlap/2)`` at ``m``; 0 at
+    ``|m| = 1``.
 
     Descends on ``g(u) = u - log(delta) + I/2`` in ``u = log dt`` from ``u =
     log(delta)``, where ``g >= 0``, with ``I = q^2 int dmu/(dt+qw)^2`` and
-    ``g' = 1 - K``, ``K = dt q^2 int dmu/(dt+qw)^3``; all unfinished rows are
-    evaluated together.  Each step is the largest one that provably keeps
-    ``g >= 0``, so no step passes the largest root, and next to it the step
-    is Newton's.  Roots below ``1e-12 * delta`` count as ``dt = 0``.  Raises
-    :class:`ConvergenceError` after ``max_iter`` steps.
+    ``g' = 1 - K``, ``K = dt q^2 int dmu/(dt+qw)^3``.  Each step is the
+    largest one that provably keeps ``g >= 0``, so no step passes the largest
+    root, and next to it the step is Newton's.  Roots below ``1e-12 * delta``
+    count as ``dt = 0``.  Raises :class:`ConvergenceError` after ``max_iter``
+    steps.
     """
-    ms = np.atleast_1d(np.asarray(m, dtype=float))
-    out = np.zeros(ms.shape)
+    if abs(m) >= 1.0:
+        return 0.0
+    q, w, wt = _q_of(m), mu0.nodes, mu0.weights
     log_delta = math.log(delta)
     floor = log_delta + _LOG_COLLAPSE
-    rows = [(i, _q_of(x), log_delta, math.inf)  # (row, q, u, g at the last u)
-            for i, x in enumerate(ms.tolist()) if abs(x) < 1.0]
+    u, g = log_delta, math.inf
     for _ in range(max_iter):
-        if not rows:
-            break
-        q = np.array([r[1] for r in rows])
-        dt = np.exp([r[2] for r in rows])
-        den = dt[:, None] + q[:, None] * mu0.nodes
+        dt = float(np.exp(u))  # numpy's exp; math.exp differs in the last bit for ~5% of u
+        den = dt + q * w
         inv2 = 1.0 / (den * den)
-        big_i, k = q * q * (inv2 @ mu0.weights), q * q * dt * ((inv2 / den) @ mu0.weights)
-        pending = []
-        for (row, q_r, u, _), i_r, k_r in zip(rows, big_i.tolist(), k.tolist()):
-            g = u - log_delta + 0.5 * i_r
-            step = _safe_step(g, k_r)
-            if step <= _NEWTON_TOL:
-                u -= step
-            elif g > 8.0 * _EPS * (abs(u) + abs(log_delta) + 0.5 * i_r):
-                if u >= floor:  # else the largest root lies below the floor: dt = 0
-                    pending.append((row, q_r, u - step, g))
-                continue
-            if u >= floor:
-                out[row] = math.exp(u)
-        rows = pending
-    if rows:
-        raise ConvergenceError(
-            f"_solve_delta_tilde: {len(rows)} fixed point(s) unconverged after "
-            f"{max_iter} iterations; residual g up to {max(r[3] for r in rows):.3e}")
-    return float(out[0]) if np.ndim(m) == 0 else out
+        big_i, k = q * q * float(inv2 @ wt), q * q * dt * float((inv2 / den) @ wt)
+        g = u - log_delta + 0.5 * big_i
+        step = _safe_step(g, k)
+        if step <= _NEWTON_TOL:
+            u -= step
+        elif g > 8.0 * _EPS * (abs(u) + abs(log_delta) + 0.5 * big_i):
+            if u < floor:  # the largest root lies below the floor: dt = 0
+                return 0.0
+            u -= step
+            continue
+        return math.exp(u) if u >= floor else 0.0
+    raise ConvergenceError(
+        f"_solve_delta_tilde: fixed point at m={m!r} unconverged after {max_iter} "
+        f"iterations; residual g = {g:.3e}")
 
 
 def solve_delta_tilde_scaling(m: float, p: ModelParams) -> float:
@@ -251,15 +241,6 @@ def _clamped_root(base: float, t: float) -> float:
     return math.exp(min(max(math.log(base) / t, -_LOG_FLOAT_MAX), _LOG_FLOAT_MAX))
 
 
-def _floats(x) -> np.ndarray:
-    return np.atleast_1d(np.asarray(x, dtype=float))
-
-
-def _like(m, out: np.ndarray):
-    # float for a scalar m, the array otherwise
-    return float(out[0]) if np.ndim(m) == 0 else out
-
-
 _Y_GRID_PER_DECADE = 8  # one mode's term of Phi stays above half its peak over a factor 34 in y
 
 
@@ -268,19 +249,18 @@ class Functional:
     ``dt(m)`` (the largest self-consistent root, 0 where it collapses), the
     finite-tunneling ``branch(m)`` and ``energy(m) = min(branch, static)``,
     which is ``static`` at ``|m| = 1``.  (The intermediate unstable fixed
-    point always lies above the static branch.)  Methods take one ``m``
-    (float out) or an array (array out).
+    point always lies above the static branch.)
 
     One ``Functional`` holds its self-consistent curve, the pairs ``(m, dt =
-    q y)`` of the module docstring: the constructor takes the batched kernel
-    ``solve(ms) -> dts``, the curve's stationarity residual ``residual(ys) =
+    q y)`` of the module docstring: the constructor takes the kernel
+    ``solve(m) -> dt``, the curve's stationarity residual ``residual(ys) =
     (2/dt) dE/dq``, which vanishes exactly at the magnetized stationary points
     of the branch, its tunneling ``curve_dt(ys)``, and a ``span`` of ``y``
     that holds every such point on the largest-root branch.  The branch
     energy at a pair is ``static - (q dt/4) (1 - residual(dt/q))``.
     """
 
-    def __init__(self, static: float, solve: Callable[[np.ndarray], np.ndarray],
+    def __init__(self, static: float, solve: Callable[[float], float],
                  residual: Callable[[np.ndarray], np.ndarray],
                  curve_dt: Callable[[np.ndarray], np.ndarray], span: tuple[float, float]):
         self.static = static
@@ -299,7 +279,7 @@ class Functional:
         def curve_dt(ys):
             return delta * np.exp(-0.5 * ((1.0 / np.add.outer(ys, mu0.nodes) ** 2) @ mu0.weights))
 
-        return cls(-0.25 * mu_m1.total_mass, lambda ms: _solve_delta_tilde(ms, delta, mu0),
+        return cls(-0.25 * mu_m1.total_mass, lambda m: _solve_delta_tilde(m, delta, mu0),
                    residual, curve_dt, (_COLLAPSE_FRACTION * delta, mu_m1.total_mass))
 
     @classmethod
@@ -363,33 +343,29 @@ class Functional:
         # the span's ends leave the floats for t -> 0; clamped to e^(+-708)
         # it still holds every root with |log y| < 708
         span = (_clamped_root(t * b, t), _clamped_root(2.0 * (b * t + (2.0 - s) * a), t))
-        return cls(static_shift_energy(p), lambda ms: np.array([solve_one(m) for m in ms.tolist()]),
-                   residual, curve_dt, span)
+        return cls(static_shift_energy(p), solve_one, residual, curve_dt, span)
 
-    def dt(self, m):
+    def dt(self, m: float) -> float:
         """Effective tunneling, the largest self-consistent root."""
-        return _like(m, self._solve(_floats(m)))
+        return self._solve(m)
 
-    def branch(self, m):
+    def branch(self, m: float) -> float:
         """Finite-tunneling branch energy at the self-consistent ``dt``."""
-        ms = _floats(m)
-        return _like(m, self._branch(ms, self._solve(ms)))
+        return self._branch(m, self._solve(m))
 
-    def energy(self, m):
+    def energy(self, m: float) -> float:
         """``min(branch, static)``; ``static`` at ``|m| = 1``."""
-        ms = _floats(m)
-        return _like(m, np.minimum(self._branch(ms, self._solve(ms)), self.static))
+        return min(self.branch(m), self.static)
 
-    def _branch(self, ms: np.ndarray, dts: np.ndarray) -> np.ndarray:
-        # static - (q dt/4)(1 - residual(dt/q)) on the self-consistent pairs; collapsed
-        # and fully polarized rows stay static and never reach the residual, inf at y = 0
-        if np.any(np.abs(ms) > 1.0):
+    def _branch(self, m: float, dt: float) -> float:
+        # static - (q dt/4)(1 - residual(dt/q)) on a self-consistent pair; a collapsed
+        # or fully polarized pair stays static and never reaches the residual, inf at y = 0
+        if abs(m) > 1.0:
             raise DomainError("Functional: |m| must be <= 1")
-        out = np.full(ms.shape, self.static)
-        live = (dts > 0.0) & (np.abs(ms) < 1.0)
-        q, d = _q_of(ms[live]), dts[live]
-        out[live] = self.static - 0.25 * q * d * (1.0 - self._residual(d / q))
-        return out
+        if dt <= 0.0 or abs(m) >= 1.0:
+            return self.static
+        q = _q_of(m)
+        return self.static - 0.25 * q * dt * (1.0 - float(self._residual(dt / q)))
 
     def minimize(self) -> tuple[float, float, float]:
         """Minimum of the even :meth:`energy` over ``m`` in ``[0, 1]``: ``(m,
@@ -418,7 +394,7 @@ class Functional:
         qs = self._curve_dt(ys) / ys
         ms = [0.0] + [_q_of(q) for q in qs.tolist() if 0.0 < q < 1.0]  # m = sqrt(1 - q^2)
         dts = [self.dt(m) for m in ms]  # one cold solve per m, so dt(m) comes back bit for bit
-        es = np.minimum(self._branch(np.array(ms), np.array(dts)), self.static).tolist()
+        es = [min(self._branch(m, dt), self.static) for m, dt in zip(ms, dts)]
         j = min(range(1, len(es)), key=es.__getitem__, default=0)
         if j == 0 or es[j] >= es[0] - 1e-13 * max(1.0, abs(es[0])):
             return 0.0, es[0], dts[0]
@@ -444,29 +420,38 @@ def minimize_energy(p: ModelParams, functional: str = "exact") -> GroundStateSol
     return observables(VariationalState.build(m, dt), p, energy=e)
 
 
-def observables(state: VariationalState, p: ModelParams, energy: float) -> GroundStateSolution:
-    """Populate spin observables and bath flags for a given state.
-
-    ``<sigma_x> = sqrt(1 - m^2) * dt / delta`` (twice the amplitude product
-    times the branch overlap); the spin-bath entanglement is the binary
-    entropy of ``p_pm = (1 pm r)/2`` with ``r = sqrt(sx^2 + sz^2)``, in bits.
-    ``crossover_scale = m dt / sqrt(1-m^2)`` separates slow modes (same-sign,
-    mean-field-like displacements) from fast, adiabatically dressing ones.
+def spin_vector(m: float, dt: float, delta: float) -> tuple[float, float]:
+    """``(sx, r)`` of the state ``(m, dt)``: ``<sigma_x> = sqrt(1 - m^2) dt /
+    delta`` (twice the amplitude product times the branch overlap) and the
+    spin vector length ``r = sqrt(sx^2 + m^2)``.
 
     Raises :class:`DomainError` when ``r > 1 + 1e-12``, which no spin state
     has.  ``dt <= delta`` keeps ``r <= 1`` for the full functional, but the
     wide-band tunneling, up to ``D = delta e^(alpha/(1-s))``, can exceed
     ``delta`` when ``omega_c`` is not much larger than ``delta``.
     """
-    m = state.m
-    dt = state.delta_tilde
-    q = state.q
-    sx = q * dt / p.delta
+    sx = _q_of(m) * dt / delta
     r = math.hypot(sx, m)
     if r > 1.0 + 1e-12:
         raise DomainError(f"spin vector length {r:.6g} > 1 (sx = {sx:.6g}, M = {m:.6g}): "
-                          f"dt/delta = {dt / p.delta:.6g}, outside the wide-band limit "
+                          f"dt/delta = {dt / delta:.6g}, outside the wide-band limit "
                           f"omega_c >> delta")
+    return sx, r
+
+
+def observables(state: VariationalState, p: ModelParams, energy: float) -> GroundStateSolution:
+    """Populate spin observables and bath flags for a given state.
+
+    ``sx`` and ``r`` come from :func:`spin_vector`, which raises past ``r =
+    1``; the spin-bath entanglement is the binary entropy of ``p_pm = (1 pm
+    r)/2``, in bits.  ``crossover_scale = m dt / sqrt(1-m^2)`` separates slow
+    modes (same-sign, mean-field-like displacements) from fast, adiabatically
+    dressing ones.
+    """
+    m = state.m
+    dt = state.delta_tilde
+    q = state.q
+    sx, r = spin_vector(m, dt, p.delta)
     ent = _binary_entropy_bits(0.5 * (1.0 + min(r, 1.0)))
     crossover = math.inf if q == 0.0 and m != 0.0 else (m * dt / q if q > 0.0 else 0.0)
     return GroundStateSolution(

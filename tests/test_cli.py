@@ -220,6 +220,15 @@ class TestCriticalCommand:
         assert run_cli(["critical", "--s", "0.7", "--delta", "1",
                         "--omega-c", "10"]) == 2
 
+    def test_wide_band_spin_vector_beyond_one_exit_2(self, capsys):
+        # at omega_c = delta the wide-band dt_c = 1.0615 delta would print sx_c > 1
+        assert run_cli(["critical", "--s", "0.3", "--delta", "1", "--omega-c", "1",
+                        "--functional", "scaling"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert "domain error" in err and "wide-band limit" in err and "sx = 1.06152" in err
+
     def test_nonconvergence_exit_3(self, monkeypatch):
         from subohmic import cli
         from subohmic.errors import ConvergenceError
