@@ -186,10 +186,10 @@ def bath_as_measures(bath: DiscretizedBath) -> tuple[QuadratureRule, QuadratureR
     """Discrete-bath analogue of :func:`bath_measures`.
 
     The mode list is itself a measure: ``sum_l g_l^2 f(w_l)`` plays the role
-    of ``int f dmu``, so the same variational kernels run on both.
+    of ``int f dmu``, so the same variational kernels run on both.  A
+    decoupled mode carries no measure and is left out.
     """
-    w = bath.frequencies
-    g2 = bath.couplings**2
-    if np.any(g2 <= 0.0):
-        raise DomainError("bath_as_measures: zero-coupling modes carry no measure")
+    coupled = bath.couplings != 0.0
+    w = bath.frequencies[coupled]
+    g2 = bath.couplings[coupled] ** 2
     return QuadratureRule(w, g2), QuadratureRule(w, g2 / w)

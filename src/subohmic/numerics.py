@@ -207,7 +207,12 @@ def power_rule_log(sigma: float, upper: float, prefactor: float = 1.0) -> Quadra
     template at ``upper = 1``, scaled by ``upper``.  Accuracy is uniform for
     integrands with structure anywhere in ``(1e-7 * upper, upper)``, e.g.
     rational factors whose pole distance from the interval is many orders of
-    magnitude smaller than ``upper``.
+    magnitude smaller than ``upper``.  Below ``1e-7 * upper`` the head alone
+    resolves the pole, and the accuracy falls off.  Against 30-digit
+    ``hyp2f1`` for ``int w^sigma (y + w)^-k dw`` (``k = 2, 3``, ``sigma = s``
+    and ``s - 1``, ``s`` in [0.02, 0.95]) the worst relative error is 2e-15
+    at ``y = 3e-8 * upper``, 5e-10 at ``1e-8``, 2e-5 at ``3e-9``, 9e-3 at
+    ``1e-9`` and between 1 and 14 from ``1e-13`` to ``1e-10``.
     """
     if sigma <= -1.0:
         raise DomainError(f"power_rule_log: exponent {sigma} not integrable at 0")

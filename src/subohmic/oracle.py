@@ -18,6 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import hessenberg
 from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .errors import ConvergenceError, DomainError, SizeError
@@ -71,34 +72,24 @@ class FidelityResult(NamedTuple):
     truncation_loss: float
 
 
-def _chain_form(bath: DiscretizedBath) -> tuple[np.ndarray, np.ndarray, float, np.ndarray]:
-    # Lanczos with full reorthogonalization on diag(w) from the coupling
-    # vector: any mode list, not only a Gauss bath with a closed-form chain.
-    # basis[n, l] takes star modes to chain modes; row 0 is the collective
-    # coupling mode, so the coupling term becomes |g| (b_0 + b_0^+).  With
-    # no coupling there is no collective mode: the star form is returned
-    w, L = bath.frequencies, bath.n_modes
-    g_norm = float(np.linalg.norm(bath.couplings))
-    if g_norm == 0.0:
-        return w.copy(), np.zeros(L - 1), 0.0, np.eye(L)
-    basis = np.empty((L, L))
-    basis[0] = bath.couplings / g_norm
-    eps = np.empty(L)
-    hop = np.empty(L - 1)
-    for k in range(L):
-        u = w * basis[k]
-        if k > 0:
-            u -= hop[k - 1] * basis[k - 1]
-        eps[k] = basis[k] @ u
-        if k == L - 1:
-            break
-        u -= eps[k] * basis[k]
-        u -= basis[: k + 1].T @ (basis[: k + 1] @ u)
-        hop[k] = np.linalg.norm(u)
-        if hop[k] <= 0.0:
-            raise ConvergenceError("_chain_form: Krylov space exhausted")
-        basis[k + 1] = u / hop[k]
-    return eps, hop, g_norm, basis
+def _modes(bath: DiscretizedBath,
+           which_basis: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    # (mode energies, hoppings, spin couplings, transform[n, l] from star
+    # mode l to mode n).  The chain is the Householder tridiagonalization of
+    # the arrowhead [[0, g^T], [g, diag(w)]]: the reflections leave row 0
+    # alone, so |g| couples to site 0 only, and a zero g reflects nothing,
+    # which is the star form.  Column signs make every hop >= 0
+    w, g = bath.frequencies, bath.couplings
+    if which_basis == "star":
+        return w, np.zeros(bath.n_modes - 1), g, np.eye(bath.n_modes)
+    arrow = np.diag(np.concatenate(([0.0], w)))
+    arrow[0, 1:] = arrow[1:, 0] = g
+    h, q = hessenberg(arrow, calc_q=True)
+    sub = np.diag(h, -1)
+    sign = np.cumprod(np.where(sub < 0.0, -1.0, 1.0))
+    coupling = np.zeros(bath.n_modes)
+    coupling[0] = abs(sub[0])
+    return np.diag(h)[1:], np.abs(sub[1:]), coupling, sign[:, None] * q[1:, 1:].T
 
 
 def build_hamiltonian(bath: DiscretizedBath, p: ModelParams, cfg: OracleConfig) -> sp.csr_matrix:
@@ -125,12 +116,7 @@ def build_hamiltonian(bath: DiscretizedBath, p: ModelParams, cfg: OracleConfig) 
     nb = cfg.n_boson
     L = cfg.n_modes
 
-    if cfg.which_basis == "chain":
-        freqs, hop, g_norm, _ = _chain_form(bath)
-        site_coupling = np.zeros(L)
-        site_coupling[0] = g_norm
-    else:
-        freqs, hop, site_coupling = bath.frequencies, np.zeros(L - 1), bath.couplings
+    freqs, hop, site_coupling, _ = _modes(bath, cfg.which_basis)
 
     dim_b = nb**L
     stride = [nb ** (L - 1 - l) for l in range(L)]
@@ -277,16 +263,15 @@ def ado_on_discrete(bath: DiscretizedBath, p: ModelParams) -> tuple[float, Varia
     """Variational minimization with sums over the discrete modes.
 
     Same kernels as the continuum solver, with the mode list acting as the
-    spectral measure.  If the fully displaced configuration undercuts the
-    finite-tunneling branch everywhere, the complete localized state is
+    spectral measure.  Unless the minimum lies strictly below the fully
+    displaced configuration's energy, the complete localized state is
     returned so the state stays consistent with the reported energy.
     """
     if np.all(bath.couplings == 0.0):
         return -0.5 * p.delta, VariationalState.build(0.0, p.delta)
     fn = Functional.measures(p.delta, *bath_as_measures(bath))
     m, energy, dt = fn.minimize()
-    tol = 1e-13 * max(1.0, abs(fn.static))
-    if abs(m) < 1.0 and dt > 0.0 and fn.branch(m) <= fn.static + tol:
+    if energy < fn.static:  # so dt > 0 and |m| < 1: energy(m) is static otherwise
         return energy, VariationalState.build(m, dt)
     return fn.static, VariationalState.build(1.0, 0.0)
 
@@ -352,12 +337,9 @@ def ado_vector(state: VariationalState, bath: DiscretizedBath,
     """
     nb = cfg.n_boson
     fp_per_g, fm_per_g = state.f_pm(bath.frequencies)
-    f_plus = bath.couplings * np.asarray(fp_per_g)
-    f_minus = bath.couplings * np.asarray(fm_per_g)
-    if cfg.which_basis == "chain":
-        _, _, _, basis = _chain_form(bath)
-        f_plus = basis @ f_plus
-        f_minus = basis @ f_minus
+    basis = _modes(bath, cfg.which_basis)[3]
+    f_plus = basis @ (bath.couplings * np.asarray(fp_per_g))
+    f_minus = basis @ (bath.couplings * np.asarray(fm_per_g))
 
     def branch(fs: np.ndarray) -> np.ndarray:
         vec = np.array([1.0])

@@ -10,7 +10,7 @@ from subohmic.chain import chain_map, chain_occupations
 from subohmic.errors import DomainError
 from subohmic.model import ModelParams, discretize_bath, spectral_moment
 from subohmic.numerics import fit_power_law, jacobi_recurrence
-from subohmic.oracle import _chain_form
+from subohmic.oracle import _modes
 from subohmic.variational import (
     Functional,
     VariationalState,
@@ -91,14 +91,14 @@ class TestChainMap:
 
     def test_orthonormal_basis(self):
         # the oracle's star-to-chain map of a discrete bath
-        _, _, _, basis = _chain_form(discretize_bath(params(0.1), 120))
+        _, _, _, basis = _modes(discretize_bath(params(0.1), 120), "chain")
         gram = basis @ basis.T
         assert np.max(np.abs(gram - np.eye(120))) < 1e-8
 
     def test_discrete_modes_roundtrip(self):
         p = params(0.05)
         bath = discretize_bath(p, 6)
-        eps, hop, _, basis = _chain_form(bath)
+        eps, hop, _, basis = _modes(bath, "chain")
         # orthogonal transform preserves the one-body spectrum
         h_chain = np.diag(eps) + np.diag(hop, 1) + np.diag(hop, -1)
         got = np.sort(np.linalg.eigvalsh(h_chain))
@@ -107,9 +107,10 @@ class TestChainMap:
 
     @pytest.mark.parametrize("n_modes", [1, 6, 40])
     def test_discrete_chain_form_matches_closed_form(self, n_modes):
-        # Lanczos on the n-mode Gauss bath reproduces its first n coefficients
+        # tridiagonalizing the n-mode Gauss bath reproduces its first n coefficients
         p = params(0.1)
-        eps, hop, g_norm, _ = _chain_form(discretize_bath(p, n_modes))
+        eps, hop, coupling, _ = _modes(discretize_bath(p, n_modes), "chain")
+        g_norm = coupling[0]
         rep = chain_map(p, n_modes)
         assert np.allclose(eps, rep.site_energies, rtol=1e-12, atol=0.0)
         assert np.allclose(hop, rep.hoppings, rtol=1e-12, atol=0.0)

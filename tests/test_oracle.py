@@ -11,7 +11,7 @@ from subohmic.critical import critical_coupling_numeric
 from subohmic.model import ModelParams, bath_as_measures, discretize_bath
 from subohmic.oracle import (
     OracleConfig,
-    _chain_form,
+    _modes,
     ado_on_discrete,
     ado_vector,
     build_hamiltonian,
@@ -114,7 +114,7 @@ class TestBuildHamiltonian:
     def test_matches_dense_reference(self, n_modes, nb, which_basis):
         p = params(0.1, delta=0.7)
         bath = discretize_bath(p, n_modes)
-        basis = _chain_form(bath)[3] if which_basis == "chain" else np.eye(n_modes)
+        basis = _modes(bath, which_basis)[3]
         h = build_hamiltonian(bath, p, OracleConfig(n_modes, nb, which_basis))
         want = dense_hamiltonian(bath, p.delta, nb, basis)
         tol = 1e-12 * np.max(np.abs(want))
@@ -346,8 +346,8 @@ class TestBasisIndependence:
         # (dims 18 and 250 take the dense and the Krylov path)
         p = params(0.0)
         bath = discretize_bath(p, n_modes)
-        eps, hop, g_norm, basis = _chain_form(bath)
-        assert np.array_equal(eps, bath.frequencies) and not hop.any() and g_norm == 0.0
+        eps, hop, coupling, basis = _modes(bath, "chain")
+        assert np.array_equal(eps, bath.frequencies) and not hop.any() and not coupling.any()
         assert np.array_equal(basis, np.eye(n_modes))
         _, state = ado_on_discrete(bath, p)
         out = {}

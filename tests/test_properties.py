@@ -433,6 +433,22 @@ def test_minimum_undercuts_dense_grid_on_discrete_baths(log_freqs, couplings, de
     assert_minimum_undercuts_dense_grid(Functional.measures(delta, mu0, mu_m1))
 
 
+def test_minimum_between_close_stationary_points():
+    # the mode at w = 1 alone would peak its term of Phi(y) at exactly 1; the
+    # mode at w = 20 lifts it into two roots of Phi = 1 a factor ~1.4 apart in
+    # y, which a y grid of four or fewer points per decade puts in one cell;
+    # the global minimum is the magnetized one
+    bath = DiscretizedBath(np.array([1.0, 20.0]), np.array([2.0, 7.2]))
+    fn = Functional.measures(1.6, *bath_as_measures(bath))
+    ys = np.geomspace(0.1, 10.0, 20001)
+    r = fn._residual(ys)
+    roots = ys[np.flatnonzero(np.signbit(r[:-1]) != np.signbit(r[1:]))]
+    assert roots.size == 2 and roots[1] / roots[0] < 2.0
+    assert_minimum_undercuts_dense_grid(fn)
+    m, e, _ = fn.minimize()
+    assert m > 0.5 and e < fn.energy(0.0) - 1e-4
+
+
 @SETTINGS
 @given(s=st.floats(0.05, 0.49), log_ratio=st.floats(math.log(2.0), math.log(1e4)),
        delta=st.floats(0.1, 10.0))
@@ -493,16 +509,21 @@ N_BOSON = 12
 small_baths = st.integers(2, 3).flatmap(lambda n: st.tuples(
     st.lists(st.floats(math.log(0.3), math.log(5.0)), min_size=n, max_size=n, unique=True),
     st.lists(st.floats(0.05, 0.8), min_size=n, max_size=n),
-    st.floats(0.1, 3.0)))
+    st.floats(0.1, 3.0),
+    st.one_of(st.none(), st.integers(0, n - 1))))
 
 
 def _small_bath(spec):
-    log_freqs, ratios, delta = spec
+    # decoupled: the index of one mode whose coupling is zero (a hop that
+    # is zero up to rounding in the chain basis), or None
+    log_freqs, ratios, delta, decoupled = spec
     w = np.exp(sorted(log_freqs))
     assume(np.all(np.diff(w) > 1e-6))
+    g = np.array(ratios) * w
+    if decoupled is not None:
+        g[decoupled] = 0.0
     # the oracle reads only delta from the model parameters
-    return DiscretizedBath(w, np.array(ratios) * w), ModelParams(s=0.5, alpha=0.1, delta=delta,
-                                                                 omega_c=10.0)
+    return DiscretizedBath(w, g), ModelParams(s=0.5, alpha=0.1, delta=delta, omega_c=10.0)
 
 
 @SETTINGS
