@@ -29,7 +29,6 @@ _DIMENSION_CAP = 2_000_000
 _DENSE_CUTOFF = 64
 _KRYLOV_VECTORS = 12  # Lanczos vectors ARPACK keeps; ground_state says why so few
 _MAX_ITER = 10_000
-_ROW_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -92,8 +91,8 @@ def _modes(bath: DiscretizedBath,
     return np.diag(h)[1:], np.abs(sub[1:]), coupling, sign[:, None] * q[1:, 1:].T
 
 
-def build_hamiltonian(bath: DiscretizedBath, p: ModelParams, cfg: OracleConfig) -> sp.csr_matrix:
-    """Sparse Hamiltonian of the discretized model, filled straight into CSR.
+def build_hamiltonian(bath: DiscretizedBath, p: ModelParams, cfg: OracleConfig) -> sp.dia_matrix:
+    """Sparse Hamiltonian of the discretized model, stored by its diagonals.
 
     ``H = -(delta/2) sx + (sz/2) sum_l g_l (a_l + a_l^+) + sum_l w_l n_l``
     on the product basis with spin slowest and the last mode fastest.  In
@@ -104,12 +103,14 @@ def build_hamiltonian(bath: DiscretizedBath, p: ModelParams, cfg: OracleConfig) 
 
     Every term moves a row's column by a fixed offset: ``x_l`` by
     ``+-nb^(L-1-l)``, the hop ``t_l`` by ``+-(nb^(L-1-l) - nb^(L-2-l))`` and
-    the spin flip by ``+-nb^L``.  Taking the terms in ascending offset
-    order, one pass counts each row's entries into ``indptr`` and a second
-    writes ``indices`` (int32) and ``data`` with every row's columns
-    ascending.  Exact zeros (the vacuum diagonal) are not stored.  The
-    scratch is a few arrays of length ``dim``: the build's peak memory is
-    about 1.3-1.4 times the bytes of the matrix it returns.
+    the spin flip by ``+-nb^L``, so ``H`` is at most ``2L + 3`` diagonals in
+    either basis.  They are stored in ascending offset order, so the DIA
+    matvec adds each row's terms in ascending column order.  A diagonal is
+    indexed by column, ``data[k, j] = H[j - offsets[k], j]``; its slots
+    outside the matrix are padding that the matvec and row sums skip, and
+    the flip diagonals hold ``-delta/2`` there.  The matrix takes
+    ``8 (2L + 3) dim`` bytes, and the build's peak memory is about 1.3
+    times that.
     """
     if bath.n_modes != cfg.n_modes:
         raise DomainError("build_hamiltonian: bath size disagrees with config")
@@ -123,75 +124,45 @@ def build_hamiltonian(bath: DiscretizedBath, p: ModelParams, cfg: OracleConfig) 
     index = np.arange(dim_b, dtype=np.int32)
     occ = [index // k % nb for k in stride]
     sqrt_n = np.sqrt(np.arange(nb, dtype=float))
-    top = nb - 1
-    diag = np.zeros(dim_b)
-    for l in range(L):
-        diag += freqs[l] * occ[l]
+    sqrt_up = np.append(sqrt_n[1:], 0.0)  # sqrt(n + 1), zero at the top level
+    flip = np.full(dim_b, -0.5 * p.delta)
 
     def terms():
-        # (column offset, rows, values, odd in sz) of one spin block's
-        # entries, offsets ascending; each row meets a column only once
-        def coupling(l, step):
-            n = occ[l]
-            rows = np.flatnonzero(n > 0 if step < 0 else n < top)
-            return (step * stride[l], rows,
-                    0.5 * (site_coupling[l] * sqrt_n[n[rows] + (step > 0)]), True)
-
-        def hopping(l, step):
-            n, m = occ[l], occ[l + 1]
-            if step < 0:  # a_l^+ a_{l+1}
-                rows = np.flatnonzero((n > 0) & (m < top))
-                amp = sqrt_n[n[rows]] * sqrt_n[m[rows] + 1]
-            else:
-                rows = np.flatnonzero((n < top) & (m > 0))
-                amp = sqrt_n[n[rows] + 1] * sqrt_n[m[rows]]
-            return step * (stride[l] - stride[l + 1]), rows, hop[l] * amp, False
-
+        # (offset, values on one spin block's columns, odd in sz), offsets
+        # ascending: below the diagonal the row holds one more quantum of
+        # mode l than the column, above it one less
+        yield -dim_b, flip, False
         for l in range(L):
             if site_coupling[l] != 0.0:
-                yield coupling(l, -1)
-            if l < L - 1 and hop[l] != 0.0:
-                yield hopping(l, -1)
-        yield 0, np.flatnonzero(diag), diag[diag != 0.0], False
+                yield -stride[l], 0.5 * (site_coupling[l] * sqrt_up[occ[l]]), True
+            if l < L - 1 and hop[l] != 0.0:  # a_l^+ a_{l+1}
+                yield (stride[l + 1] - stride[l],
+                       hop[l] * (sqrt_up[occ[l]] * sqrt_n[occ[l + 1]]), False)
+        yield 0, sum(freqs[l] * occ[l] for l in range(L)), False
         for l in reversed(range(L)):
             if l < L - 1 and hop[l] != 0.0:
-                yield hopping(l, 1)
+                yield (stride[l] - stride[l + 1],
+                       hop[l] * (sqrt_n[occ[l]] * sqrt_up[occ[l + 1]]), False)
             if site_coupling[l] != 0.0:
-                yield coupling(l, 1)
+                yield stride[l], 0.5 * (site_coupling[l] * sqrt_n[occ[l]]), True
+        yield dim_b, flip, False
 
-    # a spin-up row is its block's entries, then the flip at +nb^L; the
-    # spin-down row of the same bath state is the flip at -nb^L, then the
-    # same entries with the coupling's sign reversed
-    counts = np.ones(dim_b, dtype=np.int32)
-    for _, rows, _, _ in terms():
-        counts[rows] += 1
-    indptr = np.zeros(2 * dim_b + 1, dtype=np.int32)
-    np.cumsum(counts, out=indptr[1:dim_b + 1])
-    half = int(indptr[dim_b])
-    indptr[dim_b + 1:] = indptr[1:dim_b + 1] + half
-    indices = np.empty(2 * half, dtype=np.int32)
-    data = np.empty(2 * half)
-    head = indptr[:dim_b].copy()
-    for offset, rows, values, odd in terms():
-        at = head[rows]
-        indices[at] = rows + offset
-        data[at] = values
-        at += half + 1
-        indices[at] = rows + (offset + dim_b)
-        data[at] = -values if odd else values
-        head[rows] += 1
-    flip = -0.5 * p.delta
-    indices[head] = index + dim_b
-    data[head] = flip
-    indices[indptr[dim_b:-1]] = index
-    data[indptr[dim_b:-1]] = flip
-    return sp.csr_matrix((data, indices, indptr), shape=(2 * dim_b, 2 * dim_b))
+    # the spin-down block repeats the spin-up one with the coupling's sign
+    # reversed; each diagonal is written in place, so no term list is held
+    n_diags = 3 + 2 * (np.count_nonzero(site_coupling) + np.count_nonzero(hop))
+    offsets = np.empty(n_diags, dtype=np.int32)
+    data = np.empty((n_diags, 2 * dim_b))
+    for k, (offset, values, odd) in enumerate(terms()):
+        offsets[k] = offset
+        data[k, :dim_b] = values
+        np.multiply(values, -1.0 if odd else 1.0, out=data[k, dim_b:])
+    return sp.dia_matrix((data, offsets), shape=(2 * dim_b, 2 * dim_b))
 
 
 class _CountingOperator(LinearOperator):
     """Wraps a sparse matrix and counts matrix-vector applications."""
 
-    def __init__(self, h: sp.csr_matrix):
+    def __init__(self, h: sp.spmatrix):
         super().__init__(dtype=float, shape=h.shape)
         self._h = h
         self.matvecs = 0
@@ -201,27 +172,15 @@ class _CountingOperator(LinearOperator):
         return self._h @ v
 
 
-def _max_abs_row_sum(h: sp.csr_matrix) -> float:
-    """``max_i sum_j |h_ij|``, summed over blocks of rows so that no copy
-    of ``h`` or of its data is made."""
-    best = 0.0
-    for lo in range(0, h.shape[0], _ROW_BLOCK):
-        ptr = h.indptr[lo:lo + _ROW_BLOCK + 1]
-        starts = ptr[:-1][ptr[:-1] < ptr[1:]]  # empty rows would repeat a start
-        if starts.size:
-            sums = np.add.reduceat(np.abs(h.data[ptr[0]:ptr[-1]]), starts - ptr[0])
-            best = max(best, float(sums.max()))
-    return best
-
-
 def ground_state(h: sp.spmatrix, count_matvecs: bool = False):
     """Lowest eigenpair by a Krylov method with a fixed all-ones start.
 
     Deterministic; the residual ``|H v - E v|`` is verified against
-    ``1e-10`` times an infinity-norm scale of ``H``.  Dimensions up to 64
-    are handled densely.  Returns ``(energy, vector)`` with the vector's
-    largest-magnitude component made positive, plus the matvec count when
-    requested.
+    ``1e-10 max(1, max_i sum_j |H_ij|)``, from the row sums of ``abs(h)``,
+    which copies the matrix's data once and is freed before the solve.
+    Dimensions up to 64 are handled densely.  Returns ``(energy, vector)``
+    with the vector's largest-magnitude component made positive, plus the
+    matvec count when requested.
 
     The restarted Lanczos keeps ``_KRYLOV_VECTORS = 12`` vectors of ``dim``
     floats.  Each step reorthogonalizes against all kept vectors, and at
@@ -230,9 +189,8 @@ def ground_state(h: sp.spmatrix, count_matvecs: bool = False):
     and a third of the memory.  12 is the smallest size with which no 4x8
     or 5x8 oracle run was slower than with 36.
     """
-    h = h.tocsr()
     dim = h.shape[0]
-    scale = max(1.0, _max_abs_row_sum(h))
+    scale = max(1.0, float(abs(h).sum(axis=1).max()))
     if dim <= _DENSE_CUTOFF:
         vals, vecs = np.linalg.eigh(h.toarray())
         energy, vec = float(vals[0]), vecs[:, 0]

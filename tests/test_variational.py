@@ -410,6 +410,15 @@ class TestMinimizeEnergy:
         m4 = minimize_energy(params(ALPHA_C_NUM * (1 + 4e-3))).sz
         assert m4 / m1 == pytest.approx(2.0, rel=0.05)
 
+    @pytest.mark.parametrize("s, omega_c", [(0.3, 10.0), (0.1, 100.0)])
+    def test_mean_field_exponent_down_to_reduced_coupling_1e_5(self, s, omega_c):
+        # beta = 1/2 makes the ratio 10^(-1/2); at reduced coupling 1e-5 the
+        # magnetized minimum undercuts m = 0 by only ~4e-11 of the energy
+        alpha_c = critical_coupling_numeric(s, DELTA, omega_c)
+        m_5, m_4 = (minimize_energy(params(alpha_c * (1.0 + r), s=s, omega_c=omega_c)).sz
+                    for r in (1e-5, 1e-4))
+        assert m_5 / m_4 == pytest.approx(10.0**-0.5, rel=1e-3)
+
     @pytest.mark.parametrize("s", [0.1, 0.3, 0.4])
     def test_magnetization_resolved_next_to_the_transition(self, s):
         # the energy is flat in m here, but M is a root of the stationarity
