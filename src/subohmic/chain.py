@@ -98,8 +98,7 @@ def chain_occupations(state: VariationalState, p: ModelParams,
     m = state.m
     dt = state.delta_tilde
     q = state.q
-    rule = bath_measure_rule(p, n=max(2 * chain.n_sites + 128, 256),
-                             extra_exponent=-1.0, kind="gauss")
+    rule = bath_measure_rule(p, max(2 * chain.n_sites + 128, 256), extra_exponent=-1.0)
     w = rule.nodes
 
     # w phi_pm = -(m dt / 2) / (dt + q w)  -/+  q w / (2 (dt + q w))

@@ -6,7 +6,8 @@ fixed column order, repeatable float formatting; files are written
 atomically (temp file + rename).  Stdout carries only that payload; the
 one-line summary of each command goes to stderr.  Energies are reported in
 units of ``delta`` and frequencies in units of ``omega_c`` unless
-``--raw-units`` is given.
+``--raw-units`` is given.  Each command has one option table: its flags and
+its config-file keys are exactly the options it reads.
 
 Exit codes: 0 success, 2 domain error, 3 numerical non-convergence,
 64 usage error.  A ``sweep`` or ``phase-diagram`` row that fails is written
@@ -69,9 +70,6 @@ _OPTIONS = {
     "points_per_side": _Option(int, 12),
 }
 
-_COMMON = ("s", "delta", "omega_c", "output", "raw_units")
-
-
 @dataclass
 class RunConfig:
     """One fully resolved invocation: a command plus its parameters."""
@@ -82,14 +80,14 @@ class RunConfig:
     def params(self) -> ModelParams:
         """Model parameters from the options.  ``alpha`` is required by the
         commands that take ``--alpha``; for the others it is 0."""
-        with_alpha = "alpha" in _COMMANDS[self.command].options
-        required = ("s", "alpha", "delta", "omega_c") if with_alpha else ("s", "delta", "omega_c")
-        missing = [k for k in required if self.options.get(k) is None]
+        keys = _COMMANDS[self.command].options
+        missing = [k for k in ("s", "alpha", "delta", "omega_c")
+                   if k in keys and self.options.get(k) is None]
         if missing:
             raise DomainError(f"missing required parameter(s): {', '.join(missing)}")
         return ModelParams(
             s=self.options["s"],
-            alpha=self.options["alpha"] if with_alpha else 0.0,
+            alpha=self.options["alpha"] if "alpha" in keys else 0.0,
             delta=self.options["delta"],
             omega_c=self.options["omega_c"],
         )
@@ -121,12 +119,14 @@ def _cast(key: str, value: str):
     return kind(value)
 
 
-def load_config(path: str | Path) -> dict:
-    """Parse the line-oriented ``key = value`` config format.
+def load_config(path: str | Path, command: str) -> dict:
+    """Parse the line-oriented ``key = value`` config format for ``command``.
 
-    Blank lines and ``#`` comments are ignored; unknown keys, malformed
-    lines and bad values are errors that name the offending line number.
+    Blank lines and ``#`` comments are ignored; a key outside the command's
+    option table, a malformed line and a bad value are errors that name the
+    offending line number.
     """
+    keys = _COMMANDS[command].options
     out: dict = {}
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -141,8 +141,9 @@ def load_config(path: str | Path) -> dict:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in _OPTIONS:
-            raise DomainError(f"{path}:{lineno}: unknown key {key!r}")
+        if key not in keys:
+            raise DomainError(f"{path}:{lineno}: unknown key {key!r} for {command}, "
+                              f"which takes {', '.join(keys)}")
         try:
             out[key] = _cast(key, value)
         except ValueError as exc:
@@ -163,9 +164,12 @@ def _parse_grid(spec: str) -> np.ndarray:
 
 def _parse_list(spec: str) -> list[float]:
     try:
-        return [float(tok) for tok in spec.split(",") if tok.strip()]
+        values = [float(tok) for tok in spec.split(",") if tok.strip()]
     except ValueError as exc:
         raise DomainError(f"bad list spec {spec!r}, expected comma-separated numbers") from exc
+    if not values:
+        raise DomainError(f"bad list spec {spec!r}, expected at least one number")
+    return values
 
 
 def _format_float(x: float) -> str:
@@ -397,7 +401,8 @@ def _cmd_exponents(cfg: RunConfig) -> _Output:
         "window_lo": window[0], "window_hi": window[1],
         "beta": beta.exponent, "beta_prefactor": beta.prefactor,
         "beta_residual": beta.residual,
-        "gamma": gamma.exponent, "gamma_prefactor": gamma.prefactor,
+        # chi = 1/(4 c1) is an inverse energy: its prefactor is given per 1/delta
+        "gamma": gamma.exponent, "gamma_prefactor": gamma.prefactor * cfg.unit(p.delta),
         "gamma_residual": gamma.residual,
     }
     return _Output(_json_text(record), f"exponents: beta={_format_float(beta.exponent)} "
@@ -408,24 +413,32 @@ def _cmd_exponents(cfg: RunConfig) -> _Output:
 
 class _Command(NamedTuple):
     help: str
-    options: tuple  # keys of _OPTIONS beyond _COMMON
+    options: tuple  # keys of _OPTIONS: the command's flags and config-file keys
     handler: Callable[[RunConfig], _Output]
 
 
 _COMMANDS = {
-    "solve": _Command("ground state at one coupling", ("alpha", "functional"), _cmd_solve),
-    "sweep": _Command("ground state along a coupling grid", ("alpha_grid", "functional"),
-                      _cmd_sweep),
-    "critical": _Command("critical coupling, numeric and closed form", ("functional",),
+    "solve": _Command("ground state at one coupling",
+                      ("s", "alpha", "delta", "omega_c", "functional", "raw_units", "output"),
+                      _cmd_solve),
+    "sweep": _Command("ground state along a coupling grid",
+                      ("s", "delta", "omega_c", "alpha_grid", "functional", "raw_units",
+                       "output"), _cmd_sweep),
+    "critical": _Command("critical coupling, numeric and closed form",
+                         ("s", "delta", "omega_c", "functional", "raw_units", "output"),
                          _cmd_critical),
     "phase-diagram": _Command("critical couplings over (s, omega_c)",
-                              ("s_grid", "omega_c_list", "functional"), _cmd_phase_diagram),
+                              ("s_grid", "delta", "omega_c_list", "functional", "output"),
+                              _cmd_phase_diagram),
     "chain": _Command("chain coefficients or site occupations",
-                      ("alpha", "n_sites", "occupations", "frame"), _cmd_chain),
+                      ("s", "alpha", "delta", "omega_c", "n_sites", "occupations", "frame",
+                       "raw_units", "output"), _cmd_chain),
     "oracle": _Command("exact diagonalization cross-check",
-                       ("alpha", "n_modes", "n_boson", "basis"), _cmd_oracle),
-    "exponents": _Command("critical exponent fits", ("window", "points_per_side", "functional"),
-                          _cmd_exponents),
+                       ("s", "alpha", "delta", "omega_c", "n_modes", "n_boson", "basis",
+                        "raw_units", "output"), _cmd_oracle),
+    "exponents": _Command("critical exponent fits",
+                          ("s", "delta", "omega_c", "window", "points_per_side", "functional",
+                           "raw_units", "output"), _cmd_exponents),
 }
 
 
@@ -456,15 +469,17 @@ def run(cfg: RunConfig) -> int:
 @functools.cache
 def _parser() -> _Parser:
     # built on first use, not at import, and then kept for the process
-    parser = _Parser(prog="subohmic",
+    # no abbreviations: a flag another command takes, or a prefix of one of
+    # this command's (--omega-c of --omega-c-list), is a usage error
+    parser = _Parser(prog="subohmic", allow_abbrev=False,
                      description="Variational ground state of the sub-ohmic spin-boson model")
     parser.add_argument("--version", action="version", version=f"subohmic {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, command in _COMMANDS.items():
-        sp = sub.add_parser(name, help=command.help)
+        sp = sub.add_parser(name, help=command.help, allow_abbrev=False)
         sp.add_argument("--config", type=str, default=None,
                         help="key = value file; flags override file values")
-        for key in _COMMON + command.options:
+        for key in command.options:
             opt = _OPTIONS[key]
             flag = "--" + key.replace("_", "-")
             if opt.kind is bool:
@@ -482,9 +497,9 @@ def parse_args(argv: Sequence[str] | None = None) -> RunConfig:
     Precedence: built-in defaults < config file < explicit flags.
     """
     ns = _parser().parse_args(argv)
-    options = {key: _OPTIONS[key].default for key in _COMMON + _COMMANDS[ns.command].options}
+    options = {key: _OPTIONS[key].default for key in _COMMANDS[ns.command].options}
     if ns.config:
-        options.update(load_config(ns.config))
+        options.update(load_config(ns.config, ns.command))
     for key, value in vars(ns).items():
         if key not in ("command", "config") and value is not None:
             options[key] = value

@@ -119,7 +119,7 @@ def discretize_bath(p: ModelParams, n_modes: int) -> DiscretizedBath:
     if p.alpha == 0.0:
         rule = power_rule(p.s, p.omega_c, int(n_modes), 1.0)
         return DiscretizedBath(rule.nodes, np.zeros_like(rule.nodes))
-    rule = bath_measure_rule(p, n=int(n_modes), kind="gauss")
+    rule = bath_measure_rule(p, int(n_modes))
     bath = DiscretizedBath(rule.nodes, np.sqrt(rule.weights))
     total = float(np.sum(bath.couplings**2))
     expected = spectral_moment(p, 0.0)
@@ -128,51 +128,35 @@ def discretize_bath(p: ModelParams, n_modes: int) -> DiscretizedBath:
     return bath
 
 
-_DEFAULT_GAUSS_N = 400
-
-
-def bath_measure_rule(
-    p: ModelParams,
-    n: int = _DEFAULT_GAUSS_N,
-    extra_exponent: float = 0.0,
-    kind: str = "log",
-) -> QuadratureRule:
-    """Quadrature rule for ``(1/pi) J(w) w^extra dw`` on ``[0, omega_c]``.
-
-    ``kind='gauss'`` gives the measure's own n-point Gauss rule (exact
-    moments, from its closed-form recurrence; used for discretization and
-    chain occupations).  ``kind='log'`` gives the log-segmented composite
-    rule (:func:`~subohmic.numerics.power_rule_log`: an 8-node Gauss-Jacobi
-    head shared by ``dmu`` and ``dmu / w``, then a cached template of
-    Gauss-Legendre decades scaled to ``omega_c``), whose accuracy is uniform
-    in the position of rational-integrand structure down to ``1e-7 *
-    omega_c``; it is the workhorse for the self-consistency and energy
-    integrals, cached per ``(s, omega_c)`` by :func:`bath_measures`.
-    """
+def bath_measure_rule(p: ModelParams, n: int, extra_exponent: float = 0.0) -> QuadratureRule:
+    """The n-point Gauss rule of ``(1/pi) J(w) w^extra dw`` on ``[0,
+    omega_c]``: exact moments, from the measure's closed-form recurrence;
+    used for discretization and chain occupations."""
     if p.alpha == 0.0:
         raise DomainError("bath_measure_rule: measure vanishes at alpha=0")
-    sigma = p.s + extra_exponent
-    prefactor = 2.0 * p.alpha * p.omega_c ** (1.0 - p.s)
-    if kind == "gauss":
-        return power_rule(sigma, p.omega_c, n, prefactor)
-    if kind == "log":
-        return power_rule_log(sigma, p.omega_c, prefactor)
-    raise DomainError(f"bath_measure_rule: unknown kind {kind!r}")
+    return power_rule(p.s + extra_exponent, p.omega_c, n,
+                      2.0 * p.alpha * p.omega_c ** (1.0 - p.s))
 
 
 @lru_cache(maxsize=256)
 def _unit_measures(s: float, omega_c: float) -> tuple[QuadratureRule, QuadratureRule]:
-    p = ModelParams(s=s, alpha=1.0, delta=1.0, omega_c=omega_c)
-    return (
-        bath_measure_rule(p, extra_exponent=0.0, kind="log"),
-        bath_measure_rule(p, extra_exponent=-1.0, kind="log"),
-    )
+    # both heads are the Gauss-Jacobi rule of w^(s - 1), whose closed-form
+    # recurrence divides by (s - 1) + 2 - 1
+    if (s - 1.0) + 2.0 <= 1.0:
+        raise DomainError(f"bath_measures: s={s!r} too small, s - 1 is -1 to rounding")
+    prefactor = 2.0 * omega_c ** (1.0 - s)
+    return power_rule_log(s, omega_c, prefactor), power_rule_log(s - 1.0, omega_c, prefactor)
 
 
 def bath_measures(p: ModelParams) -> tuple[QuadratureRule, QuadratureRule]:
     """The pair of composite rules for ``dmu`` and ``dmu / w``.
 
-    The measure is linear in ``alpha``: the pair is built once per ``(s,
+    Each is :func:`~subohmic.numerics.power_rule_log`: an 8-node
+    Gauss-Jacobi head shared by the two, then a cached template of
+    Gauss-Legendre decades scaled to ``omega_c``, whose accuracy is uniform
+    in the position of rational-integrand structure down to ``1e-7 *
+    omega_c``; they carry the self-consistency and energy integrals.  The
+    measure is linear in ``alpha``: the pair is built once per ``(s,
     omega_c)`` at ``alpha = 1`` (cached) and its weights are scaled by
     ``alpha``.
     """

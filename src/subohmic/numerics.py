@@ -97,6 +97,8 @@ class QuadratureRule:
         if nodes.ndim != 1 or nodes.shape != weights.shape:
             raise DomainError("QuadratureRule: nodes/weights must be equal-length 1-d arrays")
         # array methods, not np.any: a rule is checked on every bath_measures call
+        if not (np.isfinite(nodes).all() and np.isfinite(weights).all()):
+            raise DomainError("QuadratureRule: nodes and weights must be finite")
         if nodes.size and (np.diff(nodes) <= 0.0).any():
             raise DomainError("QuadratureRule: nodes must be strictly increasing")
         if (weights <= 0.0).any():
@@ -242,7 +244,8 @@ def find_root(f: Callable[[float], float], lo: float, hi: float, tol: float = 1e
     (or one is NaN), and :class:`ConvergenceError` when ``f`` turns NaN or
     200 steps do not reach that width.
     """
-    xpre, xcur, tol = float(lo), float(hi), float(tol)
+    lo, hi, tol = float(lo), float(hi), float(tol)  # plain floats, in the messages too
+    xpre, xcur = lo, hi
     fpre, fcur = float(f(xpre)), float(f(xcur))
     if fpre == 0.0:
         return xpre

@@ -328,7 +328,8 @@ def fidelity(ado: VariationalState, bath: DiscretizedBath,
 
 def run_oracle(p: ModelParams, cfg: OracleConfig) -> OracleResult:
     """End-to-end oracle run: discretize, diagonalize, compare to the ansatz.
-    ``converged_nb``: two more Fock levels move the energy <= 1e-6 relative.
+    ``converged_nb``: two more Fock levels move the energy by at most 1e-6 of
+    ``max(delta, |E|)``, a bound in the units of the output.
     Both bases are checked against the dimension cap before any work."""
     try:
         cfg_up = OracleConfig(cfg.n_modes, cfg.n_boson + 2, cfg.which_basis)
@@ -340,7 +341,7 @@ def run_oracle(p: ModelParams, cfg: OracleConfig) -> OracleResult:
     e_ado, state = ado_on_discrete(bath, p)
     fid = fidelity(state, bath, vec, cfg)
     e_up, _ = ground_state(build_hamiltonian(bath, p, cfg_up))
-    converged = abs(e_up - e_exact) <= 1e-6 * max(1.0, abs(e_exact))
+    converged = abs(e_up - e_exact) <= 1e-6 * max(p.delta, abs(e_exact))
     return OracleResult(
         energy_exact=e_exact,
         energy_ado_discrete=e_ado,

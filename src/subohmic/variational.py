@@ -60,7 +60,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError
+from .errors import BracketError, ConvergenceError, DomainError
 from .model import ModelParams, bath_measures
 from .numerics import QuadratureRule, find_root, lambert_w0
 
@@ -174,7 +174,11 @@ def _safe_step(g: float, k: float) -> float:
     # each term of K = dt q^2 int dmu/(dt+qw)^3 gives K(u) >= e^(u-hi) K(hi) for u <= hi, so
     # g(hi-d) >= g - d + K (1 - e^-d) >= g - (1-K) d - K d^2/2 >= 0 up to its positive root,
     # which tends to the Newton step g/(1-K) as g -> 0
-    r = math.sqrt(max(0.0, (1.0 - k) ** 2 + 2.0 * k * g))
+    try:
+        r = math.sqrt(max(0.0, (1.0 - k) ** 2 + 2.0 * k * g))
+    except OverflowError:  # (1 - K)^2 past the floats, so K > 1e154: the same root over K
+        c = 1.0 - 1.0 / k
+        return c + math.sqrt(c * c + 2.0 * g / k)
     return 2.0 * g / ((1.0 - k) + r) if k < 1.0 else ((k - 1.0) + r) / k
 
 
@@ -203,6 +207,9 @@ def _solve_delta_tilde(m: float, delta: float, mu0: QuadratureRule,
         inv2 = 1.0 / (den * den)
         big_i, k = q * q * float(inv2 @ wt), q * q * dt * float((inv2 / den) @ wt)
         g = u - log_delta + 0.5 * big_i
+        if not math.isfinite(g):
+            raise ConvergenceError(f"_solve_delta_tilde: residual g = {g!r} at m={m!r}, "
+                                   f"dt={dt!r}")
         step = _safe_step(g, k)
         if step <= _NEWTON_TOL:
             u -= step
@@ -381,20 +388,29 @@ class Functional:
         no candidate of its own: the energy there is ``static``, which no
         value of :meth:`energy` exceeds.
         """
-        residual, roots = self._residual, []
-        lo, hi = self._span
-        if hi > lo:
-            decades = math.log10(hi) - math.log10(lo)  # hi / lo can overflow
-            grid = np.geomspace(lo, hi, 2 + int(_Y_GRID_PER_DECADE * decades))
-            r = residual(grid)
-            for k in np.flatnonzero(np.signbit(r[:-1]) != np.signbit(r[1:])).tolist():
-                roots.append(find_root(lambda y: float(residual(y)),
-                                       grid[k], grid[k + 1], tol=_EPS * grid[k]))
-        ys = np.array(roots)
-        qs = self._curve_dt(ys) / ys
-        ms = [0.0] + [_q_of(q) for q in qs.tolist() if 0.0 < q < 1.0]  # m = sqrt(1 - q^2)
-        dts = [self.dt(m) for m in ms]  # one cold solve per m, so dt(m) comes back bit for bit
-        es = [min(self._branch(m, dt), self.static) for m, dt in zip(ms, dts)]
+        # past y ~ 1e154, reached only at couplings whose tunneling has long
+        # collapsed, (y + w)^2 overflows and its reciprocal reads 0
+        with np.errstate(over="ignore"):
+            residual, roots = self._residual, []
+            lo, hi = self._span
+            if hi > lo:
+                decades = math.log10(hi) - math.log10(lo)  # hi / lo can overflow
+                grid = np.geomspace(lo, hi, 2 + int(_Y_GRID_PER_DECADE * decades))
+                r = residual(grid)
+                for k in np.flatnonzero(np.signbit(r[:-1]) != np.signbit(r[1:])).tolist():
+                    try:
+                        roots.append(find_root(lambda y: float(residual(y)),
+                                               grid[k], grid[k + 1], tol=_EPS * grid[k]))
+                    except BracketError:
+                        # the grid's matrix product and the scalar call's dot can round a
+                        # residual that is 0 to rounding at one end to opposite signs: that
+                        # end is the root
+                        roots.append(grid[k] if abs(r[k]) < abs(r[k + 1]) else grid[k + 1])
+            ys = np.array(roots)
+            qs = self._curve_dt(ys) / ys
+            ms = [0.0] + [_q_of(q) for q in qs.tolist() if 0.0 < q < 1.0]  # m = sqrt(1 - q^2)
+            dts = [self.dt(m) for m in ms]  # one cold solve per m, so dt(m) comes back bit for bit
+            es = [min(self._branch(m, dt), self.static) for m, dt in zip(ms, dts)]
         j = min(range(1, len(es)), key=es.__getitem__, default=0)
         if j == 0 or es[j] >= es[0] - 1e-13 * max(1.0, abs(es[0])):
             return 0.0, es[0], dts[0]

@@ -240,7 +240,7 @@ class TestDisplacedFrame:
         q = math.sqrt(1 - m * m)
         from subohmic.model import bath_measure_rule
 
-        rule = bath_measure_rule(p, n=1000, kind="gauss")
+        rule = bath_measure_rule(p, n=1000)
         w = rule.nodes
         shifted_p = -q * (1 - m) / (2 * (dt + q * w))
         shifted_m = +q * (1 + m) / (2 * (dt + q * w))

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import subohmic
-from subohmic.cli import load_config, main, parse_args, _sanitize_record
+from subohmic.cli import _COMMANDS, _OPTIONS, load_config, main, parse_args, _sanitize_record
 from subohmic.critical import sweep_alpha
 from subohmic.errors import DomainError
 
@@ -31,14 +31,14 @@ class TestLoadConfig:
     def test_round_trip(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("# comment\ns = 0.3\nalpha = 0.02\n\ndelta = 1.0\nomega_c = 10\n")
-        out = load_config(cfg)
+        out = load_config(cfg, "solve")
         assert out == {"s": 0.3, "alpha": 0.02, "delta": 1.0, "omega_c": 10.0}
 
     def test_unknown_key_names_line(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("s = 0.3\nalpha_C = 0.02\n")
         with pytest.raises(DomainError) as err:
-            load_config(cfg)
+            load_config(cfg, "solve")
         assert ":2:" in str(err.value)
         assert "alpha_C" in str(err.value)
 
@@ -46,7 +46,7 @@ class TestLoadConfig:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("s 0.3\n")
         with pytest.raises(DomainError) as err:
-            load_config(cfg)
+            load_config(cfg, "solve")
         assert ":1:" in str(err.value)
 
     def test_flags_override_file(self, tmp_path):
@@ -320,6 +320,21 @@ class TestExponentsCommand:
         assert "1 failures" in err and "injected" in err
         assert "gamma" in json.loads(out.read_text())
 
+    def test_gamma_prefactor_per_inverse_delta(self, capsys):
+        # chi = 1/(4 c1) is an inverse energy: in units of 1/delta its
+        # prefactor depends on delta / omega_c alone; --raw-units keeps 1/energy
+        def record(delta, omega_c, *flags):
+            assert run_cli(["exponents", "--s", "0.3", "--delta", delta, "--omega-c", omega_c,
+                            "--points-per-side", "3", *flags]) == 0
+            return json.loads(capsys.readouterr().out)
+
+        unit = record("1", "10")
+        assert record("2", "20")["gamma_prefactor"] == pytest.approx(
+            unit["gamma_prefactor"], rel=1e-10)
+        assert record("2", "20", "--raw-units")["gamma_prefactor"] == pytest.approx(
+            0.5 * unit["gamma_prefactor"], rel=1e-10)
+        assert record("1", "10", "--raw-units") == unit
+
     def test_refuses_outside_validity_window(self):
         assert run_cli(["exponents", "--s", "0.6", "--delta", "1",
                         "--omega-c", "10"]) == 2
@@ -367,6 +382,14 @@ class TestPhaseDiagramCommand:
         err = capsys.readouterr().err
         assert "s=0.5 outside" in err and "np.float64" not in err
 
+    @pytest.mark.parametrize("spec", [" ", ",", ", ,"])
+    def test_empty_cutoff_list_exit_2(self, spec, capsys):
+        assert run_cli(["phase-diagram", "--s-grid", "0.3:0.3:1", "--delta", "1",
+                        "--omega-c-list", spec]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "domain error" in err and "at least one number" in err
+
     def test_non_finite_cutoff_row_shown_and_exit_2(self, tmp_path, capsys):
         out = tmp_path / "pd.csv"
         code = run_cli(["phase-diagram", "--s-grid", "0.3:0.3:1", "--delta", "1",
@@ -376,6 +399,83 @@ class TestPhaseDiagramCommand:
         assert rows[0].endswith(",ok")
         assert rows[1] == "0.3,nan,nan,nan,DomainError"
         assert "not finite" in capsys.readouterr().err
+
+
+class TestOptionTables:
+    """Each command accepts exactly the options it reads, as flags and as
+    config-file keys."""
+
+    # a valid input per command and, per option of its table, arguments that
+    # must change stdout or the exit code when appended to it; an option that
+    # acts only together with another names that one too, in both runs
+    BASE = {
+        "solve": ["--s", "0.3", "--alpha", "0.02", "--delta", "2", "--omega-c", "20"],
+        "sweep": ["--s", "0.3", "--delta", "2", "--omega-c", "20", "--alpha-grid", "0.01:0.03:2"],
+        "critical": ["--s", "0.3", "--delta", "2", "--omega-c", "20"],
+        "phase-diagram": ["--s-grid", "0.2:0.3:2", "--delta", "1", "--omega-c-list", "10"],
+        "chain": ["--s", "0.3", "--alpha", "0.04", "--delta", "1", "--omega-c", "10",
+                  "--n-sites", "4"],
+        "oracle": ["--s", "0.3", "--alpha", "0.015", "--delta", "1", "--omega-c", "10",
+                   "--n-modes", "2", "--n-boson", "3"],
+        "exponents": ["--s", "0.3", "--delta", "2", "--omega-c", "20", "--points-per-side", "3"],
+    }
+    CHANGE = {
+        "s": ["--s", "0.25"], "alpha": ["--alpha", "0.03"], "delta": ["--delta", "3"],
+        "omega_c": ["--omega-c", "30"], "functional": ["--functional", "scaling"],
+        "raw_units": ["--raw-units"], "output": ["--output", "OUT"],
+        "alpha_grid": ["--alpha-grid", "0.01:0.03:3"], "s_grid": ["--s-grid", "0.2:0.3:3"],
+        "omega_c_list": ["--omega-c-list", "10,20"], "n_sites": ["--n-sites", "5"],
+        "occupations": ["--occupations"], "frame": ["--frame", "displaced"],
+        "n_modes": ["--n-modes", "3"], "n_boson": ["--n-boson", "4"],
+        "basis": ["--basis", "chain"], "window": ["--window", "1e-3:1e-2"],
+        "points_per_side": ["--points-per-side", "4"],
+    }
+    WITH = {("chain", key): ["--occupations"] for key in ("alpha", "delta", "omega_c", "frame")}
+
+    @staticmethod
+    def _run(argv):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+        return code, out.getvalue()
+
+    @pytest.mark.parametrize("command", list(_COMMANDS))
+    def test_every_option_changes_stdout_or_exit_code(self, command, tmp_path):
+        for key in _COMMANDS[command].options:
+            base = [command, *self.BASE[command], *self.WITH.get((command, key), [])]
+            change = [str(tmp_path / "out") if x == "OUT" else x for x in self.CHANGE[key]]
+            before = self._run(base)
+            assert before[0] == 0, (base, before)
+            assert self._run(base + change) != before, (command, key)
+
+    @pytest.mark.parametrize("flag", [["--s", "0.3"], ["--omega-c", "10"], ["--raw-units"]])
+    def test_phase_diagram_rejects_options_it_does_not_read(self, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["phase-diagram", *self.BASE["phase-diagram"], *flag])
+        assert exc.value.code == 64
+        assert flag[0] in capsys.readouterr().err
+
+    def test_config_key_of_another_command_names_its_line(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("s = 0.3\nalpha = 0.02\ndelta = 1\nomega_c = 10\nwindow = 1e-4:1e-3\n")
+        assert main(["solve", "--config", str(cfg)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"{cfg}:5: unknown key 'window' for solve" in err
+
+    def test_every_key_outside_the_table_is_rejected(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        for name, command in _COMMANDS.items():
+            for key in _OPTIONS:
+                cfg.write_text(f"{key} = 1\n")
+                if key in command.options:
+                    try:
+                        load_config(cfg, name)
+                    except DomainError as exc:  # a value outside the key's choices
+                        assert "bad value" in str(exc)
+                else:
+                    with pytest.raises(DomainError, match=f":1: unknown key '{key}'"):
+                        load_config(cfg, name)
 
 
 class TestDeterminism:
@@ -445,7 +545,7 @@ class TestDefaults:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("functional = bogus\n")
         with pytest.raises(DomainError, match=":1:"):
-            load_config(cfg)
+            load_config(cfg, "solve")
 
     def test_parser_built_once(self):
         from subohmic import cli
@@ -482,10 +582,11 @@ at_start = {{m.split(".")[0] for m in sys.modules}}
 import subohmic.cli as cli
 out = {str(tmp_path / "out")!r}
 base = ["--s", "0.3", "--delta", "1", "--omega-c", "10"]
-for argv in (["solve", "--alpha", "0.05"], ["critical"],
-             ["sweep", "--alpha-grid", "0.01:0.05:5"], ["exponents", "--points-per-side", "3"],
-             ["phase-diagram", "--s-grid", "0.2:0.4:3", "--omega-c-list", "10"]):
-    assert cli.main(argv + base + ["--output", out]) == 0, argv
+for argv in (["solve", "--alpha", "0.05"] + base, ["critical"] + base,
+             ["sweep", "--alpha-grid", "0.01:0.05:5"] + base,
+             ["exponents", "--points-per-side", "3"] + base,
+             ["phase-diagram", "--s-grid", "0.2:0.4:3", "--omega-c-list", "10", "--delta", "1"]):
+    assert cli.main(argv + ["--output", out]) == 0, argv
 print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 loaded = {{m.split(".")[0] for m in sys.modules}} - at_start
 print(sorted(loaded - sys.stdlib_module_names - {{"numpy", "subohmic"}}))
@@ -548,6 +649,33 @@ def test_cli_exit_codes_stderr_and_payload(command, s, logs, n_sites, frame):
         argv += ["--n-sites", str(n_sites)]
         if variant == "occupations":
             argv += ["--occupations", "--frame", frame]
+    _check_exit_stderr_payload(argv)
+
+
+_UNIT_BATH = ["--delta", "1", "--omega-c", "10"]
+
+
+@pytest.mark.parametrize("argv, want", [
+    # s - 1 is -1 to rounding: the Gauss-Jacobi head of dmu / w has no rule
+    (["solve", "--s", "1e-16", "--alpha", "0.02"], 2),
+    (["solve", "--s", "1e-17", "--alpha", "0.02"], 2),
+    (["solve", "--s", "1e-15", "--alpha", "0.02"], 2),  # the head rule's weights turn negative
+    (["critical", "--s", "1e-17"], 2),
+    (["chain", "--s", "1e-17", "--alpha", "0.02", "--occupations"], 2),
+    # the grid and the scalar residual round the span's upper end to opposite signs
+    (["solve", "--s", "1e-9", "--alpha", "0.02"], 0),
+    (["solve", "--s", "2.3e-16", "--alpha", "0.02"], 0),
+    # (1 - K)^2 overflows in the tunneling descent's step
+    (["solve", "--s", "0.3", "--alpha", "1e154"], 0),
+    (["solve", "--s", "0.3", "--alpha", "1e200"], 0),
+])
+def test_extreme_inputs_exit_codes_stderr_and_payload(argv, want):
+    code, out = _check_exit_stderr_payload(argv + _UNIT_BATH)
+    assert code == want
+    assert "nan" not in out
+
+
+def _check_exit_stderr_payload(argv):
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(record=True) as caught, \
             contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -558,7 +686,8 @@ def test_cli_exit_codes_stderr_and_payload(command, s, logs, n_sites, frame):
     assert len(lines) == 1, (argv, lines)
     if code != 0:
         assert out.getvalue() == ""
-    elif kind == "chain":
+    elif argv[0] == "chain":
         _assert_csv(out.getvalue())
     else:
-        assert json.loads(out.getvalue())["command"] == kind
+        assert json.loads(out.getvalue())["command"] == argv[0]
+    return code, out.getvalue()

@@ -118,8 +118,7 @@ class TestDiscretizeBath:
 
 class TestMeasures:
     def test_measure_rule_moments(self, params):
-        for extra in (0.0, -1.0):
-            rule = bath_measure_rule(params, extra_exponent=extra, kind="log")
+        for extra, rule in zip((0.0, -1.0), bath_measures(params)):
             for k in range(3):
                 got = float(np.dot(rule.weights, rule.nodes ** float(k)))
                 want = spectral_moment(params, k + extra)
@@ -141,7 +140,7 @@ class TestMeasures:
     def test_alpha_zero_rejected(self):
         p = ModelParams(s=0.3, alpha=0.0, delta=1.0, omega_c=10.0)
         with pytest.raises(DomainError):
-            bath_measure_rule(p)
+            bath_measure_rule(p, 8)
         # also once the pair of the same (s, omega_c) is cached at another alpha
         bath_measures(ModelParams(s=0.3, alpha=0.1, delta=1.0, omega_c=10.0))
         with pytest.raises(DomainError):

@@ -104,6 +104,16 @@ class TestQuadrature:
         with pytest.raises(DomainError):
             QuadratureRule(nodes=[0.5, 1.0], weights=[1.0, -1.0])
 
+    @pytest.mark.parametrize("nodes, weights", [
+        ([0.5, 1.0], [1.0, math.nan]), ([0.5, 1.0], [math.inf, 1.0]),
+        ([math.nan], [1.0]), ([0.5, math.nan], [1.0, 1.0]), ([-math.inf, 1.0], [1.0, 1.0]),
+        ([0.5, math.inf], [1.0, 1.0]),
+    ])
+    def test_rejects_non_finite_rule(self, nodes, weights):
+        # NaN passes the order and sign comparisons, so it is refused on its own
+        with pytest.raises(DomainError, match="finite"):
+            QuadratureRule(nodes=nodes, weights=weights)
+
     def test_power_weight_constant(self):
         # int_0^1 w^0.3 dw = 1/1.3, the weight lives in the rule
         rule = power_rule(0.3, 1.0, 20)
@@ -167,6 +177,15 @@ class TestFindRoot:
     def test_no_bracket(self):
         with pytest.raises(BracketError):
             find_root(lambda x: x * x + 1, -1.0, 1.0)
+
+    def test_messages_print_plain_floats(self):
+        with pytest.raises(BracketError) as err:
+            find_root(lambda x: x * x + 1, np.float64(-1.0), np.float64(0.5))
+        assert str(err.value) == "find_root: no sign change on [-1.0, 0.5]"
+        with pytest.raises(ConvergenceError) as err:
+            find_root(lambda x: math.copysign(1.0, x - 1e-300), np.float64(-1.0),
+                      np.float64(1.0), tol=np.float64(0.0))
+        assert "np.float64" not in str(err.value) and "[-1.0, 1.0]" in str(err.value)
 
     def test_deterministic(self):
         f = lambda x: math.cos(x) - x

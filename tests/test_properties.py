@@ -12,6 +12,9 @@ discarded rather than compared.  The kernel's one step rule is checked on
 its own: from any point above the largest root it must not pass that root.
 """
 
+import contextlib
+import io
+import json
 import math
 
 import mpmath
@@ -23,6 +26,7 @@ from scipy.optimize import brentq
 from scipy.sparse.linalg import eigsh
 
 from subohmic import variational
+from subohmic.cli import main
 from subohmic.critical import (_critical_root, critical_coupling_closed,
                                critical_coupling_numeric, critical_point)
 from subohmic.errors import ConvergenceError
@@ -447,6 +451,98 @@ def test_minimum_between_close_stationary_points():
     assert_minimum_undercuts_dense_grid(fn)
     m, e, _ = fn.minimize()
     assert m > 0.5 and e < fn.energy(0.0) - 1e-4
+
+
+def test_minimum_between_stationary_points_in_one_coarse_grid_cell():
+    # the mode at w = 26 lifts the w = 1 mode's term of Phi(y), which peaks
+    # at exactly 1, into two roots of Phi = 1 a factor 1.34 apart: one cell
+    # of a 5-per-decade y grid over the span holds both, so its residual
+    # shows no sign change there, and the 8-per-decade grid splits them,
+    # each root at least 0.17 of a cell from a grid point
+    bath = DiscretizedBath(np.array([1.0, 26.0]), np.array([2.0, 10.0]))
+    fn = Functional.measures(1.7, *bath_as_measures(bath))
+    ys = np.geomspace(0.1, 10.0, 20001)
+    r = fn._residual(ys)
+    roots = ys[np.flatnonzero(np.signbit(r[:-1]) != np.signbit(r[1:]))]
+    assert roots.size == 2
+
+    def cells(per_decade):
+        lo, hi = fn._span
+        grid = np.geomspace(lo, hi, 2 + int(per_decade * (math.log10(hi) - math.log10(lo))))
+        return np.searchsorted(grid, roots).tolist()
+
+    assert cells(5)[0] == cells(5)[1] and cells(8)[0] != cells(8)[1]
+    assert_minimum_undercuts_dense_grid(fn)
+    m, e, _ = fn.minimize()
+    assert m > 0.4 and e < fn.energy(0.0) - 2e-4
+
+
+def _cli_payload(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    text = out.getvalue()
+    if not text.startswith("#"):
+        return code, json.loads(text) if text else None
+    header, *rows = (line.split(",") for line in text.splitlines()[1:])
+    return code, {name: [row[i] for row in rows] for i, name in enumerate(header)}
+
+
+# fields whose rounding is absolute: a fit's log-space misfit, which is a
+# relative misfit of its data already, and the oracle's truncated norm 1 - |v|^2
+_ABSOLUTE = ("beta_residual", "gamma_residual", "truncation_loss")
+
+
+def _assert_same_numbers(a, b, scale_free, where):
+    # JSON fields one by one, to 1e-10 relative (absolute for _ABSOLUTE); CSV
+    # columns against their largest magnitude, since an occupation tail
+    # reaches the chain rule's cancellation noise
+    assert a.keys() == b.keys(), where
+    for key, x in a.items():
+        y = b[key]
+        if isinstance(x, list):
+            try:
+                xs, ys = np.array(x, dtype=float), np.array(y, dtype=float)
+            except ValueError:  # the status column
+                assert x == y, (where, key)
+                continue
+            tol = 1e-10 * np.max(np.abs(xs))
+            assert np.all(np.abs(xs - ys) <= tol), (where, key, xs, ys)
+        elif isinstance(x, float) and not isinstance(x, bool):
+            if key in scale_free:
+                y = y / scale_free[key]
+            tol = {"abs": 1e-10} if key in _ABSOLUTE else {"rel": 1e-10, "abs": 0.0}
+            assert y == pytest.approx(x, **tol), (where, key)
+        else:
+            assert x == y, (where, key)
+
+
+@SETTINGS
+@given(s=st.floats(0.1, 0.45), ratio=st.floats(2.0, 1e3), log_scale=st.floats(-7.0, 7.0),
+       f=st.one_of(st.floats(0.3, 0.9), st.floats(1.1, 3.0)),
+       frame=st.sampled_from(["bare", "displaced"]))
+def test_outputs_are_invariant_under_scaling_delta_and_omega_c(s, ratio, log_scale, f, frame):
+    # (delta, omega_c) -> lam (delta, omega_c) at fixed s and alpha scales the
+    # Hamiltonian by lam: every output in units of delta and omega_c stays.
+    # The coupling keeps 10% from alpha_c, where M = sqrt(1 - q^2) turns
+    # ill-conditioned (its relative rounding grows like eps / (1 - q))
+    lam = math.exp(log_scale)
+    alpha_c = critical_coupling_numeric(s, 1.0, ratio)
+    a = repr(f * alpha_c)
+    commands = (
+        ["solve", "--alpha", a],
+        ["critical"],
+        ["sweep", "--alpha-grid", f"{0.6 * alpha_c!r}:{1.6 * alpha_c!r}:3"],
+        ["exponents", "--points-per-side", "3"],
+        ["oracle", "--alpha", a, "--n-modes", "2", "--n-boson", "3"],
+        ["chain", "--alpha", a, "--n-sites", "12", "--occupations", "--frame", frame],
+    )
+    for argv in commands:
+        base = _cli_payload([*argv, "--s", repr(s), "--delta", "1.0", "--omega-c", repr(ratio)])
+        scaled = _cli_payload([*argv, "--s", repr(s), "--delta", repr(lam),
+                               "--omega-c", repr(ratio * lam)])
+        assert base[0] == 0 and scaled[0] == 0, (argv, base, scaled)
+        _assert_same_numbers(base[1], scaled[1], {"delta": lam, "omega_c": lam}, argv)
 
 
 @SETTINGS

@@ -5,10 +5,10 @@ import pytest
 import scipy.integrate
 
 from occupation_reference import occupation_density, occupation_total
-from subohmic.errors import DomainError
+from subohmic.errors import ConvergenceError, DomainError
 from subohmic.critical import critical_coupling_closed, critical_coupling_numeric
 from subohmic.model import ModelParams, bath_as_measures, bath_measures, discretize_bath
-from subohmic.numerics import power_rule
+from subohmic.numerics import QuadratureRule, power_rule
 from subohmic.variational import (
     Functional,
     VariationalState,
@@ -18,6 +18,7 @@ from subohmic.variational import (
     solve_delta_tilde_scaling,
     static_shift_energy,
     _overlap_integral,
+    _safe_step,
     _solve_delta_tilde,
 )
 
@@ -116,6 +117,29 @@ class TestVariationalState:
 
 
 class TestDeltaTildeExact:
+    def test_non_finite_residual_raises(self):
+        # weights next to the float maximum overflow the overlap integral; the
+        # descent once stepped by NaN from there and returned dt = delta
+        rule = QuadratureRule(np.array([1e-3, 2e-3]), np.array([1e308, 1e308]))
+        with np.errstate(over="ignore"), pytest.raises(ConvergenceError, match="residual"):
+            _solve_delta_tilde(0.0, 1.0, rule)
+
+    def test_step_past_the_float_range(self):
+        # (1 - K)^2 overflows from K ~ 1.3e154 on, where the step is taken in
+        # units of K: the positive root of K d^2/2 + (1 - K) d = g either way
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            for g, k in ((3.0, 1e153), (3.0, 1e155), (1e-3, 1e300), (1e190, 1e200)):
+                kk = mpmath.mpf(k)
+                want = ((kk - 1) + mpmath.sqrt((kk - 1) ** 2 + 2 * kk * g)) / kk
+                assert _safe_step(g, k) == pytest.approx(float(want), rel=4e-16), (g, k)
+        # in range the step keeps the bits of (1 - K) ** 2, which differ from
+        # (1 - K) * (1 - K) for some K
+        for k in np.linspace(0.0, 3.0, 3001).tolist():
+            r = math.sqrt(max(0.0, (1.0 - k) ** 2 + 2.0 * k * 0.37))
+            want = 2.0 * 0.37 / ((1.0 - k) + r) if k < 1.0 else ((k - 1.0) + r) / k
+            assert _safe_step(0.37, k) == want
+
     def test_free_limit(self):
         assert Functional.of(params(0.0)).dt(0.0) == DELTA
         assert Functional.of(params(0.0)).dt(0.5) == DELTA
@@ -385,6 +409,22 @@ class TestStationarity:
 
 
 class TestMinimizeEnergy:
+    def test_grid_sign_change_survives_refinement(self):
+        # the residual at the span's upper end reads -4.4e-16 on the grid and
+        # +4.4e-16 in a scalar call, as a matrix product and a dot can round
+        # it: the root is that end, whose m = sqrt(3)/2 has the lower energy
+        lo, hi = 1e-3, 10.0
+
+        def residual(ys):
+            tiny = 4.4e-16 if np.ndim(ys) == 0 else -4.4e-16
+            return (hi - ys) / hi + np.where(ys == hi, tiny, 0.0)
+
+        fn = Functional(0.0, lambda m: 5.0 if m > 0.0 else 0.1, residual,
+                        lambda ys: 0.5 * ys, (lo, hi))
+        m, e, dt = fn.minimize()
+        assert (m, dt) == (math.sqrt(0.75), 5.0)
+        assert e == pytest.approx(-0.625, rel=1e-15)
+
     def test_delocalized_phase(self):
         p = params(0.5 * ALPHA_C_NUM)
         sol = minimize_energy(p)
