@@ -101,20 +101,25 @@ def chain_occupations(state: VariationalState, p: ModelParams,
     rule = bath_measure_rule(p, max(2 * chain.n_sites + 128, 256), extra_exponent=-1.0)
     w = rule.nodes
 
-    # w phi_pm = -(m dt / 2) / (dt + q w)  -/+  q w / (2 (dt + q w))
-    sing = -(0.5 * m * dt) / (dt + q * w)
-    smooth = 0.5 * q * w / (dt + q * w)
+    # w phi_pm = -(m dt / 2) / (dt + q w)  -/+  q w / (2 (dt + q w)), and the
+    # fully localized state (m = 1, dt = 0) is its limit, the static shift -m/2
+    if q == 0.0 and dt == 0.0:
+        sing, smooth = -0.5 * m, 0.0
+    else:
+        sing = -(0.5 * m * dt) / (dt + q * w)
+        smooth = 0.5 * q * w / (dt + q * w)
     if m_frame != 0.0:
         sing = sing + 0.5 * m_frame
         frame_name = f"displaced({m_frame:g})"
     else:
         frame_name = "bare"
 
-    # the rows start from p_0 = 1; dividing d^2 by the mass makes them orthonormal for dmu
+    # the rows start from p_0 = 1; dividing d by sqrt(mass) makes them orthonormal for
+    # dmu, before squaring, since d^2 alone overflows where the coupling is past ~1e154
     f_plus = rule.weights * (sing - smooth)
     f_minus = rule.weights * (sing + smooth)
     d = np.array([(row @ f_plus, row @ f_minus) for row in
                   orthonormal_polys(chain.site_energies, chain.hoppings, w)])
-    d2 = d * d / spectral_moment(p, 0.0)
+    d2 = np.square(d / math.sqrt(spectral_moment(p, 0.0)))
     n_av = state.c_plus**2 * d2[:, 0] + state.c_minus**2 * d2[:, 1]
     return OccupationProfile(n_av, frame_name)

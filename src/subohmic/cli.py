@@ -3,11 +3,12 @@ r"""Command-line front end: solve, sweep, locate and characterize the transition
 Commands map one-to-one onto library operations and emit plot-ready CSV for
 tables or JSON for scalar records.  Output is deterministic: no timestamps,
 fixed column order, repeatable float formatting; files are written
-atomically (temp file + rename).  Stdout carries only that payload; the
-one-line summary of each command goes to stderr.  Energies are reported in
-units of ``delta`` and frequencies in units of ``omega_c`` unless
-``--raw-units`` is given.  Each command has one option table: its flags and
-its config-file keys are exactly the options it reads.
+atomically, through the per-process temp file ``<output>.<pid>.tmp`` and a
+rename.  Stdout carries only that payload; the one-line summary of each
+command goes to stderr.  Energies are reported in units of ``delta`` and
+frequencies in units of ``omega_c`` unless ``--raw-units`` is given.  Each
+command has one option table: its flags and its config-file keys are
+exactly the options it reads.
 
 Exit codes: 0 success, 2 domain error, 3 numerical non-convergence,
 64 usage error.  A ``sweep`` or ``phase-diagram`` row that fails is written
@@ -23,7 +24,6 @@ import json
 import math
 import os
 import sys
-import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
@@ -194,8 +194,10 @@ def _sanitize_record(record: dict) -> dict:
 
 
 def _write_atomic(path: str | Path, text: str) -> None:
-    path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=str(path.parent) or ".", prefix=path.name + ".")
+    # a fixed temp name per process, created owner-only (0600) without
+    # following a symlink planted there, then renamed over path
+    tmp = f"{path}.{os.getpid()}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC | os.O_NOFOLLOW, 0o600)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.write(text)

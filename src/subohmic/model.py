@@ -140,30 +140,30 @@ def bath_measure_rule(p: ModelParams, n: int, extra_exponent: float = 0.0) -> Qu
 
 @lru_cache(maxsize=256)
 def _unit_measures(s: float, omega_c: float) -> tuple[QuadratureRule, QuadratureRule]:
-    # both heads are the Gauss-Jacobi rule of w^(s - 1), whose closed-form
-    # recurrence divides by (s - 1) + 2 - 1
+    # one rule, of dmu/w: its closed-form head recurrence divides by (s - 1) + 2 - 1
     if (s - 1.0) + 2.0 <= 1.0:
         raise DomainError(f"bath_measures: s={s!r} too small, s - 1 is -1 to rounding")
-    prefactor = 2.0 * omega_c ** (1.0 - s)
-    return power_rule_log(s, omega_c, prefactor), power_rule_log(s - 1.0, omega_c, prefactor)
+    mu_m1 = power_rule_log(s - 1.0, omega_c, 2.0 * omega_c ** (1.0 - s))
+    return QuadratureRule(mu_m1.nodes, mu_m1.nodes * mu_m1.weights), mu_m1
 
 
 def bath_measures(p: ModelParams) -> tuple[QuadratureRule, QuadratureRule]:
     """The pair of composite rules for ``dmu`` and ``dmu / w``.
 
-    Each is :func:`~subohmic.numerics.power_rule_log`: an 8-node
-    Gauss-Jacobi head shared by the two, then a cached template of
+    ``dmu / w`` is :func:`~subohmic.numerics.power_rule_log` of ``w^(s -
+    1)``: an 8-node Gauss-Jacobi head, then a cached template of
     Gauss-Legendre decades scaled to ``omega_c``, whose accuracy is uniform
     in the position of rational-integrand structure down to ``1e-7 *
-    omega_c``; they carry the self-consistency and energy integrals.  The
-    measure is linear in ``alpha``: the pair is built once per ``(s,
-    omega_c)`` at ``alpha = 1`` (cached) and its weights are scaled by
-    ``alpha``.
+    omega_c``.  ``dmu`` is the same rule with its weights times its nodes,
+    so both share every node and one head.  They carry the
+    self-consistency and energy integrals.  The measure is linear in
+    ``alpha``: the pair is built and fully checked once per ``(s,
+    omega_c)`` at ``alpha = 1`` (cached), and its weights are scaled by
+    ``alpha``, which re-checks only that they stay finite and positive.
     """
     if p.alpha == 0.0:
         raise DomainError("bath_measures: measure vanishes at alpha=0")
-    return tuple(QuadratureRule(mu.nodes, p.alpha * mu.weights)
-                 for mu in _unit_measures(p.s, p.omega_c))
+    return tuple(mu.scaled(p.alpha) for mu in _unit_measures(p.s, p.omega_c))
 
 
 def bath_as_measures(bath: DiscretizedBath) -> tuple[QuadratureRule, QuadratureRule]:

@@ -96,7 +96,7 @@ class QuadratureRule:
         weights = np.asarray(self.weights, dtype=float)
         if nodes.ndim != 1 or nodes.shape != weights.shape:
             raise DomainError("QuadratureRule: nodes/weights must be equal-length 1-d arrays")
-        # array methods, not np.any: a rule is checked on every bath_measures call
+        # array methods, not np.any, which costs more on these short arrays
         if not (np.isfinite(nodes).all() and np.isfinite(weights).all()):
             raise DomainError("QuadratureRule: nodes and weights must be finite")
         if nodes.size and (np.diff(nodes) <= 0.0).any():
@@ -105,6 +105,21 @@ class QuadratureRule:
             raise DomainError("QuadratureRule: weights must be positive")
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "weights", weights)
+
+    def scaled(self, factor: float) -> "QuadratureRule":
+        """The rule of ``factor`` times this measure, on the same nodes.
+
+        Of the constructor's checks only those that scaling can break are
+        made again: a weight that overflows to inf or underflows to 0 (NaN
+        or a factor <= 0 fails the same test)."""
+        weights = factor * self.weights
+        if weights.size and not (0.0 < weights.min() and weights.max() < math.inf):
+            raise DomainError(f"QuadratureRule: weights times {factor!r} are not finite "
+                              f"and positive")
+        rule = object.__new__(QuadratureRule)
+        object.__setattr__(rule, "nodes", self.nodes)
+        object.__setattr__(rule, "weights", weights)
+        return rule
 
     @property
     def order(self) -> int:
@@ -201,10 +216,8 @@ def _log_panels() -> tuple[np.ndarray, np.ndarray]:
 def power_rule_log(sigma: float, upper: float, prefactor: float = 1.0) -> QuadratureRule:
     """Composite rule for ``prefactor * w^sigma dw`` on ``[0, upper]``.
 
-    An 8-node Gauss-Jacobi head handles the endpoint singularity on ``[0,
-    1e-8 * upper]``: the rule of ``w^(sigma - j)``, ``j = max(0,
-    ceil(sigma))``, with its weights times ``nodes^j``, so ``w^s`` and
-    ``w^(s-1)`` (``0 < s < 1``) share one head.  Geometric decades of
+    An 8-node Gauss-Jacobi head, the rule of ``w^sigma``, handles the
+    endpoint singularity on ``[0, 1e-8 * upper]``.  Geometric decades of
     32-node Gauss-Legendre panels cover the rest; they are one cached
     template at ``upper = 1``, scaled by ``upper``.  Accuracy is uniform for
     integrands with structure anywhere in ``(1e-7 * upper, upper)``, e.g.
@@ -214,18 +227,20 @@ def power_rule_log(sigma: float, upper: float, prefactor: float = 1.0) -> Quadra
     ``hyp2f1`` for ``int w^sigma (y + w)^-k dw`` (``k = 2, 3``, ``sigma = s``
     and ``s - 1``, ``s`` in [0.02, 0.95]) the worst relative error is 2e-15
     at ``y = 3e-8 * upper``, 5e-10 at ``1e-8``, 2e-5 at ``3e-9``, 9e-3 at
-    ``1e-9`` and between 1 and 14 from ``1e-13`` to ``1e-10``.
+    ``1e-9`` and between 1 and 14 from ``1e-13`` to ``1e-10``.  The rule of
+    ``w^(sigma + 1)`` on the same nodes is this one's weights times its
+    nodes, which is how the continuum bath pair shares one rule
+    (:func:`~subohmic.model.bath_measures`).
     """
     if sigma <= -1.0:
         raise DomainError(f"power_rule_log: exponent {sigma} not integrable at 0")
     if upper <= 0.0 or prefactor <= 0.0:
         raise DomainError("power_rule_log: need upper > 0, prefactor > 0")
-    lift = max(0, math.ceil(sigma))
-    head_nodes, head_weights = _jacobi_unit(_LOG_HEAD_N, float(sigma - lift))
+    head_nodes, head_weights = _jacobi_unit(_LOG_HEAD_N, float(sigma))
     cut = _LOG_HEAD_FRACTION * upper
     x, half_w = _log_panels()
     nodes = np.concatenate([cut * head_nodes, upper * x])
-    weights = np.concatenate([cut ** (sigma + 1.0) * head_weights * head_nodes**lift,
+    weights = np.concatenate([cut ** (sigma + 1.0) * head_weights,
                               upper ** (sigma + 1.0) * half_w * x**sigma])
     return QuadratureRule(nodes, prefactor * weights)
 

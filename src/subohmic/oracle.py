@@ -176,7 +176,7 @@ def ground_state(h: sp.spmatrix, count_matvecs: bool = False):
     """Lowest eigenpair by a Krylov method with a fixed all-ones start.
 
     Deterministic; the residual ``|H v - E v|`` is verified against
-    ``1e-10 max(1, max_i sum_j |H_ij|)``, from the row sums of ``abs(h)``,
+    ``1e-10 max_i sum_j |H_ij|``, from the row sums of ``abs(h)``,
     which copies the matrix's data once and is freed before the solve.
     Dimensions up to 64 are handled densely.  Returns ``(energy, vector)``
     with the vector's largest-magnitude component made positive, plus the
@@ -190,7 +190,7 @@ def ground_state(h: sp.spmatrix, count_matvecs: bool = False):
     or 5x8 oracle run was slower than with 36.
     """
     dim = h.shape[0]
-    scale = max(1.0, float(abs(h).sum(axis=1).max()))
+    scale = float(abs(h).sum(axis=1).max())
     if dim <= _DENSE_CUTOFF:
         vals, vecs = np.linalg.eigh(h.toarray())
         energy, vec = float(vals[0]), vecs[:, 0]
@@ -221,17 +221,14 @@ def ado_on_discrete(bath: DiscretizedBath, p: ModelParams) -> tuple[float, Varia
     """Variational minimization with sums over the discrete modes.
 
     Same kernels as the continuum solver, with the mode list acting as the
-    spectral measure.  Unless the minimum lies strictly below the fully
-    displaced configuration's energy, the complete localized state is
-    returned so the state stays consistent with the reported energy.
+    spectral measure; unless the minimum lies strictly below the fully
+    displaced configuration's energy, that is the complete localized state
+    (:meth:`~subohmic.variational.Functional.minimize`).
     """
     if np.all(bath.couplings == 0.0):
         return -0.5 * p.delta, VariationalState.build(0.0, p.delta)
-    fn = Functional.measures(p.delta, *bath_as_measures(bath))
-    m, energy, dt = fn.minimize()
-    if energy < fn.static:  # so dt > 0 and |m| < 1: energy(m) is static otherwise
-        return energy, VariationalState.build(m, dt)
-    return fn.static, VariationalState.build(1.0, 0.0)
+    m, energy, dt = Functional.measures(p.delta, *bath_as_measures(bath)).minimize()
+    return energy, VariationalState.build(m, dt)
 
 
 def discrete_critical_coupling(s: float, delta: float, omega_c: float,

@@ -197,15 +197,16 @@ def _solve_delta_tilde(m: float, delta: float, mu0: QuadratureRule,
     """
     if abs(m) >= 1.0:
         return 0.0
-    q, w, wt = _q_of(m), mu0.nodes, mu0.weights
+    q, wt = _q_of(m), mu0.weights
+    q2, qw = q * q, q * mu0.nodes
     log_delta = math.log(delta)
     floor = log_delta + _LOG_COLLAPSE
     u, g = log_delta, math.inf
     for _ in range(max_iter):
         dt = float(np.exp(u))  # numpy's exp; math.exp differs in the last bit for ~5% of u
-        den = dt + q * w
-        inv2 = 1.0 / (den * den)
-        big_i, k = q * q * float(inv2 @ wt), q * q * dt * float((inv2 / den) @ wt)
+        inv = 1.0 / (dt + qw)
+        inv2 = inv * inv
+        big_i, k = q2 * float(inv2 @ wt), q2 * dt * float((inv2 * inv) @ wt)
         g = u - log_delta + 0.5 * big_i
         if not math.isfinite(g):
             raise ConvergenceError(f"_solve_delta_tilde: residual g = {g!r} at m={m!r}, "
@@ -214,9 +215,9 @@ def _solve_delta_tilde(m: float, delta: float, mu0: QuadratureRule,
         if step <= _NEWTON_TOL:
             u -= step
         elif g > 8.0 * _EPS * (abs(u) + abs(log_delta) + 0.5 * big_i):
+            u -= step
             if u < floor:  # the largest root lies below the floor: dt = 0
                 return 0.0
-            u -= step
             continue
         return math.exp(u) if u >= floor else 0.0
     raise ConvergenceError(
@@ -259,18 +260,19 @@ class Functional:
     point always lies above the static branch.)
 
     One ``Functional`` holds its self-consistent curve, the pairs ``(m, dt =
-    q y)`` of the module docstring: the constructor takes the kernel
-    ``solve(m) -> dt``, the curve's stationarity residual ``residual(ys) =
-    (2/dt) dE/dq``, which vanishes exactly at the magnetized stationary points
-    of the branch, its tunneling ``curve_dt(ys)``, and a ``span`` of ``y``
-    that holds every such point on the largest-root branch.  The branch
-    energy at a pair is ``static - (q dt/4) (1 - residual(dt/q))``.
+    q y)`` of the module docstring: the constructor takes the bath's
+    tunneling ``delta``, the unit of the energy tie in :meth:`minimize`, the
+    kernel ``solve(m) -> dt``, the curve's stationarity residual
+    ``residual(ys) = (2/dt) dE/dq``, which vanishes exactly at the magnetized
+    stationary points of the branch, its tunneling ``curve_dt(ys)``, and a
+    ``span`` of ``y`` that holds every such point on the largest-root branch.
+    The branch energy at a pair is ``static - (q dt/4) (1 - residual(dt/q))``.
     """
 
-    def __init__(self, static: float, solve: Callable[[float], float],
+    def __init__(self, delta: float, static: float, solve: Callable[[float], float],
                  residual: Callable[[np.ndarray], np.ndarray],
                  curve_dt: Callable[[np.ndarray], np.ndarray], span: tuple[float, float]):
-        self.static = static
+        self.delta, self.static = delta, static
         self._solve, self._residual, self._curve_dt, self._span = solve, residual, curve_dt, span
 
     @classmethod
@@ -280,13 +282,21 @@ class Functional:
         fully displaced oscillators at dead tunneling."""
         # I = int dmu/(y+w)^2 and dE/dq = -(dt/2)(1 - Phi), Phi(y) = y int dmu/(w (y+w)^2);
         # Phi <= (int dmu/w)/y bounds the roots, and dt = q y >= 1e-12 delta
+        def inverse_square(ys, mu):
+            # 1/(y + w)^2 per (y, node), with one reciprocal and no temporary
+            # arrays: on the minimizer's grid each is a few hundred kB
+            inv = np.add.outer(ys, mu.nodes)
+            np.reciprocal(inv, out=inv)
+            inv *= inv
+            return inv @ mu.weights
+
         def residual(ys):
-            return ys * ((1.0 / np.add.outer(ys, mu_m1.nodes) ** 2) @ mu_m1.weights) - 1.0
+            return ys * inverse_square(ys, mu_m1) - 1.0
 
         def curve_dt(ys):
-            return delta * np.exp(-0.5 * ((1.0 / np.add.outer(ys, mu0.nodes) ** 2) @ mu0.weights))
+            return delta * np.exp(-0.5 * inverse_square(ys, mu0))
 
-        return cls(-0.25 * mu_m1.total_mass, lambda m: _solve_delta_tilde(m, delta, mu0),
+        return cls(delta, -0.25 * mu_m1.total_mass, lambda m: _solve_delta_tilde(m, delta, mu0),
                    residual, curve_dt, (_COLLAPSE_FRACTION * delta, mu_m1.total_mass))
 
     @classmethod
@@ -350,7 +360,7 @@ class Functional:
         # the span's ends leave the floats for t -> 0; clamped to e^(+-708)
         # it still holds every root with |log y| < 708
         span = (_clamped_root(t * b, t), _clamped_root(2.0 * (b * t + (2.0 - s) * a), t))
-        return cls(static_shift_energy(p), solve_one, residual, curve_dt, span)
+        return cls(p.delta, static_shift_energy(p), solve_one, residual, curve_dt, span)
 
     def dt(self, m: float) -> float:
         """Effective tunneling, the largest self-consistent root."""
@@ -384,9 +394,11 @@ class Functional:
         root's ``m`` gets a cold solve, whose ``dt`` is the largest root there
         and is returned.  A root whose curve point is a smaller root at its
         ``m`` thus only adds one more value of :meth:`energy`.  The best root
-        must undercut ``m = 0`` by ``1e-13`` relative to win.  ``m = 1`` needs
-        no candidate of its own: the energy there is ``static``, which no
-        value of :meth:`energy` exceeds.
+        must undercut ``m = 0`` by ``1e-13 max(delta, |E|)`` to win.  ``m =
+        1`` needs no candidate of its own: the energy there is ``static``,
+        which no value of :meth:`energy` exceeds, and unless the winner lies
+        strictly below it, as when the tunneling collapses at every ``m``,
+        the result is the fully localized ``(1, static, 0)``.
         """
         # past y ~ 1e154, reached only at couplings whose tunneling has long
         # collapsed, (y + w)^2 overflows and its reciprocal reads 0
@@ -395,7 +407,10 @@ class Functional:
             lo, hi = self._span
             if hi > lo:
                 decades = math.log10(hi) - math.log10(lo)  # hi / lo can overflow
-                grid = np.geomspace(lo, hi, 2 + int(_Y_GRID_PER_DECADE * decades))
+                # geometric, as np.geomspace builds it but several times faster
+                grid = np.exp(np.linspace(math.log(lo), math.log(hi),
+                                          2 + int(_Y_GRID_PER_DECADE * decades)))
+                grid[0], grid[-1] = lo, hi
                 r = residual(grid)
                 for k in np.flatnonzero(np.signbit(r[:-1]) != np.signbit(r[1:])).tolist():
                     try:
@@ -412,9 +427,11 @@ class Functional:
             dts = [self.dt(m) for m in ms]  # one cold solve per m, so dt(m) comes back bit for bit
             es = [min(self._branch(m, dt), self.static) for m, dt in zip(ms, dts)]
         j = min(range(1, len(es)), key=es.__getitem__, default=0)
-        if j == 0 or es[j] >= es[0] - 1e-13 * max(1.0, abs(es[0])):
-            return 0.0, es[0], dts[0]
-        return ms[j], es[j], dts[j]
+        if j and es[j] >= es[0] - 1e-13 * max(self.delta, abs(es[0])):
+            j = 0
+        if es[j] < self.static:  # so dt > 0 and |m| < 1: energy(m) is static otherwise
+            return ms[j], es[j], dts[j]
+        return 1.0, self.static, 0.0
 
     def c1(self) -> float:
         """Landau coefficient of ``branch = c0 + c1 m^2 + O(m^4)``, whose zero

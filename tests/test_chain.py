@@ -132,6 +132,29 @@ class TestOccupations:
         assert np.all(occ.n_av == 0.0)
         assert occ.frame == "bare"
 
+    def test_fully_localized_state_is_the_static_shift(self):
+        # m = 1, dt = 0: w phi = -1/2 on the + branch, so site 0 holds
+        # (int dmu/w)^2 / (4 mass) = alpha (1 + s) / (2 s^2), and the
+        # frame displaced by m = 1 removes the whole shift
+        p = params(0.5)
+        state = VariationalState.build(1.0, 0.0)
+        rep = chain_map(p, 30)
+        bare = chain_occupations(state, p, rep).n_av
+        assert bare[0] == pytest.approx(p.alpha * (1.0 + S) / (2.0 * S * S), rel=1e-10)
+        assert np.all(np.isfinite(bare)) and np.all(bare > 0.0)
+        assert np.all(chain_occupations(state, p, rep, m_frame=1.0).n_av == 0.0)
+
+    def test_occupations_past_the_float_square_of_the_coupling(self):
+        # d ~ alpha, so d^2 leaves the floats at alpha = 1e154 while n_av ~
+        # alpha still fits; under the suite's warnings-as-errors no overflow
+        # warning may be raised
+        p = params(1e154)
+        sol = minimize_energy(p)
+        occ = chain_occupations(sol.state, p, chain_map(p, 400))
+        assert sol.sz == 1.0
+        assert np.all(np.isfinite(occ.n_av))
+        assert occ.n_av[0] == pytest.approx(1e154 * (1.0 + S) / (2.0 * S * S), rel=1e-10)
+
     def test_delocalized_profile_decays(self):
         p = params(0.015)
         sol = minimize_energy(p)

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
 import warnings
@@ -72,6 +73,37 @@ class TestLoadConfig:
         assert len(err) == 1 and str(cfg) in err[0]
 
 
+class TestOutputFile:
+    ARGS = ["solve", "--s", "0.3", "--alpha", "0.05", "--delta", "1", "--omega-c", "10"]
+
+    def test_written_owner_only_and_no_temp_file_left(self, tmp_path):
+        out = tmp_path / "solve.json"
+        out.write_text("stale")
+        assert run_cli(self.ARGS + ["--output", str(out)]) == 0
+        assert json.loads(out.read_text())["command"] == "solve"
+        assert stat.S_IMODE(out.stat().st_mode) == 0o600
+        assert os.listdir(tmp_path) == ["solve.json"]
+
+    def test_failed_write_leaves_no_temp_file(self, tmp_path, capsys):
+        # the rename onto a directory fails after the temp file is written
+        out = tmp_path / "solve.json"
+        out.mkdir()
+        assert run_cli(self.ARGS + ["--output", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and str(out) in err[0]
+        assert os.listdir(tmp_path) == ["solve.json"] and out.is_dir()
+
+    def test_symlink_at_the_temp_name_is_not_followed(self, tmp_path, capsys):
+        out, target = tmp_path / "solve.json", tmp_path / "target"
+        target.write_text("keep")
+        tmp = tmp_path / f"solve.json.{os.getpid()}.tmp"
+        tmp.symlink_to(target)
+        assert run_cli(self.ARGS + ["--output", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and str(out) in err[0]
+        assert target.read_text() == "keep" and tmp.is_symlink() and not out.exists()
+
+
 class TestSolveCommand:
     def test_free_limit_record(self, tmp_path, capsys):
         out = tmp_path / "solve.json"
@@ -126,6 +158,12 @@ class TestSolveCommand:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and str(out) in err[0]
         assert not out.parent.exists()
+
+    def test_collapsed_tunneling_is_fully_localized(self, capsys):
+        assert run_cli(["solve", "--s", "0.3", "--alpha", "1e100", "--delta", "1",
+                        "--omega-c", "10"]) == 0
+        record = json.loads(capsys.readouterr().out)
+        assert (record["M"], record["sx"], record["entanglement"]) == (1.0, 0.0, 0.0)
 
     def test_spin_vector_beyond_one_exit_2(self, capsys):
         # the wide-band dt = 1.0052 delta would print sx = 1.00523 > 1
@@ -668,6 +706,10 @@ _UNIT_BATH = ["--delta", "1", "--omega-c", "10"]
     # (1 - K)^2 overflows in the tunneling descent's step
     (["solve", "--s", "0.3", "--alpha", "1e154"], 0),
     (["solve", "--s", "0.3", "--alpha", "1e200"], 0),
+    # d^2 of the chain displacements overflows, n_av ~ alpha does not
+    (["chain", "--s", "0.3", "--alpha", "1e154", "--occupations", "--n-sites", "400"], 0),
+    # the descent's step 2 K g overflowed to an infinite step, and dt to 0 at g = -inf
+    (["solve", "--s", "0.3", "--alpha", "1e148"], 0),
 ])
 def test_extreme_inputs_exit_codes_stderr_and_payload(argv, want):
     code, out = _check_exit_stderr_payload(argv + _UNIT_BATH)

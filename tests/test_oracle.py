@@ -7,7 +7,7 @@ import pytest
 import scipy.sparse as sp
 
 from subohmic import oracle
-from subohmic.errors import DomainError, SizeError
+from subohmic.errors import ConvergenceError, DomainError, SizeError
 from subohmic.critical import critical_coupling_numeric
 from subohmic.model import ModelParams, bath_as_measures, discretize_bath
 from subohmic.oracle import (
@@ -188,24 +188,44 @@ class TestGroundState:
         assert resid <= 1e-10 * max(1.0, abs(h).sum(axis=1).max())
 
     def test_scale_is_the_largest_absolute_row_sum(self, monkeypatch):
-        # the residual is checked against 1e-10 * max(1, max_i sum_j |H_ij|);
-        # the flip diagonals hold -delta/2 in their out-of-range padding, so
-        # a sum over the stored diagonals overshoots by delta/2
-        scales = []
-        monkeypatch.setattr(oracle, "max", lambda *a: scales.append(a) or builtins.max(*a),
-                            raising=False)
-        p = params(0.1, delta=0.7)
-        for n_modes, nb, which_basis in [(4, 8, "star"), (4, 8, "chain"), (3, 2, "chain")]:
-            h = build_hamiltonian(discretize_bath(p, n_modes), p,
-                                  OracleConfig(n_modes, nb, which_basis))
-            scales.clear()
+        # the residual is checked against 1e-10 * max_i sum_j |H_ij|, in the
+        # units of H: the same bound relative to H at delta 0.7 and at 1e-6
+        # of that, where every row sum is below 1.  The flip diagonals hold
+        # -delta/2 in their out-of-range padding, so a sum over the stored
+        # diagonals overshoots by delta/2
+        for unit in (1.0, 1e-6):
+            p = ModelParams(s=S, alpha=0.1, delta=0.7 * unit, omega_c=WC * unit)
+            for n_modes, nb, which_basis in [(4, 8, "star"), (4, 8, "chain"), (3, 2, "chain")]:
+                h = build_hamiltonian(discretize_bath(p, n_modes), p,
+                                      OracleConfig(n_modes, nb, which_basis))
+                floats = []
+                with monkeypatch.context() as patch:
+                    patch.setattr(oracle, "float", lambda x: floats.append(builtins.float(x))
+                                  or floats[-1], raising=False)
+                    ground_state(h)
+                want = np.abs(h.toarray()).sum(axis=1).max()
+                naive = np.abs(h.data).sum(axis=0).max()
+                assert naive - want == pytest.approx(0.5 * p.delta, rel=1e-12)
+                assert (want > 1.0) == (unit == 1.0)
+                assert floats[0] == pytest.approx(want, rel=1e-14)  # ground_state's scale
+
+    @pytest.mark.parametrize("unit", [1.0, 1e-6])
+    def test_inaccurate_eigenpair_is_refused_in_any_unit(self, monkeypatch, unit):
+        # a Krylov pair whose residual is 3e-10 of the largest absolute row
+        # sum fails the check in any unit of H, also where every row sum is
+        # below 1
+        p = ModelParams(s=S, alpha=0.1, delta=0.7 * unit, omega_c=WC * unit)
+        h = build_hamiltonian(discretize_bath(p, 3), p, OracleConfig(3, 4))
+        energy, vec = ground_state(h)
+        scale = float(abs(h).sum(axis=1).max())
+        kick = np.zeros_like(vec)
+        kick[0] = 1.0
+        kick *= 3e-10 * scale / np.linalg.norm(h @ kick - energy * kick)
+        bad = (vec + kick) / np.linalg.norm(vec + kick)
+        assert np.linalg.norm(h @ bad - energy * bad) == pytest.approx(3e-10 * scale, rel=0.01)
+        monkeypatch.setattr(oracle, "eigsh", lambda *a, **k: (np.array([energy]), bad[:, None]))
+        with pytest.raises(ConvergenceError, match="residual"):
             ground_state(h)
-            want = np.abs(h.toarray()).sum(axis=1).max()
-            naive = np.abs(h.data).sum(axis=0).max()
-            assert naive - want == pytest.approx(0.5 * p.delta, rel=1e-12)
-            [(floor, scale)] = scales
-            assert floor == 1.0 and want > 1.0
-            assert scale == pytest.approx(want, rel=1e-14)
 
     @pytest.mark.parametrize("which_basis", ["star", "chain"])
     def test_krylov_memory_is_a_small_subspace(self, which_basis):
@@ -326,14 +346,15 @@ class TestAdoOnDiscrete:
         # a returned state with tunneling and |m| < 1 carries its own branch
         # energy; any other returned state carries the static energy.  Where
         # branch(0) lies above static, a magnetized root of the full minimizer
-        # undercuts both, so ado_on_discrete's guard only meets its case when
-        # offered the m = 0 candidate alone, as minimize reports it when no
-        # root wins; the guard must then return the localized state
+        # undercuts both, so minimize's fall-back to the localized state only
+        # meets its case when the curve offers no root and the m = 0
+        # candidate stands alone: an empty span of y
         delta = 10.0
         near = self._static_crossings(s, delta, n_modes)
         if m_zero_only:
-            monkeypatch.setattr(Functional, "minimize", lambda fn: (
-                0.0, min(float(fn.branch(0.0)), fn.static), fn.dt(0.0)))
+            init = Functional.__init__
+            monkeypatch.setattr(Functional, "__init__",
+                                lambda fn, *args: init(fn, *args[:-1], (1.0, 1.0)))
         for alpha in near:
             p = params(alpha, s=s, delta=delta)
             bath = discretize_bath(p, n_modes)
@@ -342,7 +363,7 @@ class TestAdoOnDiscrete:
             if state.delta_tilde > 0.0 and abs(state.m) < 1.0:
                 assert abs(float(fn.branch(state.m)) - e) <= 1e-13 * max(1.0, abs(fn.static))
             else:
-                assert e == fn.static
+                assert e == fn.static and (state.m, state.delta_tilde) == (1.0, 0.0)
 
     def test_converges_to_continuum(self):
         p = params(0.02)

@@ -20,7 +20,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 from scipy.sparse.linalg import eigsh
@@ -32,7 +32,7 @@ from subohmic.critical import (_critical_root, critical_coupling_closed,
 from subohmic.errors import ConvergenceError
 from subohmic.model import (DiscretizedBath, ModelParams, bath_as_measures, bath_measures,
                             discretize_bath)
-from subohmic.numerics import lambert_w0
+from subohmic.numerics import lambert_w0, power_rule_log
 from subohmic.oracle import OracleConfig, ado_on_discrete, build_hamiltonian, ground_state
 from subohmic.variational import (Functional, VariationalState, _q_of, _safe_step,
                                   _solve_delta_tilde, minimize_energy, static_shift_energy)
@@ -597,6 +597,52 @@ def test_bath_rules_match_hypergeometric_moments(s, log_eta, log_omega_c, log_al
         got = float(np.dot(rule.weights, 1.0 / (y + rule.nodes) ** k))
         want = 2.0 * alpha * omega_c ** (1.0 - s) * _power_moment(sigma, k, y, omega_c)
         assert abs(got - want) <= 1e-14 * want, (sigma, got, want)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(s=st.floats(0.02, 0.95), log_omega_c=st.floats(0.0, math.log(1e3)),
+       log_alpha=st.floats(math.log(1e-3), math.log(1e3)))
+def test_bath_pair_is_one_rule(s, log_omega_c, log_alpha):
+    # dmu is the dmu/w rule with its weights times its nodes, up to the
+    # rounding of scaling each by alpha
+    mu0, mu_m1 = bath_measures(ModelParams(s=s, alpha=math.exp(log_alpha), delta=1.0,
+                                           omega_c=math.exp(log_omega_c)))
+    assert np.array_equal(mu0.nodes, mu_m1.nodes)
+    want = mu_m1.nodes * mu_m1.weights
+    assert np.all(np.abs(mu0.weights - want) <= 2.0 * np.spacing(want))
+
+
+@SETTINGS
+@given(s=st.floats(0.1, 0.45), omega_c=st.sampled_from([10.0, 100.0]),
+       f=st.one_of(st.floats(0.3, 0.9), st.floats(1.1, 3.0)))
+def test_shared_pair_matches_two_independent_rules(s, omega_c, f):
+    # the functional on the shared pair against one on the rules of w^s and
+    # w^(s-1), each with a Gauss-Jacobi head of its own
+    alpha = f * critical_coupling_numeric(s, 1.0, omega_c)
+    prefactor = 2.0 * alpha * omega_c ** (1.0 - s)
+    shared = Functional.measures(1.0, *bath_measures(ModelParams(s, alpha, 1.0, omega_c)))
+    apart = Functional.measures(1.0, power_rule_log(s, omega_c, prefactor),
+                                power_rule_log(s - 1.0, omega_c, prefactor))
+    (m, e, _), (m_apart, e_apart, _) = shared.minimize(), apart.minimize()
+    assert abs(e - e_apart) <= 1e-13 * abs(e_apart)
+    assert abs(m - m_apart) <= 1e-10 * m_apart
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(s=st.sampled_from([0.1, 0.3, 0.4]), log_unit=st.floats(math.log(1e-9), math.log(1e3)))
+@example(s=0.3, log_unit=math.log(1e-3))
+def test_minimizer_is_invariant_under_scaling_delta(s, log_unit):
+    # at reduced coupling 1e-5 the magnetized minimum undercuts m = 0 by only
+    # ~4e-11 delta; (delta, omega_c) -> lam (delta, omega_c) scales the energy
+    # by lam and leaves m, so the tie that decides it is in units of delta
+    lam = math.exp(log_unit)
+    alpha = (1.0 + 1e-5) * critical_coupling_numeric(s, 1.0, 10.0)
+    m, e, dt = Functional.of(ModelParams(s, alpha, 1.0, 10.0)).minimize()
+    m_lam, e_lam, dt_lam = Functional.of(ModelParams(s, alpha, lam, 10.0 * lam)).minimize()
+    assert m > 0.0
+    assert m_lam == pytest.approx(m, rel=1e-8)
+    assert e_lam / lam == pytest.approx(e, rel=1e-12)
+    assert dt_lam / lam == pytest.approx(dt, rel=1e-12)
 
 
 # Small baths with displacements g/(2w) <= 0.4, so that 12 Fock levels per

@@ -419,7 +419,7 @@ class TestMinimizeEnergy:
             tiny = 4.4e-16 if np.ndim(ys) == 0 else -4.4e-16
             return (hi - ys) / hi + np.where(ys == hi, tiny, 0.0)
 
-        fn = Functional(0.0, lambda m: 5.0 if m > 0.0 else 0.1, residual,
+        fn = Functional(1.0, 0.0, lambda m: 5.0 if m > 0.0 else 0.1, residual,
                         lambda ys: 0.5 * ys, (lo, hi))
         m, e, dt = fn.minimize()
         assert (m, dt) == (math.sqrt(0.75), 5.0)
@@ -484,6 +484,17 @@ class TestMinimizeEnergy:
         grid = np.linspace(0.9, 1.0, 2001)
         assert e <= min(fn.energy(m) for m in grid.tolist())
         assert dt == fn.dt(m)
+
+    def test_collapsed_tunneling_is_full_localization(self):
+        # past alpha ~ 1e3 the tunneling collapses at every m: every m has the
+        # static energy, and the state is the fully localized one, not m = 0
+        sol = minimize_energy(params(1e100))
+        assert (sol.sz, sol.sx, sol.entanglement) == (1.0, 0.0, 0.0)
+        assert sol.state.delta_tilde == 0.0
+        assert sol.energy == Functional.of(params(1e100)).static
+        ms = [minimize_energy(params(10.0**k)).sz for k in range(1, 201)]
+        assert all(a <= b for a, b in zip(ms, ms[1:]))
+        assert ms[-1] == 1.0
 
     def test_scaling_functional_route(self):
         p = params(0.001, omega_c=1000.0)
