@@ -112,13 +112,16 @@ class QuadratureRule:
         Of the constructor's checks only those that scaling can break are
         made again: a weight that overflows to inf or underflows to 0 (NaN
         or a factor <= 0 fails the same test)."""
-        weights = factor * self.weights
-        if weights.size and not (0.0 < weights.min() and weights.max() < math.inf):
+        # the extreme weights scale to the extremes of the scaled ones; as plain
+        # floats their products overflow to inf without numpy's warning
+        weights = self.weights
+        if weights.size and not (0.0 < factor * float(weights.min())
+                                 and factor * float(weights.max()) < math.inf):
             raise DomainError(f"QuadratureRule: weights times {factor!r} are not finite "
                               f"and positive")
         rule = object.__new__(QuadratureRule)
         object.__setattr__(rule, "nodes", self.nodes)
-        object.__setattr__(rule, "weights", weights)
+        object.__setattr__(rule, "weights", factor * weights)
         return rule
 
     @property

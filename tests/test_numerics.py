@@ -114,6 +114,16 @@ class TestQuadrature:
         with pytest.raises(DomainError, match="finite"):
             QuadratureRule(nodes=nodes, weights=weights)
 
+    def test_scaled_rule_rechecks_only_the_weights(self):
+        rule = QuadratureRule(nodes=[0.5, 1.0], weights=[1e-10, 1e300])
+        doubled = rule.scaled(2.0)
+        assert doubled.nodes is rule.nodes
+        assert np.array_equal(doubled.weights, [2e-10, 2e300])
+        # overflow to inf, underflow to 0, and factors no measure has
+        for factor in (1e9, 1e-320, 0.0, -1.0, math.nan):
+            with pytest.raises(DomainError, match="finite and positive"):
+                rule.scaled(factor)
+
     def test_power_weight_constant(self):
         # int_0^1 w^0.3 dw = 1/1.3, the weight lives in the rule
         rule = power_rule(0.3, 1.0, 20)
