@@ -33,7 +33,7 @@ import numpy as np
 from . import __version__
 from .errors import BracketError, ConvergenceError, DomainError
 from .model import ModelParams
-from .variational import minimize_energy
+from .variational import FUNCTIONALS, minimize_energy
 
 _SCHEMA_VERSION = "1"
 
@@ -56,7 +56,7 @@ _OPTIONS = {
     "omega_c": _Option(float),
     "output": _Option(str),
     "raw_units": _Option(bool, False),
-    "functional": _Option(("exact", "scaling"), "exact"),
+    "functional": _Option(FUNCTIONALS, "exact"),
     "alpha_grid": _Option(str, help="lo:hi:n linear grid"),
     "s_grid": _Option(str, help="lo:hi:n"),
     "omega_c_list": _Option(str, help="comma-separated cutoffs"),
@@ -272,7 +272,9 @@ def _cmd_sweep(cfg: RunConfig) -> _Output:
     rows = [
         (float(a), float(m), float(sx), float(ent), float(e / e_unit), float(c1 / e_unit),
          status)
-        for (a, m, sx, ent, e, c1), status in zip(table.rows(), table.status)
+        for a, m, sx, ent, e, c1, status in zip(table.alphas, table.m, table.sx,
+                                                table.entanglement, table.energy, table.c1,
+                                                table.status)
     ]
     n_loc = int(np.sum(table.m > 1e-6))
     return _Output(

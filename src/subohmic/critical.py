@@ -26,7 +26,8 @@ import numpy as np
 from .errors import BracketError, ConvergenceError, DomainError
 from .model import ModelParams, bath_measures
 from .numerics import FitResult, find_root, fit_power_law, lambert_w0
-from .variational import Functional, VariationalState, observables, spin_vector
+from .variational import (FUNCTIONALS, Functional, VariationalState, inverse_square, observables,
+                          spin_vector)
 
 _ROW_ERRORS = (DomainError, ConvergenceError, BracketError)  # recorded per row
 _FIT_WINDOW = (1e-4, 1e-2)  # reduced-coupling window for exponent fits
@@ -54,8 +55,7 @@ class CriticalPoint:
 class SweepTable:
     """Row-per-coupling solver output behind magnetization/coherence plots.
 
-    ``status[i]`` is ``"ok"`` or the class name of the error that row
-    raised; ``failures`` holds ``(index, exception)`` for each failed row.
+    ``failures`` holds ``(index, exception)`` for each failed row.
     """
 
     alphas: np.ndarray
@@ -64,13 +64,13 @@ class SweepTable:
     entanglement: np.ndarray
     energy: np.ndarray
     c1: np.ndarray
-    status: list = field(default_factory=list)
     failures: list = field(default_factory=list)
 
-    def rows(self):
-        for i in range(self.alphas.size):
-            yield (self.alphas[i], self.m[i], self.sx[i], self.entanglement[i],
-                   self.energy[i], self.c1[i])
+    @property
+    def status(self) -> list[str]:
+        """Per row, ``"ok"`` or the class name of the error the row raised."""
+        failed = {i: type(exc).__name__ for i, exc in self.failures}
+        return [failed.get(i, "ok") for i in range(self.alphas.size)]
 
 
 def _require_subohmic_window(s: float) -> None:
@@ -104,13 +104,13 @@ def critical_coupling_numeric(s: float, delta: float, omega_c: float,
     linear in ``alpha``, with the Lambert-W ``dt`` gives ``alpha_c
     e^{-alpha_c} = alpha_closed``."""
     _require_subohmic_window(s)
+    if functional not in FUNCTIONALS:
+        raise DomainError(f"unknown functional {functional!r}")
     if functional == "scaling":
         alpha_closed = critical_coupling_closed(s, delta, omega_c)[0]
         if alpha_closed > math.exp(-1.0):
             raise DomainError(f"critical_coupling_numeric: no c1 zero, {alpha_closed!r} > 1/e")
         return -lambert_w0(-alpha_closed)
-    if functional != "exact":
-        raise DomainError(f"unknown functional {functional!r}")
     return _critical_root(s, delta, omega_c)[0]
 
 
@@ -128,12 +128,11 @@ def _critical_root(s: float, delta: float, omega_c: float) -> tuple[float, float
     log_delta = math.log(delta)
 
     def d_k1(d: float) -> float:
-        return d * float(np.dot(mu1_m1.weights, 1.0 / (d + mu1_m1.nodes) ** 2))
+        return d * float(inverse_square(d, mu1_m1))
 
     def gap(u: float) -> float:  # log(delta/d) - I1/(2 d K1) at d = e^u
         d = math.exp(u)
-        i1 = float(np.dot(mu1.weights, 1.0 / (d + mu1.nodes) ** 2))
-        return log_delta - u - 0.5 * i1 / d_k1(d)
+        return log_delta - u - 0.5 * float(inverse_square(d, mu1)) / d_k1(d)
 
     d = math.exp(find_root(gap, log_delta - 0.5 * s / (1.0 - s), log_delta, tol=1e-15))
     return 1.0 / d_k1(d), d
@@ -169,24 +168,22 @@ def sweep_alpha(s: float, delta: float, omega_c: float,
     :class:`~subohmic.variational.Functional`; rows are independent.
 
     A row that raises a domain, convergence or bracket error is filled with
-    NaN and recorded in ``status`` and ``failures``; the sweep continues.
+    NaN and recorded in ``failures``; the sweep continues.
     """
     alphas = np.asarray(list(alphas), dtype=float)
     if alphas.size and np.any(np.diff(alphas) <= 0.0):
         raise DomainError("sweep_alpha: alphas must be strictly increasing")
     n = alphas.size
     cols = {k: np.full(n, np.nan) for k in ("m", "sx", "ent", "energy", "c1")}
-    status = ["ok"] * n
     failures: list = []
     for i, alpha in enumerate(alphas.tolist()):
         try:
             p = ModelParams(s=s, alpha=alpha, delta=delta, omega_c=omega_c)
             fn = Functional.of(p, functional)
             m, e, dt = fn.minimize()
-            sol = observables(VariationalState.build(m, dt), p, energy=e)
+            sol = observables(VariationalState(m, dt), p, energy=e)
             c1 = fn.c1()
         except _ROW_ERRORS as exc:
-            status[i] = type(exc).__name__
             failures.append((i, exc))
             continue
         cols["m"][i], cols["sx"][i], cols["ent"][i] = sol.sz, sol.sx, sol.entanglement
@@ -194,7 +191,7 @@ def sweep_alpha(s: float, delta: float, omega_c: float,
 
     return SweepTable(
         alphas=alphas, m=cols["m"], sx=cols["sx"], entanglement=cols["ent"],
-        energy=cols["energy"], c1=cols["c1"], status=status, failures=failures,
+        energy=cols["energy"], c1=cols["c1"], failures=failures,
     )
 
 

@@ -77,7 +77,10 @@ def spectral_moment(p: ModelParams, k: float) -> float:
     """Analytic moment ``(1/pi) int J(w) w^k dw = 2 alpha omega_c^(k+2) / (s+k+1)``."""
     if p.s + k + 1.0 <= 0.0:
         raise DomainError(f"spectral_moment: moment k={k} diverges at w=0")
-    return 2.0 * p.alpha * p.omega_c ** (k + 2.0) / (p.s + k + 1.0)
+    moment = 2.0 * p.alpha * p.omega_c ** (k + 2.0) / (p.s + k + 1.0)
+    if moment == math.inf:
+        raise DomainError(f"spectral_moment: moment k={k} overflows")
+    return moment
 
 
 @dataclass(frozen=True)
@@ -144,6 +147,10 @@ def _unit_measures(s: float, omega_c: float) -> tuple[QuadratureRule, Quadrature
     if (s - 1.0) + 2.0 <= 1.0:
         raise DomainError(f"bath_measures: s={s!r} too small, s - 1 is -1 to rounding")
     mu_m1 = power_rule_log(s - 1.0, omega_c, 2.0 * omega_c ** (1.0 - s))
+    # max node * max weight bounds dmu's weights; a plain-float product skips numpy's warning
+    if float(mu_m1.nodes[-1]) * float(mu_m1.weights.max()) == math.inf:
+        raise DomainError(f"bath_measures: the weights of dmu overflow at s={s!r}, "
+                          f"omega_c={omega_c!r}")
     return QuadratureRule(mu_m1.nodes, mu_m1.nodes * mu_m1.weights), mu_m1
 
 

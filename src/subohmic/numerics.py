@@ -110,15 +110,15 @@ class QuadratureRule:
         """The rule of ``factor`` times this measure, on the same nodes.
 
         Of the constructor's checks only those that scaling can break are
-        made again: a weight that overflows to inf or underflows to 0 (NaN
-        or a factor <= 0 fails the same test)."""
-        # the extreme weights scale to the extremes of the scaled ones; as plain
-        # floats their products overflow to inf without numpy's warning
+        made again: a weight that underflows to 0 (NaN or a factor <= 0
+        fails the same test) and a total mass that overflows to inf."""
+        # as plain floats the products overflow to inf without numpy's warning; the
+        # scaled weights' own sum differs from factor * mass by far less than 1e-12
         weights = self.weights
         if weights.size and not (0.0 < factor * float(weights.min())
-                                 and factor * float(weights.max()) < math.inf):
+                                 and factor * float(weights.sum()) * (1.0 + 1e-12) < math.inf):
             raise DomainError(f"QuadratureRule: weights times {factor!r} are not finite "
-                              f"and positive")
+                              f"and positive, or their sum overflows")
         rule = object.__new__(QuadratureRule)
         object.__setattr__(rule, "nodes", self.nodes)
         object.__setattr__(rule, "weights", factor * weights)

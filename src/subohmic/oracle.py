@@ -226,9 +226,9 @@ def ado_on_discrete(bath: DiscretizedBath, p: ModelParams) -> tuple[float, Varia
     (:meth:`~subohmic.variational.Functional.minimize`).
     """
     if np.all(bath.couplings == 0.0):
-        return -0.5 * p.delta, VariationalState.build(0.0, p.delta)
+        return -0.5 * p.delta, VariationalState(0.0, p.delta)
     m, energy, dt = Functional.measures(p.delta, *bath_as_measures(bath)).minimize()
-    return energy, VariationalState.build(m, dt)
+    return energy, VariationalState(m, dt)
 
 
 def discrete_critical_coupling(s: float, delta: float, omega_c: float,

@@ -70,6 +70,7 @@ _FIXED_POINT_MAX_ITER = 10_000
 _LOG_COLLAPSE = math.log(_COLLAPSE_FRACTION)
 _EPS = float(np.finfo(float).eps)
 _LOG_FLOAT_MAX = 708.0  # e^(+-708) are normal floats
+FUNCTIONALS = ("exact", "scaling")  # the full cutoff integral and its wide-band limit
 
 
 def _q_of(m: float) -> float:
@@ -78,64 +79,29 @@ def _q_of(m: float) -> float:
     return math.sqrt(max(0.0, (1.0 - m) * (1.0 + m)))
 
 
-def displacements(omega, m: float, delta_tilde: float):
-    """Optimal displacement shapes ``(f+/g, f-/g)`` at frequency ``omega``.
-
-    At ``omega = 0`` with ``m != 0`` the shape diverges like ``-m / (2 w)``;
-    the divergence is returned as ``-inf * sign(m)`` rather than raised, since
-    it is a physical feature of the magnetized state (flagged downstream via
-    ``occupation_finite``).
-    """
-    if abs(m) > 1.0:
-        raise DomainError("displacements: |m| must be <= 1")
-    if delta_tilde < 0.0:
-        raise DomainError("displacements: delta_tilde must be >= 0")
-    w = np.asarray(omega, dtype=float)
-    scalar = np.isscalar(omega) or np.ndim(omega) == 0
-    q = _q_of(m)
-    if q == 0.0 and delta_tilde == 0.0:
-        # fully localized static shift, the limit of the general formula
-        with np.errstate(divide="ignore"):
-            f = -math.copysign(1.0, m) / (2.0 * w)
-        return (float(f), float(f)) if scalar else (f, f)
-    den = 2.0 * w * (delta_tilde + q * w)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        fp = -(m * delta_tilde + q * w) / den
-        fm = -(m * delta_tilde - q * w) / den
-    if np.any(w == 0.0):
-        at0_p = -np.inf * np.sign(m) if m != 0.0 else -1.0 / (2.0 * delta_tilde)
-        at0_m = -np.inf * np.sign(m) if m != 0.0 else +1.0 / (2.0 * delta_tilde)
-        fp = np.where(w == 0.0, at0_p, fp)
-        fm = np.where(w == 0.0, at0_m, fm)
-    if scalar:
-        return float(fp), float(fm)
-    return fp, fm
-
-
 @dataclass(frozen=True)
 class VariationalState:
-    """ADO state summary: magnetization, effective tunneling, amplitudes.
+    """ADO state: magnetization ``m`` and effective tunneling ``delta_tilde``.
 
-    ``c_plus**2 + c_minus**2 = 1`` and ``c_plus**2 - c_minus**2 = m`` hold by
-    construction.  ``f_pm`` evaluates the per-unit-coupling displacement
-    shapes; multiply by ``g_l`` for physical displacements.
+    The amplitudes follow from ``m``, so ``c_plus**2 + c_minus**2 = 1`` and
+    ``c_plus**2 - c_minus**2 = m`` hold by construction.
     """
 
     m: float
     delta_tilde: float
-    c_plus: float
-    c_minus: float
 
-    @classmethod
-    def build(cls, m: float, delta_tilde: float) -> "VariationalState":
-        if abs(m) > 1.0:
-            raise DomainError("VariationalState: |m| must be <= 1")
-        return cls(
-            m=float(m),
-            delta_tilde=float(delta_tilde),
-            c_plus=math.sqrt(0.5 * (1.0 + m)),
-            c_minus=math.sqrt(0.5 * (1.0 - m)),
-        )
+    def __post_init__(self):
+        if not (abs(self.m) <= 1.0 and 0.0 <= self.delta_tilde < math.inf):
+            raise DomainError(f"VariationalState: need |m| <= 1 and 0 <= delta_tilde < inf, "
+                              f"got {self!r}")
+
+    @property
+    def c_plus(self) -> float:
+        return math.sqrt(0.5 * (1.0 + self.m))
+
+    @property
+    def c_minus(self) -> float:
+        return math.sqrt(0.5 * (1.0 - self.m))
 
     @property
     def q(self) -> float:
@@ -143,7 +109,35 @@ class VariationalState:
         return _q_of(self.m)
 
     def f_pm(self, omega):
-        return displacements(omega, self.m, self.delta_tilde)
+        """Optimal displacement shapes ``(f+/g, f-/g)`` at frequency ``omega``
+        (multiply by ``g_l`` for physical displacements).
+
+        At ``omega = 0`` with ``m != 0`` the shape diverges like ``-m / (2 w)``;
+        the divergence is returned as ``-inf * sign(m)`` rather than raised, since
+        it is a physical feature of the magnetized state (flagged downstream via
+        ``occupation_finite``).
+        """
+        m, delta_tilde = self.m, self.delta_tilde
+        w = np.asarray(omega, dtype=float)
+        scalar = np.isscalar(omega) or np.ndim(omega) == 0
+        q = _q_of(m)
+        if q == 0.0 and delta_tilde == 0.0:
+            # fully localized static shift, the limit of the general formula
+            with np.errstate(divide="ignore"):
+                f = -math.copysign(1.0, m) / (2.0 * w)
+            return (float(f), float(f)) if scalar else (f, f)
+        den = 2.0 * w * (delta_tilde + q * w)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            fp = -(m * delta_tilde + q * w) / den
+            fm = -(m * delta_tilde - q * w) / den
+        if np.any(w == 0.0):
+            at0_p = -np.inf * np.sign(m) if m != 0.0 else -1.0 / (2.0 * delta_tilde)
+            at0_m = -np.inf * np.sign(m) if m != 0.0 else +1.0 / (2.0 * delta_tilde)
+            fp = np.where(w == 0.0, at0_p, fp)
+            fm = np.where(w == 0.0, at0_m, fm)
+        if scalar:
+            return float(fp), float(fm)
+        return fp, fm
 
 
 @dataclass(frozen=True)
@@ -153,10 +147,16 @@ class GroundStateSolution:
     state: VariationalState
     energy: float
     sx: float
-    sz: float
     entanglement: float
-    occupation_finite: bool
     crossover_scale: float
+
+    @property
+    def sz(self) -> float:
+        return self.state.m
+
+    @property
+    def occupation_finite(self) -> bool:  # the shapes' -m/(2 w) tail diverges otherwise
+        return self.state.m == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -168,6 +168,15 @@ def _overlap_integral(dt: float, q: float, mu0: QuadratureRule) -> float:
     # q^2 * int dmu / (dt + q w)^2; the branch-overlap exponent is -half of it
     w = mu0.nodes
     return q * q * float(np.dot(mu0.weights, 1.0 / (dt + q * w) ** 2))
+
+
+def inverse_square(ys, mu: QuadratureRule):
+    """``int dmu / (y + w)^2`` on the rule ``mu`` at each ``y`` of ``ys`` (scalar or 1-d)."""
+    # one reciprocal, no temporaries: the minimizer's (y, node) tables are a few hundred kB
+    inv = np.add.outer(ys, mu.nodes)
+    np.reciprocal(inv, out=inv)
+    inv *= inv
+    return np.dot(inv, mu.weights)
 
 
 def _safe_step(g: float, k: float) -> float:
@@ -182,8 +191,7 @@ def _safe_step(g: float, k: float) -> float:
     return 2.0 * g / ((1.0 - k) + r) if k < 1.0 else ((k - 1.0) + r) / k
 
 
-def _solve_delta_tilde(m: float, delta: float, mu0: QuadratureRule,
-                       max_iter: int = _FIXED_POINT_MAX_ITER) -> float:
+def _solve_delta_tilde(m: float, delta: float, mu0: QuadratureRule) -> float:
     """Largest fixed point of ``dt = delta * exp(-overlap/2)`` at ``m``; 0 at
     ``|m| = 1``.
 
@@ -192,8 +200,9 @@ def _solve_delta_tilde(m: float, delta: float, mu0: QuadratureRule,
     ``g' = 1 - K``, ``K = dt q^2 int dmu/(dt+qw)^3``.  Each step is the
     largest one that provably keeps ``g >= 0``, so no step passes the largest
     root, and next to it the step is Newton's.  Roots below ``1e-12 * delta``
-    count as ``dt = 0``.  Raises :class:`ConvergenceError` after ``max_iter``
-    steps.
+    count as ``dt = 0``: ``I`` only grows as ``dt`` falls, so once ``I/2``
+    exceeds ``log(1e12)`` no root is left above that floor.  Raises
+    :class:`ConvergenceError` after ``_FIXED_POINT_MAX_ITER`` steps.
     """
     if abs(m) >= 1.0:
         return 0.0
@@ -202,7 +211,7 @@ def _solve_delta_tilde(m: float, delta: float, mu0: QuadratureRule,
     log_delta = math.log(delta)
     floor = log_delta + _LOG_COLLAPSE
     u, g = log_delta, math.inf
-    for _ in range(max_iter):
+    for _ in range(_FIXED_POINT_MAX_ITER):
         dt = float(np.exp(u))  # numpy's exp; math.exp differs in the last bit for ~5% of u
         inv = 1.0 / (dt + qw)
         inv2 = inv * inv
@@ -211,6 +220,8 @@ def _solve_delta_tilde(m: float, delta: float, mu0: QuadratureRule,
         if not math.isfinite(g):
             raise ConvergenceError(f"_solve_delta_tilde: residual g = {g!r} at m={m!r}, "
                                    f"dt={dt!r}")
+        if 0.5 * big_i > -_LOG_COLLAPSE:  # so g > 0 from here down to the floor
+            return 0.0
         step = _safe_step(g, k)
         if step <= _NEWTON_TOL:
             u -= step
@@ -221,8 +232,8 @@ def _solve_delta_tilde(m: float, delta: float, mu0: QuadratureRule,
             continue
         return math.exp(u) if u >= floor else 0.0
     raise ConvergenceError(
-        f"_solve_delta_tilde: fixed point at m={m!r} unconverged after {max_iter} "
-        f"iterations; residual g = {g:.3e}")
+        f"_solve_delta_tilde: fixed point at m={m!r} unconverged after "
+        f"{_FIXED_POINT_MAX_ITER} iterations; residual g = {g:.3e}")
 
 
 def solve_delta_tilde_scaling(m: float, p: ModelParams) -> float:
@@ -282,14 +293,6 @@ class Functional:
         fully displaced oscillators at dead tunneling."""
         # I = int dmu/(y+w)^2 and dE/dq = -(dt/2)(1 - Phi), Phi(y) = y int dmu/(w (y+w)^2);
         # Phi <= (int dmu/w)/y bounds the roots, and dt = q y >= 1e-12 delta
-        def inverse_square(ys, mu):
-            # 1/(y + w)^2 per (y, node), with one reciprocal and no temporary
-            # arrays: on the minimizer's grid each is a few hundred kB
-            inv = np.add.outer(ys, mu.nodes)
-            np.reciprocal(inv, out=inv)
-            inv *= inv
-            return inv @ mu.weights
-
         def residual(ys):
             return ys * inverse_square(ys, mu_m1) - 1.0
 
@@ -316,7 +319,7 @@ class Functional:
         drops below ``-1/e`` no finite root survives and ``dt = 0``; at
         ``alpha = 0`` the argument is 0 and ``dt = delta``.
         """
-        if kind not in ("exact", "scaling"):
+        if kind not in FUNCTIONALS:
             raise DomainError(f"unknown functional {kind!r}")
         if kind == "exact" and p.alpha != 0.0:
             return cls.measures(p.delta, *bath_measures(p))
@@ -450,7 +453,7 @@ class Functional:
 def minimize_energy(p: ModelParams, functional: str = "exact") -> GroundStateSolution:
     """Ground state over the magnetization (positive branch by convention)."""
     m, e, dt = Functional.of(p, functional).minimize()
-    return observables(VariationalState.build(m, dt), p, energy=e)
+    return observables(VariationalState(m, dt), p, energy=e)
 
 
 def spin_vector(m: float, dt: float, delta: float) -> tuple[float, float]:
@@ -481,21 +484,12 @@ def observables(state: VariationalState, p: ModelParams, energy: float) -> Groun
     modes (same-sign, mean-field-like displacements) from fast, adiabatically
     dressing ones.
     """
-    m = state.m
-    dt = state.delta_tilde
-    q = state.q
+    m, dt, q = state.m, state.delta_tilde, state.q
     sx, r = spin_vector(m, dt, p.delta)
     ent = _binary_entropy_bits(0.5 * (1.0 + min(r, 1.0)))
     crossover = math.inf if q == 0.0 and m != 0.0 else (m * dt / q if q > 0.0 else 0.0)
-    return GroundStateSolution(
-        state=state,
-        energy=float(energy),
-        sx=sx,
-        sz=m,
-        entanglement=ent,
-        occupation_finite=(m == 0.0),
-        crossover_scale=crossover,
-    )
+    return GroundStateSolution(state=state, energy=float(energy), sx=sx, entanglement=ent,
+                               crossover_scale=crossover)
 
 
 def _binary_entropy_bits(prob: float) -> float:

@@ -126,7 +126,7 @@ class TestChainMap:
 class TestOccupations:
     def test_free_bath_unoccupied(self):
         p = ModelParams(s=S, alpha=0.0, delta=DELTA, omega_c=WC)
-        st = VariationalState.build(0.0, DELTA)
+        st = VariationalState(0.0, DELTA)
         rep = chain_map(params(0.01), 10)
         occ = chain_occupations(st, p, rep)
         assert np.all(occ.n_av == 0.0)
@@ -137,7 +137,7 @@ class TestOccupations:
         # (int dmu/w)^2 / (4 mass) = alpha (1 + s) / (2 s^2), and the
         # frame displaced by m = 1 removes the whole shift
         p = params(0.5)
-        state = VariationalState.build(1.0, 0.0)
+        state = VariationalState(1.0, 0.0)
         rep = chain_map(p, 30)
         bare = chain_occupations(state, p, rep).n_av
         assert bare[0] == pytest.approx(p.alpha * (1.0 + S) / (2.0 * S * S), rel=1e-10)
@@ -179,7 +179,7 @@ class TestOccupations:
         # a fixed magnetized state against order-2528 rules for dmu (smooth
         # part) and dmu/w (the 1/w part), built from eigenvectors
         p = params(1.2 * ALPHA_C_NUM)
-        st = VariationalState.build(0.5, 0.1)
+        st = VariationalState(0.5, 0.1)
         rep = chain_map(p, 400)
         m, dt = st.m, st.delta_tilde
         q = math.sqrt(1 - m * m)
@@ -216,7 +216,7 @@ class TestDisplacedFrame:
     def test_noop_at_m_zero(self):
         # the displaced frame of an unmagnetized state is the bare frame
         p = params(0.02)
-        st = VariationalState.build(0.0, Functional.of(p).dt(0.0))
+        st = VariationalState(0.0, Functional.of(p).dt(0.0))
         rep = chain_map(p, 12)
         occ = chain_occupations(st, p, rep, m_frame=st.m)
         assert occ.frame == "bare"

@@ -710,10 +710,25 @@ _UNIT_BATH = ["--delta", "1", "--omega-c", "10"]
     (["chain", "--s", "0.3", "--alpha", "1e154", "--occupations", "--n-sites", "400"], 0),
     # the descent's step 2 K g overflowed to an infinite step, and dt to 0 at g = -inf
     (["solve", "--s", "0.3", "--alpha", "1e148"], 0),
+    # K, then the overlap integral, left the floats in the descent, which
+    # stepped by NaN: the tunneling collapses at every m
+    (["solve", "--s", "0.3", "--alpha", "1e295"], (0, "M=1 ")),
+    (["solve", "--s", "0.3", "--alpha", "1e306"], (0, "M=1 ")),
+    (["solve", "--s", "0.1", "--omega-c", "100", "--alpha", "1e300"], (0, "M=1 ")),
+    # int dmu / w sums past the floats, and so does the chain's mass
+    (["solve", "--s", "0.3", "--alpha", "1e307"], (2, "overflows")),
+    (["chain", "--s", "0.3", "--alpha", "1e307", "--occupations"], (2, "overflows")),
+    (["chain", "--s", "0.3", "--alpha", "1e306", "--occupations"], (2, "overflows")),
+    # dmu's weights, nodes times those of dmu / w, overflow
+    (["critical", "--s", "0.3", "--delta", "1e-300", "--omega-c", "1e300"], (2, "overflow")),
 ])
 def test_extreme_inputs_exit_codes_stderr_and_payload(argv, want):
-    code, out = _check_exit_stderr_payload(argv + _UNIT_BATH)
+    # a case's own flags come last, so they override the unit bath; a case
+    # can also name what its one stderr line says
+    want, says = want if isinstance(want, tuple) else (want, "")
+    code, out, line = _check_exit_stderr_payload(argv[:1] + _UNIT_BATH + argv[1:])
     assert code == want
+    assert says in line
     assert "nan" not in out
 
 
@@ -732,4 +747,4 @@ def _check_exit_stderr_payload(argv):
         _assert_csv(out.getvalue())
     else:
         assert json.loads(out.getvalue())["command"] == argv[0]
-    return code, out.getvalue()
+    return code, out.getvalue(), lines[0]

@@ -5,6 +5,7 @@ import pytest
 
 from subohmic.errors import DomainError
 from subohmic.critical import (
+    SweepTable,
     critical_coupling_closed,
     critical_coupling_numeric,
     critical_point,
@@ -147,6 +148,22 @@ class TestSweep:
         assert len(out.failures) == 1 and out.failures[0][0] == 0
         assert isinstance(out.failures[0][1], DomainError)
         assert math.isnan(out.m[0]) and out.m[1] == 0.0
+
+    def test_overflowing_measure_is_a_row_error(self):
+        # at 1e307 int dmu / w sums past the floats; the row before it is
+        # fully localized
+        out = sweep_alpha(S, DELTA, WC, [1e306, 1e307])
+        assert out.status == ["ok", "DomainError"]
+        assert out.m[0] == 1.0 and np.isfinite(out.energy[0])
+        assert "overflows" in str(out.failures[0][1])
+
+    def test_status_of_a_table_built_directly(self):
+        # one status per row, derived from the failures
+        cols = {k: np.full(3, np.nan) for k in ("m", "sx", "entanglement", "energy", "c1")}
+        table = SweepTable(alphas=np.array([0.01, 0.02, 0.03]), **cols)
+        assert table.status == ["ok", "ok", "ok"]
+        table = SweepTable(alphas=table.alphas, failures=[(1, DomainError("row 1"))], **cols)
+        assert table.status == ["ok", "DomainError", "ok"]
 
 
 class TestExponents:

@@ -29,7 +29,7 @@ from subohmic import variational
 from subohmic.cli import main
 from subohmic.critical import (_critical_root, critical_coupling_closed,
                                critical_coupling_numeric, critical_point)
-from subohmic.errors import ConvergenceError
+from subohmic.errors import ConvergenceError, DomainError
 from subohmic.model import (DiscretizedBath, ModelParams, bath_as_measures, bath_measures,
                             discretize_bath)
 from subohmic.numerics import lambert_w0, power_rule_log
@@ -205,9 +205,9 @@ def _traffic_rows():
     # [0.3, 1.5] alpha_c (oracle-ed); see perfbench/workloads.py
     seen, solve = [], variational._solve_delta_tilde
 
-    def recording(m, delta, mu0, max_iter=variational._FIXED_POINT_MAX_ITER):
+    def recording(m, delta, mu0):
         seen.append((m, delta, mu0))
-        return solve(m, delta, mu0, max_iter)
+        return solve(m, delta, mu0)
 
     rng = np.random.default_rng(11)
     with pytest.MonkeyPatch.context() as mp:
@@ -227,18 +227,20 @@ def _traffic_rows():
 
 
 def _iterations_to_converge(m, delta, mu0, cap=64):
-    for n in range(1, cap + 1):
-        try:
-            _solve_delta_tilde(m, delta, mu0, max_iter=n)
-            return n
-        except ConvergenceError:
-            pass
+    with pytest.MonkeyPatch.context() as mp:
+        for n in range(1, cap + 1):
+            mp.setattr(variational, "_FIXED_POINT_MAX_ITER", n)
+            try:
+                _solve_delta_tilde(m, delta, mu0)
+                return n
+            except ConvergenceError:
+                pass
     pytest.fail(f"_solve_delta_tilde did not converge in {cap} iterations at m={m!r}, "
                 f"delta={delta!r}, {mu0.nodes.size} nodes")
 
 
 # Iterations the kernel needs on _traffic_rows, summed: each row counts the
-# smallest max_iter at which it converges.  Lower it when the kernel improves.
+# smallest iteration cap at which it converges.  Lower it when the kernel improves.
 WORK_TOTAL = 248
 
 
@@ -362,18 +364,21 @@ def test_exhausted_iterations_raise(s, log_alpha, max_iter, ms):
     for m in ms:
         full = _solve_delta_tilde(m, p.delta, mu0)
         try:
-            short = _solve_delta_tilde(m, p.delta, mu0, max_iter=max_iter)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(variational, "_FIXED_POINT_MAX_ITER", max_iter)
+                short = _solve_delta_tilde(m, p.delta, mu0)
         except ConvergenceError as exc:
             assert "residual" in str(exc)
         else:
             assert short == full
 
 
-def test_one_iteration_is_not_enough():
+def test_one_iteration_is_not_enough(monkeypatch):
     p = ModelParams(s=0.3, alpha=0.03, delta=1.0, omega_c=10.0)
     mu0, _ = bath_measures(p)
+    monkeypatch.setattr(variational, "_FIXED_POINT_MAX_ITER", 1)
     with pytest.raises(ConvergenceError, match="residual"):
-        _solve_delta_tilde(0.2, p.delta, mu0, max_iter=1)
+        _solve_delta_tilde(0.2, p.delta, mu0)
 
 
 def assert_minimum_is_its_own_energy(fn):
@@ -699,6 +704,21 @@ def test_lambert_w0_inverts_w_exp_w(x):
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
+@given(m=st.one_of(st.floats(-1.0, 1.0), st.floats()),
+       dt=st.one_of(st.floats(0.0, 1e300), st.floats()))
+def test_state_holds_only_in_range_input_and_its_amplitudes_follow_from_m(m, dt):
+    # the state stores m and dt alone; the amplitudes are read off m
+    if not (abs(m) <= 1.0 and 0.0 <= dt < math.inf):
+        with pytest.raises(DomainError):
+            VariationalState(m, dt)
+        return
+    state = VariationalState(m, dt)
+    assert (state.m, state.delta_tilde) == (m, dt)
+    assert abs(state.c_plus**2 + state.c_minus**2 - 1.0) <= 1e-15
+    assert abs(state.c_plus**2 - state.c_minus**2 - m) <= 1e-15
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
 @given(m=st.one_of(st.floats(-(1.0 - 1e-12), 1.0 - 1e-12),
                    st.floats(-12.0, -1.0).map(lambda e: 1.0 - 10.0**e)))
 def test_q_is_within_four_eps_of_exact(m):
@@ -706,5 +726,5 @@ def test_q_is_within_four_eps_of_exact(m):
     # the digits that m*m rounds away
     with mpmath.workdps(60):
         want = mpmath.sqrt(1 - mpmath.mpf(m) ** 2)
-        got = VariationalState.build(m, 0.0).q
+        got = VariationalState(m, 0.0).q
         assert abs(mpmath.mpf(got) - want) <= 4.0 * np.finfo(float).eps * want

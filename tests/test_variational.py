@@ -12,7 +12,6 @@ from subohmic.numerics import QuadratureRule, power_rule
 from subohmic.variational import (
     Functional,
     VariationalState,
-    displacements,
     minimize_energy,
     observables,
     solve_delta_tilde_scaling,
@@ -66,26 +65,26 @@ def rhs_independent(dt, m, p):
 class TestDisplacements:
     def test_symmetric_at_zero_m(self):
         w = np.array([0.2, 1.0, 5.0])
-        fp, fm = displacements(w, 0.0, 0.8)
+        fp, fm = VariationalState(0.0, 0.8).f_pm(w)
         assert np.allclose(fp, -1.0 / (2.0 * (0.8 + w)), rtol=1e-14)
         assert np.allclose(fp, -fm, rtol=1e-14)
 
     def test_full_localization(self):
-        fp, fm = displacements(2.0, 1.0, 0.0)
+        fp, fm = VariationalState(1.0, 0.0).f_pm(2.0)
         assert fp == pytest.approx(-1.0 / 4.0, rel=1e-14)
         assert fm == pytest.approx(-1.0 / 4.0, rel=1e-14)
 
     def test_literal_values(self):
         # m = 0.5, dt = 1, w = 1
         q = math.sqrt(0.75)
-        fp, fm = displacements(1.0, 0.5, 1.0)
+        fp, fm = VariationalState(0.5, 1.0).f_pm(1.0)
         assert fp == pytest.approx(-(0.5 + q) / (2 * (1 + q)), rel=1e-14)
         assert fm == pytest.approx(-(0.5 - q) / (2 * (1 + q)), rel=1e-14)
 
     def test_infrared_divergence_flagged_not_raised(self):
-        fp, fm = displacements(0.0, 0.4, 0.8)
+        fp, fm = VariationalState(0.4, 0.8).f_pm(0.0)
         assert fp == -math.inf and fm == -math.inf
-        fp0, fm0 = displacements(0.0, 0.0, 0.8)
+        fp0, fm0 = VariationalState(0.0, 0.8).f_pm(0.0)
         assert fp0 == pytest.approx(-1.0 / 1.6)
         assert fm0 == pytest.approx(+1.0 / 1.6)
 
@@ -93,24 +92,24 @@ class TestDisplacements:
         m, dt = 0.6, 0.7
         q = math.sqrt(1 - m * m)
         w_star = m * dt / q
-        fp_lo, fm_lo = displacements(w_star / 50, m, dt)
-        fp_hi, fm_hi = displacements(w_star * 50, m, dt)
+        fp_lo, fm_lo = VariationalState(m, dt).f_pm(w_star / 50)
+        fp_hi, fm_hi = VariationalState(m, dt).f_pm(w_star * 50)
         # slow modes: same sign, ratio -> 1; fast modes: opposite, ratio -> -1
         assert fp_lo / fm_lo == pytest.approx(1.0, abs=0.05)
         assert fp_hi / fm_hi == pytest.approx(-1.0, abs=0.05)
-        _, fm_at = displacements(w_star, m, dt)
+        _, fm_at = VariationalState(m, dt).f_pm(w_star)
         assert abs(fm_at) < 1e-15
 
 
 class TestVariationalState:
     def test_amplitude_identities(self):
         for m in (0.0, 0.25, 0.9, 1.0):
-            st = VariationalState.build(m, 0.5)
+            st = VariationalState(m, 0.5)
             assert st.c_plus**2 + st.c_minus**2 == pytest.approx(1.0, abs=1e-12)
             assert st.c_plus**2 - st.c_minus**2 == pytest.approx(m, abs=1e-12)
 
     def test_silbey_harris_symmetry(self):
-        st = VariationalState.build(0.0, 0.7)
+        st = VariationalState(0.0, 0.7)
         w = np.geomspace(1e-3, 10.0, 30)
         fp, fm = st.f_pm(w)
         assert np.allclose(fp, -fm, rtol=1e-14)
@@ -514,7 +513,7 @@ class TestObservables:
         assert sol.occupation_finite
 
     def test_fully_localized_product_state(self):
-        st = VariationalState.build(1.0, 0.0)
+        st = VariationalState(1.0, 0.0)
         p = params(0.2)
         sol = observables(st, p, energy=static_shift_energy(p))
         assert sol.sx == 0.0
@@ -523,7 +522,7 @@ class TestObservables:
         assert not sol.occupation_finite
 
     def test_crossover_scale(self):
-        st = VariationalState.build(0.6, 0.8)
+        st = VariationalState(0.6, 0.8)
         sol = observables(st, params(0.05), energy=-1.0)
         assert sol.crossover_scale == pytest.approx(0.6 * 0.8 / math.sqrt(0.64), rel=1e-12)
 
@@ -538,7 +537,7 @@ class TestOccupation:
     def test_delocalized_density_formula(self):
         p = params(0.03)
         dt = Functional.of(p).dt(0.0)
-        st = VariationalState.build(0.0, dt)
+        st = VariationalState(0.0, dt)
         from subohmic.model import spectral_density
 
         w = np.array([0.05, 0.7, 4.0])
@@ -547,7 +546,7 @@ class TestOccupation:
 
     def test_infrared_divergence_when_magnetized(self):
         p = params(0.05)
-        st = VariationalState.build(0.5, Functional.of(p).dt(0.5))
+        st = VariationalState(0.5, Functional.of(p).dt(0.5))
         w_small = np.array([1e-6, 1e-5])
         n = occupation_density(st, p, w_small)
         ratio = n[1] / n[0]
@@ -557,7 +556,7 @@ class TestOccupation:
     def test_total_occupation_converged(self):
         p = params(0.03)
         dt = Functional.of(p).dt(0.0)
-        st = VariationalState.build(0.0, dt)
+        st = VariationalState(0.0, dt)
         total = occupation_total(st, p)
         assert total > 0
         for order in (100, 200):
@@ -620,4 +619,4 @@ class TestDomainErrors:
         with pytest.raises(DomainError):
             Functional.of(params(0.05), "bogus")
         with pytest.raises(DomainError):
-            displacements(1.0, 1.5, 0.5)
+            VariationalState(1.5, 0.5).f_pm(1.0)
