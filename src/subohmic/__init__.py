@@ -25,7 +25,6 @@ from .variational import (
     VariationalState,
     minimize_energy,
     observables,
-    solve_delta_tilde_scaling,
 )
 
 __version__ = "0.1.0"
@@ -48,6 +47,5 @@ __all__ = [
     "lambert_w0",
     "minimize_energy",
     "observables",
-    "solve_delta_tilde_scaling",
     "spectral_density",
 ]

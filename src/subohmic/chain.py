@@ -12,6 +12,10 @@ spectrum as the star form).
 Because each branch of the ADO state is a product of coherent states, its
 per-site mean occupations are exact quadratic forms of the displacement
 shapes expanded in the polynomial basis; no state vectors are needed.
+
+Both functions take their inputs in the problem's units and compute in
+units of ``omega_c``; the chain's energies are scaled back by ``omega_c``,
+and the occupations are numbers.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .model import ModelParams, bath_measure_rule, spectral_moment
+from .model import ModelParams, bath_measure_rule, finite_or_overflow, spectral_moment
 from .numerics import jacobi_recurrence, orthonormal_polys
 from .variational import VariationalState
 
@@ -71,10 +75,11 @@ def chain_map(p: ModelParams, n_sites: int) -> ChainRepresentation:
     if p.alpha == 0.0:
         raise DomainError("chain_map: no bath at alpha = 0")
     diag, off = jacobi_recurrence(p.s, n_sites)
+    coupling = 0.5 * math.sqrt(spectral_moment(p.in_cutoff_units(), 0.0))
     return ChainRepresentation(
         site_energies=p.omega_c * diag,
         hoppings=p.omega_c * off,
-        system_coupling=0.5 * math.sqrt(spectral_moment(p, 0.0)),
+        system_coupling=finite_or_overflow("chain_map: t_(-1)", coupling * p.omega_c),
     )
 
 
@@ -95,10 +100,11 @@ def chain_occupations(state: VariationalState, p: ModelParams,
     """
     if p.alpha == 0.0:
         return OccupationProfile(np.zeros(chain.n_sites), "bare")
+    unit = p.in_cutoff_units()
     m = state.m
-    dt = state.delta_tilde
+    dt = state.delta_tilde / p.omega_c
     q = state.q
-    rule = bath_measure_rule(p, max(2 * chain.n_sites + 128, 256), extra_exponent=-1.0)
+    rule = bath_measure_rule(unit, max(2 * chain.n_sites + 128, 256), extra_exponent=-1.0)
     w = rule.nodes
 
     # w phi_pm = -(m dt / 2) / (dt + q w)  -/+  q w / (2 (dt + q w)), and the
@@ -115,11 +121,15 @@ def chain_occupations(state: VariationalState, p: ModelParams,
         frame_name = "bare"
 
     # the rows start from p_0 = 1; dividing d by sqrt(mass) makes them orthonormal for
-    # dmu, before squaring, since d^2 alone overflows where the coupling is past ~1e154
+    # dmu, before squaring, since d^2 alone overflows where the coupling is past ~1e154.
+    # n_av grows like alpha: where it leaves the floats, so does its total, checked below
     f_plus = rule.weights * (sing - smooth)
     f_minus = rule.weights * (sing + smooth)
-    d = np.array([(row @ f_plus, row @ f_minus) for row in
-                  orthonormal_polys(chain.site_energies, chain.hoppings, w)])
-    d2 = np.square(d / math.sqrt(spectral_moment(p, 0.0)))
-    n_av = state.c_plus**2 * d2[:, 0] + state.c_minus**2 * d2[:, 1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = np.array([(row @ f_plus, row @ f_minus) for row in
+                      orthonormal_polys(chain.site_energies / p.omega_c,
+                                        chain.hoppings / p.omega_c, w)])
+        d2 = np.square(d / math.sqrt(spectral_moment(unit, 0.0)))
+        n_av = state.c_plus**2 * d2[:, 0] + state.c_minus**2 * d2[:, 1]
+        finite_or_overflow("chain_occupations: total occupation", float(np.sum(n_av)))
     return OccupationProfile(n_av, frame_name)

@@ -18,13 +18,14 @@ ratio makes the comparison to other work explicit.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from .errors import BracketError, ConvergenceError, DomainError
-from .model import ModelParams, bath_measures
+from .model import ModelParams, bath_measures, finite_or_overflow
 from .numerics import FitResult, find_root, fit_power_law, lambert_w0
 from .variational import (FUNCTIONALS, Functional, VariationalState, inverse_square, observables,
                           spin_vector)
@@ -123,19 +124,25 @@ def _critical_root(s: float, delta: float, omega_c: float) -> tuple[float, float
     dmu_1/(d+w)^2 = s J - B``, ``d K1 = d int dmu_1/(w (d+w)^2) = (1-s) J +
     B`` (by parts; ``J = int dmu_1/(w (d+w))``, ``B = 2 omega_c/(d +
     omega_c) > 0``).  The right side lies in ``(0, s/(2(1-s)))``, so ``log
-    d`` has a root within ``s/(2(1-s))`` below ``log delta``."""
-    mu1, mu1_m1 = bath_measures(ModelParams(s=s, alpha=1.0, delta=delta, omega_c=omega_c))
-    log_delta = math.log(delta)
+    d`` has a root within ``s/(2(1-s))`` below ``log delta``.  Solved in
+    units of ``omega_c``; ``d`` is returned in those of ``delta``."""
+    p1 = ModelParams(s=s, alpha=1.0, delta=delta, omega_c=omega_c).in_cutoff_units()
+    mu1, mu1_m1 = bath_measures(p1)
+    log_delta = math.log(p1.delta)
 
     def d_k1(d: float) -> float:
-        return d * float(inverse_square(d, mu1_m1))
+        k1 = float(inverse_square(d, mu1_m1))
+        if k1 < sys.float_info.min:  # (d + w)^2 past ~1e308: K1 has lost its digits
+            raise DomainError(f"critical root: delta/omega_c = {p1.delta!r} too large, "
+                              f"int dmu/(w (d + w)^2) underflows at d = {d!r}")
+        return d * k1
 
     def gap(u: float) -> float:  # log(delta/d) - I1/(2 d K1) at d = e^u
         d = math.exp(u)
         return log_delta - u - 0.5 * float(inverse_square(d, mu1)) / d_k1(d)
 
     d = math.exp(find_root(gap, log_delta - 0.5 * s / (1.0 - s), log_delta, tol=1e-15))
-    return 1.0 / d_k1(d), d
+    return 1.0 / d_k1(d), d * omega_c
 
 
 def critical_point(s: float, delta: float, omega_c: float,
@@ -152,7 +159,7 @@ def critical_point(s: float, delta: float, omega_c: float,
     else:
         alpha_num = critical_coupling_numeric(s, delta, omega_c, functional)
         p_c = ModelParams(s=s, alpha=alpha_num, delta=delta, omega_c=omega_c)
-        dt_c = Functional.of(p_c, functional).dt(0.0)
+        dt_c = Functional.of(p_c.in_cutoff_units(), functional).dt(0.0) * omega_c
     return CriticalPoint(
         s=s, delta=delta, omega_c=omega_c,
         alpha_c_numeric=alpha_num,
@@ -165,7 +172,8 @@ def critical_point(s: float, delta: float, omega_c: float,
 def sweep_alpha(s: float, delta: float, omega_c: float,
                 alphas: Sequence[float], functional: str = "exact") -> SweepTable:
     """Ground state and Landau ``c1`` per coupling, both from the row's
-    :class:`~subohmic.variational.Functional`; rows are independent.
+    :class:`~subohmic.variational.Functional` in units of ``omega_c``, and
+    reported in those of ``delta``; rows are independent.
 
     A row that raises a domain, convergence or bracket error is filled with
     NaN and recorded in ``failures``; the sweep continues.
@@ -179,10 +187,11 @@ def sweep_alpha(s: float, delta: float, omega_c: float,
     for i, alpha in enumerate(alphas.tolist()):
         try:
             p = ModelParams(s=s, alpha=alpha, delta=delta, omega_c=omega_c)
-            fn = Functional.of(p, functional)
+            fn = Functional.of(p.in_cutoff_units(), functional)
             m, e, dt = fn.minimize()
-            sol = observables(VariationalState(m, dt), p, energy=e)
-            c1 = fn.c1()
+            energy = finite_or_overflow("energy", e * omega_c)
+            sol = observables(VariationalState(m, dt * omega_c), p, energy=energy)
+            c1 = fn.c1() * omega_c
         except _ROW_ERRORS as exc:
             failures.append((i, exc))
             continue

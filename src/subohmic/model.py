@@ -9,11 +9,19 @@ power-law spectral density
 and a hard cutoff above ``omega_c``.  All bath influence enters through the
 spectral measure ``dmu(w) = J(w) dw / pi``; both the continuum quadrature
 rules and the finite Gauss discretizations built here represent that measure.
+
+The ground state and the transition depend on ``(s, alpha, delta /
+omega_c)`` alone.  The solvers therefore work in units of ``omega_c``:
+:meth:`ModelParams.in_cutoff_units` is the one conversion where a problem
+enters them, and their dimensionful results are multiplied by ``omega_c`` on
+the way out and checked by :func:`finite_or_overflow`.  The functions here
+take a :class:`ModelParams` in any units and answer in the same units.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -54,6 +62,27 @@ class ModelParams:
     def theory_valid(self) -> bool:
         return self.s < 0.5
 
+    def in_cutoff_units(self) -> "ModelParams":
+        """The same problem in units of ``omega_c``: ``(s, alpha, delta /
+        omega_c, 1)``.
+
+        Raises :class:`DomainError` when ``delta / omega_c`` is not a normal
+        float: 0 or subnormal, where it has lost its digits, or inf.
+        """
+        ratio = self.delta / self.omega_c
+        if not sys.float_info.min <= ratio < math.inf:
+            raise DomainError(f"delta/omega_c = {self.delta!r}/{self.omega_c!r} = {ratio!r} "
+                              f"is not a normal float")
+        return ModelParams(self.s, self.alpha, ratio, 1.0)
+
+
+def finite_or_overflow(what: str, value: float) -> float:
+    """``value``, or a :class:`DomainError` saying that ``what`` overflows
+    where it is not finite (plain-float products past the floats read inf)."""
+    if not math.isfinite(value):
+        raise DomainError(f"{what} overflows: {value!r}")
+    return value
+
 
 def spectral_density(omega, p: ModelParams):
     """``J(w) = 2 pi alpha omega_c^(1-s) w^s`` for ``w <= omega_c``, else 0.
@@ -77,10 +106,12 @@ def spectral_moment(p: ModelParams, k: float) -> float:
     """Analytic moment ``(1/pi) int J(w) w^k dw = 2 alpha omega_c^(k+2) / (s+k+1)``."""
     if p.s + k + 1.0 <= 0.0:
         raise DomainError(f"spectral_moment: moment k={k} diverges at w=0")
-    moment = 2.0 * p.alpha * p.omega_c ** (k + 2.0) / (p.s + k + 1.0)
-    if moment == math.inf:
-        raise DomainError(f"spectral_moment: moment k={k} overflows")
-    return moment
+    try:
+        scale = p.omega_c ** (k + 2.0)
+    except OverflowError:  # a float power past the floats raises where a product reads inf
+        scale = math.inf
+    return finite_or_overflow(f"spectral_moment: moment k={k}",
+                              2.0 * p.alpha * scale / (p.s + k + 1.0))
 
 
 @dataclass(frozen=True)
@@ -142,15 +173,12 @@ def bath_measure_rule(p: ModelParams, n: int, extra_exponent: float = 0.0) -> Qu
 
 
 @lru_cache(maxsize=256)
-def _unit_measures(s: float, omega_c: float) -> tuple[QuadratureRule, QuadratureRule]:
-    # one rule, of dmu/w: its closed-form head recurrence divides by (s - 1) + 2 - 1
+def _unit_measures(s: float) -> tuple[QuadratureRule, QuadratureRule]:
+    # one rule, of dmu/w at alpha = omega_c = 1: its closed-form head
+    # recurrence divides by (s - 1) + 2 - 1
     if (s - 1.0) + 2.0 <= 1.0:
         raise DomainError(f"bath_measures: s={s!r} too small, s - 1 is -1 to rounding")
-    mu_m1 = power_rule_log(s - 1.0, omega_c, 2.0 * omega_c ** (1.0 - s))
-    # max node * max weight bounds dmu's weights; a plain-float product skips numpy's warning
-    if float(mu_m1.nodes[-1]) * float(mu_m1.weights.max()) == math.inf:
-        raise DomainError(f"bath_measures: the weights of dmu overflow at s={s!r}, "
-                          f"omega_c={omega_c!r}")
+    mu_m1 = power_rule_log(s - 1.0, 1.0, 2.0)
     return QuadratureRule(mu_m1.nodes, mu_m1.nodes * mu_m1.weights), mu_m1
 
 
@@ -163,14 +191,22 @@ def bath_measures(p: ModelParams) -> tuple[QuadratureRule, QuadratureRule]:
     in the position of rational-integrand structure down to ``1e-7 *
     omega_c``.  ``dmu`` is the same rule with its weights times its nodes,
     so both share every node and one head.  They carry the
-    self-consistency and energy integrals.  The measure is linear in
-    ``alpha``: the pair is built and fully checked once per ``(s,
-    omega_c)`` at ``alpha = 1`` (cached), and its weights are scaled by
-    ``alpha``, which re-checks only that they stay finite and positive.
+    self-consistency and energy integrals.  The pair is built and fully
+    checked once per ``s`` at ``alpha = omega_c = 1`` (cached).  In units of
+    ``omega_c``, where the solvers call it, its weights are scaled by
+    ``alpha``, which re-checks only that they stay finite and positive; at
+    any other ``omega_c`` its nodes and weights are mapped onto ``[0,
+    omega_c]`` and checked in full.
     """
     if p.alpha == 0.0:
         raise DomainError("bath_measures: measure vanishes at alpha=0")
-    return tuple(mu.scaled(p.alpha) for mu in _unit_measures(p.s, p.omega_c))
+    mu0, mu_m1 = _unit_measures(p.s)
+    wc = p.omega_c
+    if wc != 1.0:  # w = omega_c x; a weight past the floats reads inf, which fails the check
+        with np.errstate(over="ignore"):
+            nodes, weights = wc * mu_m1.nodes, wc * mu_m1.weights
+            mu0, mu_m1 = QuadratureRule(nodes, nodes * weights), QuadratureRule(nodes, weights)
+    return mu0.scaled(p.alpha), mu_m1.scaled(p.alpha)
 
 
 def bath_as_measures(bath: DiscretizedBath) -> tuple[QuadratureRule, QuadratureRule]:

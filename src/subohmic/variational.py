@@ -49,7 +49,11 @@ does not.
 
 Everything below is written against a generic measure pair (continuum
 quadrature rules or a discrete mode list), so the same kernels serve the
-continuum solver and the exact-diagonalization cross-checks.
+continuum solver and the exact-diagonalization cross-checks.  The kernels
+work in whatever units their measure pair and ``delta`` carry:
+:func:`minimize_energy` runs them in units of ``omega_c``
+(:meth:`~subohmic.model.ModelParams.in_cutoff_units`), the oracle on its
+discrete bath in the problem's own units.
 """
 
 from __future__ import annotations
@@ -61,7 +65,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import BracketError, ConvergenceError, DomainError
-from .model import ModelParams, bath_measures
+from .model import ModelParams, bath_measures, finite_or_overflow
 from .numerics import QuadratureRule, find_root, lambert_w0
 
 _COLLAPSE_FRACTION = 1e-12  # iterates below this * delta count as the dt = 0 root
@@ -191,6 +195,7 @@ def _safe_step(g: float, k: float) -> float:
     return 2.0 * g / ((1.0 - k) + r) if k < 1.0 else ((k - 1.0) + r) / k
 
 
+@np.errstate(over="ignore")  # K or I past the floats reads inf; an infinite I raises below
 def _solve_delta_tilde(m: float, delta: float, mu0: QuadratureRule) -> float:
     """Largest fixed point of ``dt = delta * exp(-overlap/2)`` at ``m``; 0 at
     ``|m| = 1``.
@@ -451,9 +456,11 @@ class Functional:
 
 
 def minimize_energy(p: ModelParams, functional: str = "exact") -> GroundStateSolution:
-    """Ground state over the magnetization (positive branch by convention)."""
-    m, e, dt = Functional.of(p, functional).minimize()
-    return observables(VariationalState(m, dt), p, energy=e)
+    """Ground state over the magnetization (positive branch by convention),
+    solved in units of ``omega_c`` and returned in those of ``p``."""
+    m, e, dt = Functional.of(p.in_cutoff_units(), functional).minimize()
+    energy = finite_or_overflow("energy", e * p.omega_c)
+    return observables(VariationalState(m, dt * p.omega_c), p, energy=energy)
 
 
 def spin_vector(m: float, dt: float, delta: float) -> tuple[float, float]:

@@ -74,6 +74,12 @@ class TestChainMap:
         assert rep.system_coupling**2 == pytest.approx(
             0.25 * spectral_moment(p, 0.0), rel=1e-12)
 
+    def test_system_coupling_past_the_float_square_of_the_cutoff(self):
+        # the mass 2 alpha omega_c^2 / (s + 1) overflows; its square root does not
+        rep = chain_map(ModelParams(s=0.3, alpha=1.0, delta=1.0, omega_c=1e200), 4)
+        assert rep.system_coupling == pytest.approx(0.5 * math.sqrt(2.0 / 1.3) * 1e200,
+                                                    rel=1e-15)
+
     def test_asymptotics_by_site_50(self):
         rep = chain_map(params(0.1), 60)
         assert rep.site_energies[50] == pytest.approx(WC / 2.0, rel=0.01)

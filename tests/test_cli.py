@@ -693,7 +693,9 @@ def test_cli_exit_codes_stderr_and_payload(command, s, logs, n_sites, frame):
 _UNIT_BATH = ["--delta", "1", "--omega-c", "10"]
 
 
-@pytest.mark.parametrize("argv, want", [
+# each case's flags after the unit bath, and its exit code, or its exit code and
+# what its one stderr line says; tools/outdiff.py reads this list as a literal
+EXTREME_INPUTS = [
     # s - 1 is -1 to rounding: the Gauss-Jacobi head of dmu / w has no rule
     (["solve", "--s", "1e-16", "--alpha", "0.02"], 2),
     (["solve", "--s", "1e-17", "--alpha", "0.02"], 2),
@@ -715,13 +717,30 @@ _UNIT_BATH = ["--delta", "1", "--omega-c", "10"]
     (["solve", "--s", "0.3", "--alpha", "1e295"], (0, "M=1 ")),
     (["solve", "--s", "0.3", "--alpha", "1e306"], (0, "M=1 ")),
     (["solve", "--s", "0.1", "--omega-c", "100", "--alpha", "1e300"], (0, "M=1 ")),
-    # int dmu / w sums past the floats, and so does the chain's mass
-    (["solve", "--s", "0.3", "--alpha", "1e307"], (2, "overflows")),
+    # in units of omega_c, int dmu / w = 2 alpha / s is finite at 1e307 and
+    # sums past the floats at 1e308; the occupations' total overflows first
+    (["solve", "--s", "0.3", "--alpha", "1e307"], (0, "M=1 ")),
+    (["solve", "--s", "0.3", "--alpha", "1e308"], (2, "overflows")),
     (["chain", "--s", "0.3", "--alpha", "1e307", "--occupations"], (2, "overflows")),
     (["chain", "--s", "0.3", "--alpha", "1e306", "--occupations"], (2, "overflows")),
-    # dmu's weights, nodes times those of dmu / w, overflow
-    (["critical", "--s", "0.3", "--delta", "1e-300", "--omega-c", "1e300"], (2, "overflow")),
-])
+    # delta / omega_c leaves the normal floats
+    (["critical", "--s", "0.3", "--delta", "1e-300", "--omega-c", "1e300"],
+     (2, "delta/omega_c")),
+    (["solve", "--s", "0.3", "--alpha", "0.05", "--delta", "1e300", "--omega-c", "1e-10"],
+     (2, "delta/omega_c")),
+    # the critical root's integrals underflow: (d + w)^2 passes the floats
+    (["critical", "--s", "0.3", "--omega-c", "1e-200"], (2, "delta/omega_c")),
+    # the problem of --delta 1 --omega-c 10 at other scales: the rules were built
+    # at the raw cutoff, whose weights underflowed or whose moment overflowed
+    (["solve", "--s", "0.3", "--alpha", "0.05", "--delta", "1e-151", "--omega-c", "1e-150"],
+     (0, "M=0.829831110601 ")),
+    (["solve", "--s", "0.3", "--alpha", "0.05", "--delta", "1e-180", "--omega-c", "1e-179"],
+     (0, "M=0.829831110601 ")),
+    (["chain", "--s", "0.3", "--alpha", "1", "--omega-c", "1e200", "--occupations"], 0),
+]
+
+
+@pytest.mark.parametrize("argv, want", EXTREME_INPUTS)
 def test_extreme_inputs_exit_codes_stderr_and_payload(argv, want):
     # a case's own flags come last, so they override the unit bath; a case
     # can also name what its one stderr line says

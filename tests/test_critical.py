@@ -81,10 +81,11 @@ class TestNumericCoupling:
         assert cp.ratio == pytest.approx(1.0336, abs=2e-3)
 
     def test_critical_point_scaling_functional(self):
-        # the critical tunneling comes from the same functional as alpha_c
+        # the critical tunneling comes from the same functional as alpha_c,
+        # solved in units of omega_c
         cp = critical_point(0.3, 1.0, 10.0, functional="scaling")
         p_c = ModelParams(s=0.3, alpha=cp.alpha_c_numeric, delta=1.0, omega_c=10.0)
-        assert cp.delta_tilde_c == solve_delta_tilde_scaling(0.0, p_c)
+        assert cp.delta_tilde_c == solve_delta_tilde_scaling(0.0, p_c.in_cutoff_units()) * 10.0
         assert cp.sx_c == cp.delta_tilde_c
 
 
@@ -150,11 +151,11 @@ class TestSweep:
         assert math.isnan(out.m[0]) and out.m[1] == 0.0
 
     def test_overflowing_measure_is_a_row_error(self):
-        # at 1e307 int dmu / w sums past the floats; the row before it is
-        # fully localized
-        out = sweep_alpha(S, DELTA, WC, [1e306, 1e307])
-        assert out.status == ["ok", "DomainError"]
-        assert out.m[0] == 1.0 and np.isfinite(out.energy[0])
+        # in units of omega_c, int dmu / w sums past the floats at 1e308, not
+        # yet at 1e307; the rows before it are fully localized
+        out = sweep_alpha(S, DELTA, WC, [1e306, 1e307, 1e308])
+        assert out.status == ["ok", "ok", "DomainError"]
+        assert np.all(out.m[:2] == 1.0) and np.all(np.isfinite(out.energy[:2]))
         assert "overflows" in str(out.failures[0][1])
 
     def test_status_of_a_table_built_directly(self):

@@ -42,6 +42,17 @@ class TestModelParams:
         with pytest.raises(DomainError, match=f"{name}=.*not finite"):
             ModelParams(**values)
 
+    def test_in_cutoff_units(self):
+        p = ModelParams(s=0.3, alpha=0.1, delta=1.0, omega_c=8.0)
+        assert p.in_cutoff_units() == ModelParams(s=0.3, alpha=0.1, delta=0.125, omega_c=1.0)
+
+    @pytest.mark.parametrize("delta, omega_c", [(1e-300, 1e300), (1e-310, 1.0),
+                                                (1e300, 1e-10)])
+    def test_ratio_outside_the_normal_floats_rejected(self, delta, omega_c):
+        p = ModelParams(s=0.3, alpha=0.1, delta=delta, omega_c=omega_c)
+        with pytest.raises(DomainError, match="delta/omega_c"):
+            p.in_cutoff_units()
+
     def test_theory_valid_flag(self):
         assert ModelParams(s=0.3, alpha=0.1, delta=1.0, omega_c=10.0).theory_valid
         assert not ModelParams(s=0.7, alpha=0.1, delta=1.0, omega_c=10.0).theory_valid
@@ -114,6 +125,13 @@ class TestDiscretizeBath:
             discretize_bath(params, 0)
         with pytest.raises(DomainError):
             DiscretizedBath(frequencies=[2.0, 1.0], couplings=[1.0, 1.0])
+
+
+class TestSpectralMoment:
+    def test_cutoff_power_past_the_floats(self):
+        # omega_c^2 leaves the floats, where a float power raises OverflowError
+        with pytest.raises(DomainError, match="overflows"):
+            spectral_moment(ModelParams(s=0.3, alpha=1.0, delta=1.0, omega_c=1e200), 0.0)
 
 
 class TestMeasures:

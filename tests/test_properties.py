@@ -550,6 +550,48 @@ def test_outputs_are_invariant_under_scaling_delta_and_omega_c(s, ratio, log_sca
         _assert_same_numbers(base[1], scaled[1], {"delta": lam, "omega_c": lam}, argv)
 
 
+def _assert_same_up_to_echoed_units(base, scaled, lam, where):
+    # every field and column byte for byte but the echoed units: JSON prints
+    # delta and omega_c in full, so they divide by lam exactly; the phase
+    # diagram's CSV column of cutoffs is printed to 12 digits
+    assert base.keys() == scaled.keys(), where
+    for key, x in base.items():
+        y = scaled[key]
+        if key in ("delta", "omega_c") and isinstance(x, float):
+            assert y / lam == x, (where, key)
+        elif key == "omega_c":
+            assert [float(v) / lam for v in y] == pytest.approx([float(v) for v in x],
+                                                                rel=1e-11), where
+        else:
+            assert x == y, (where, key)
+
+
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(s=st.floats(0.1, 0.45), ratio=st.floats(2.0, 1e3), k=st.integers(-900, 900),
+       f=st.one_of(st.floats(0.3, 0.9), st.floats(1.1, 3.0)))
+def test_outputs_are_exact_under_power_of_two_scaling(s, ratio, k, f):
+    # scaling delta and omega_c by lam = 2^k is exact in floats, and the core
+    # sees only delta/omega_c, so every payload is the same bytes, up to the
+    # echoed delta and omega_c
+    lam = 2.0 ** k
+    a = f * critical_coupling_numeric(s, 1.0, ratio)
+
+    def commands(delta, omega_c):
+        bath = ["--s", repr(s), "--delta", repr(delta), "--omega-c", repr(omega_c)]
+        chain = ["chain", "--alpha", repr(a), "--n-sites", "12", *bath]
+        return (["solve", "--alpha", repr(a), *bath], ["critical", *bath],
+                ["sweep", "--alpha-grid", f"{0.6 * a!r}:{1.6 * a!r}:3", *bath], chain,
+                [*chain, "--occupations", "--frame", "bare"],
+                [*chain, "--occupations", "--frame", "displaced"],
+                ["phase-diagram", "--s-grid", f"{s!r}:{min(s + 0.04, 0.49)!r}:2",
+                 "--delta", repr(delta), "--omega-c-list", f"{omega_c!r},{2 * omega_c!r}"])
+
+    for argv, argv_lam in zip(commands(1.0, ratio), commands(lam, ratio * lam)):
+        (code, base), (code_lam, scaled) = _cli_payload(argv), _cli_payload(argv_lam)
+        assert code == code_lam == 0, (argv, k)
+        _assert_same_up_to_echoed_units(base, scaled, lam, (argv, k))
+
+
 @SETTINGS
 @given(s=st.floats(0.05, 0.49), log_ratio=st.floats(math.log(2.0), math.log(1e4)),
        delta=st.floats(0.1, 10.0))
