@@ -28,7 +28,7 @@ from .errors import BracketError, ConvergenceError, DomainError
 from .model import ModelParams, bath_measures, finite_or_overflow
 from .numerics import FitResult, find_root, fit_power_law, lambert_w0
 from .variational import (FUNCTIONALS, Functional, VariationalState, inverse_square, observables,
-                          spin_vector)
+                          spin_vector, static_shift_energy)
 
 _ROW_ERRORS = (DomainError, ConvergenceError, BracketError)  # recorded per row
 _FIT_WINDOW = (1e-4, 1e-2)  # reduced-coupling window for exponent fits
@@ -188,6 +188,7 @@ def sweep_alpha(s: float, delta: float, omega_c: float,
         try:
             p = ModelParams(s=s, alpha=alpha, delta=delta, omega_c=omega_c)
             fn = Functional.of(p.in_cutoff_units(), functional)
+            finite_or_overflow("energy", static_shift_energy(p))  # the energy lies below it
             m, e, dt = fn.minimize()
             energy = finite_or_overflow("energy", e * omega_c)
             sol = observables(VariationalState(m, dt * omega_c), p, energy=energy)

@@ -173,12 +173,15 @@ def bath_measure_rule(p: ModelParams, n: int, extra_exponent: float = 0.0) -> Qu
 
 
 @lru_cache(maxsize=256)
-def _unit_measures(s: float) -> tuple[QuadratureRule, QuadratureRule]:
-    # one rule, of dmu/w at alpha = omega_c = 1: its closed-form head
-    # recurrence divides by (s - 1) + 2 - 1
+def _unit_measures(s: float, omega_c: float) -> tuple[QuadratureRule, QuadratureRule]:
+    # one rule, of dmu/w: its closed-form head recurrence divides by (s - 1) + 2 - 1
     if (s - 1.0) + 2.0 <= 1.0:
         raise DomainError(f"bath_measures: s={s!r} too small, s - 1 is -1 to rounding")
-    mu_m1 = power_rule_log(s - 1.0, 1.0, 2.0)
+    mu_m1 = power_rule_log(s - 1.0, omega_c, 2.0 * omega_c ** (1.0 - s))
+    # max node * max weight bounds dmu's weights; a plain-float product skips numpy's warning
+    if float(mu_m1.nodes[-1]) * float(mu_m1.weights.max()) == math.inf:
+        raise DomainError(f"bath_measures: the weights of dmu overflow at s={s!r}, "
+                          f"omega_c={omega_c!r}")
     return QuadratureRule(mu_m1.nodes, mu_m1.nodes * mu_m1.weights), mu_m1
 
 
@@ -191,22 +194,15 @@ def bath_measures(p: ModelParams) -> tuple[QuadratureRule, QuadratureRule]:
     in the position of rational-integrand structure down to ``1e-7 *
     omega_c``.  ``dmu`` is the same rule with its weights times its nodes,
     so both share every node and one head.  They carry the
-    self-consistency and energy integrals.  The pair is built and fully
-    checked once per ``s`` at ``alpha = omega_c = 1`` (cached).  In units of
-    ``omega_c``, where the solvers call it, its weights are scaled by
-    ``alpha``, which re-checks only that they stay finite and positive; at
-    any other ``omega_c`` its nodes and weights are mapped onto ``[0,
-    omega_c]`` and checked in full.
+    self-consistency and energy integrals.  The measure is linear in
+    ``alpha``: the pair is built and fully checked once per ``(s,
+    omega_c)`` at ``alpha = 1`` (cached), and its weights are scaled by
+    ``alpha``, which re-checks only that they stay finite and positive.
+    The solvers call it in units of ``omega_c``, so at ``omega_c = 1``.
     """
     if p.alpha == 0.0:
         raise DomainError("bath_measures: measure vanishes at alpha=0")
-    mu0, mu_m1 = _unit_measures(p.s)
-    wc = p.omega_c
-    if wc != 1.0:  # w = omega_c x; a weight past the floats reads inf, which fails the check
-        with np.errstate(over="ignore"):
-            nodes, weights = wc * mu_m1.nodes, wc * mu_m1.weights
-            mu0, mu_m1 = QuadratureRule(nodes, nodes * weights), QuadratureRule(nodes, weights)
-    return mu0.scaled(p.alpha), mu_m1.scaled(p.alpha)
+    return tuple(mu.scaled(p.alpha) for mu in _unit_measures(p.s, p.omega_c))
 
 
 def bath_as_measures(bath: DiscretizedBath) -> tuple[QuadratureRule, QuadratureRule]:

@@ -195,7 +195,6 @@ def _safe_step(g: float, k: float) -> float:
     return 2.0 * g / ((1.0 - k) + r) if k < 1.0 else ((k - 1.0) + r) / k
 
 
-@np.errstate(over="ignore")  # K or I past the floats reads inf; an infinite I raises below
 def _solve_delta_tilde(m: float, delta: float, mu0: QuadratureRule) -> float:
     """Largest fixed point of ``dt = delta * exp(-overlap/2)`` at ``m``; 0 at
     ``|m| = 1``.
@@ -220,7 +219,8 @@ def _solve_delta_tilde(m: float, delta: float, mu0: QuadratureRule) -> float:
         dt = float(np.exp(u))  # numpy's exp; math.exp differs in the last bit for ~5% of u
         inv = 1.0 / (dt + qw)
         inv2 = inv * inv
-        big_i, k = q2 * float(inv2 @ wt), q2 * dt * float((inv2 * inv) @ wt)
+        with np.errstate(over="ignore"):  # K <= I past the floats reads inf; I = inf raises below
+            big_i, k = q2 * float(inv2 @ wt), q2 * dt * float((inv2 * inv) @ wt)
         g = u - log_delta + 0.5 * big_i
         if not math.isfinite(g):
             raise ConvergenceError(f"_solve_delta_tilde: residual g = {g!r} at m={m!r}, "
@@ -458,7 +458,9 @@ class Functional:
 def minimize_energy(p: ModelParams, functional: str = "exact") -> GroundStateSolution:
     """Ground state over the magnetization (positive branch by convention),
     solved in units of ``omega_c`` and returned in those of ``p``."""
-    m, e, dt = Functional.of(p.in_cutoff_units(), functional).minimize()
+    unit = p.in_cutoff_units()
+    finite_or_overflow("energy", static_shift_energy(p))  # the energy lies below it
+    m, e, dt = Functional.of(unit, functional).minimize()
     energy = finite_or_overflow("energy", e * p.omega_c)
     return observables(VariationalState(m, dt * p.omega_c), p, energy=energy)
 

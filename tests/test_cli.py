@@ -723,6 +723,12 @@ EXTREME_INPUTS = [
     (["solve", "--s", "0.3", "--alpha", "1e308"], (2, "overflows")),
     (["chain", "--s", "0.3", "--alpha", "1e307", "--occupations"], (2, "overflows")),
     (["chain", "--s", "0.3", "--alpha", "1e306", "--occupations"], (2, "overflows")),
+    # the energy bound -alpha omega_c / (2 s) overflows: a domain error before the
+    # descent, whose overlap integral in units of omega_c would leave the floats
+    (["solve", "--s", "0.3", "--alpha", "1e306", "--delta", "1", "--omega-c", "1e10"],
+     (2, "energy overflows")),
+    (["chain", "--s", "0.3", "--alpha", "1e306", "--delta", "1", "--omega-c", "1e10",
+      "--occupations"], (2, "energy overflows")),
     # delta / omega_c leaves the normal floats
     (["critical", "--s", "0.3", "--delta", "1e-300", "--omega-c", "1e300"],
      (2, "delta/omega_c")),

@@ -151,8 +151,8 @@ class TestSweep:
         assert math.isnan(out.m[0]) and out.m[1] == 0.0
 
     def test_overflowing_measure_is_a_row_error(self):
-        # in units of omega_c, int dmu / w sums past the floats at 1e308, not
-        # yet at 1e307; the rows before it are fully localized
+        # the energy bound -alpha omega_c / (2 s) is finite at 1e307, not at
+        # 1e308; the rows before it are fully localized
         out = sweep_alpha(S, DELTA, WC, [1e306, 1e307, 1e308])
         assert out.status == ["ok", "ok", "DomainError"]
         assert np.all(out.m[:2] == 1.0) and np.all(np.isfinite(out.energy[:2]))
