@@ -32,7 +32,7 @@ import numpy as np
 
 from . import __version__
 from .errors import BracketError, ConvergenceError, DomainError
-from .model import ModelParams
+from .model import ModelParams, finite_or_overflow
 from .variational import FUNCTIONALS, minimize_energy
 
 _SCHEMA_VERSION = "1"
@@ -217,6 +217,14 @@ class _Output(NamedTuple):
     failure: Exception | None = None
 
 
+def _reported(name: str, value: float, unit: float) -> float:
+    """``value`` in its reporting unit: a finite result whose quotient leaves
+    the floats (plain floats, so no numpy warning) is a domain error naming
+    the ratio ``name``; a result that is already infinite stays so."""
+    ratio = float(value) / unit
+    return finite_or_overflow(name, ratio) if math.isfinite(value) else ratio
+
+
 def _csv_text(table_name: str, header: Sequence[str], rows) -> str:
     lines = [f"# subohmic {__version__} {table_name} schema_version={_SCHEMA_VERSION}"]
     lines.append(",".join(header))
@@ -227,7 +235,10 @@ def _csv_text(table_name: str, header: Sequence[str], rows) -> str:
 
 
 def _json_text(record: dict) -> str:
-    return json.dumps(_sanitize_record(record), indent=2, sort_keys=True) + "\n"
+    # the flat record as json.dumps(indent=2, sort_keys=True) lays it out, but from
+    # the C encoder, which an indent turns off: the items' separator carries the indent
+    items = json.dumps(_sanitize_record(record), sort_keys=True, separators=(",\n  ", ": "))
+    return "{\n  " + items[1:-1] + "\n}\n"
 
 
 # ---------------------------------------------------------------------------
@@ -246,11 +257,12 @@ def _cmd_solve(cfg: RunConfig) -> _Output:
         "functional": functional,
         "raw_units": cfg.options["raw_units"],
         "M": sol.sz,
-        "energy": sol.energy / e_unit,
+        "energy": _reported("energy/delta", sol.energy, e_unit),
         "sx": sol.sx,
         "entanglement": sol.entanglement,
-        "delta_tilde": sol.state.delta_tilde / e_unit,
-        "crossover_scale": sol.crossover_scale / cfg.unit(p.omega_c),
+        "delta_tilde": _reported("delta_tilde/delta", sol.state.delta_tilde, e_unit),
+        "crossover_scale": _reported("crossover_scale/omega_c", sol.crossover_scale,
+                                     cfg.unit(p.omega_c)),
         "occupation_finite": sol.occupation_finite,
         "theory_valid": p.theory_valid,
     }
@@ -269,18 +281,24 @@ def _cmd_sweep(cfg: RunConfig) -> _Output:
     alphas = _parse_grid(grid_spec)
     e_unit = cfg.unit(p.delta)
     table = sweep_alpha(p.s, p.delta, p.omega_c, alphas, functional=cfg.options["functional"])
-    rows = [
-        (float(a), float(m), float(sx), float(ent), float(e / e_unit), float(c1 / e_unit),
-         status)
-        for a, m, sx, ent, e, c1, status in zip(table.alphas, table.m, table.sx,
-                                                table.entanglement, table.energy, table.c1,
-                                                table.status)
-    ]
-    n_loc = int(np.sum(table.m > 1e-6))
+    failures = dict(table.failures)
+    rows = []
+    for i, row in enumerate(zip(table.alphas.tolist(), table.m.tolist(), table.sx.tolist(),
+                                table.entanglement.tolist(), table.energy.tolist(),
+                                table.c1.tolist())):
+        if i not in failures:
+            try:  # a row whose energy or c1 leaves the floats in units of delta fails
+                row = row[:4] + (_reported("energy/delta", row[4], e_unit),
+                                 _reported("c1/delta", row[5], e_unit))
+            except DomainError as exc:
+                failures[i] = exc
+        rows.append(row + ("ok",) if i not in failures
+                    else (row[0],) + (math.nan,) * 5 + (type(failures[i]).__name__,))
+    n_loc = sum(1 for row in rows if row[1] > 1e-6)
     return _Output(
         _csv_text("sweep", ["alpha", "M", "sx", "entanglement", "energy", "c1", "status"], rows),
-        f"sweep: {len(rows)} rows, {n_loc} localized, {len(table.failures)} failures",
-        table.failures[0][1] if table.failures else None)
+        f"sweep: {len(rows)} rows, {n_loc} localized, {len(failures)} failures",
+        failures[min(failures)] if failures else None)
 
 
 def _cmd_critical(cfg: RunConfig) -> _Output:

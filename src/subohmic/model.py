@@ -178,11 +178,15 @@ def _unit_measures(s: float, omega_c: float) -> tuple[QuadratureRule, Quadrature
     if (s - 1.0) + 2.0 <= 1.0:
         raise DomainError(f"bath_measures: s={s!r} too small, s - 1 is -1 to rounding")
     mu_m1 = power_rule_log(s - 1.0, omega_c, 2.0 * omega_c ** (1.0 - s))
-    # max node * max weight bounds dmu's weights; a plain-float product skips numpy's warning
-    if float(mu_m1.nodes[-1]) * float(mu_m1.weights.max()) == math.inf:
-        raise DomainError(f"bath_measures: the weights of dmu overflow at s={s!r}, "
-                          f"omega_c={omega_c!r}")
-    return QuadratureRule(mu_m1.nodes, mu_m1.nodes * mu_m1.weights), mu_m1
+    # dmu's weights are node x weight on checked nodes: the extreme products bound
+    # them all, so these two plain-float products (no numpy warning) stand in for
+    # the constructor's checks
+    nodes, weights = mu_m1.nodes, mu_m1.weights
+    if not (0.0 < float(nodes[0]) * float(weights.min())
+            and float(nodes[-1]) * float(weights.max()) < math.inf):
+        raise DomainError(f"bath_measures: the weights of dmu are not finite and positive "
+                          f"at s={s!r}, omega_c={omega_c!r}")
+    return QuadratureRule._checked_by_caller(nodes, nodes * weights), mu_m1
 
 
 def bath_measures(p: ModelParams) -> tuple[QuadratureRule, QuadratureRule]:

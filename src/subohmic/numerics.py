@@ -99,7 +99,7 @@ class QuadratureRule:
         # array methods, not np.any, which costs more on these short arrays
         if not (np.isfinite(nodes).all() and np.isfinite(weights).all()):
             raise DomainError("QuadratureRule: nodes and weights must be finite")
-        if nodes.size and (np.diff(nodes) <= 0.0).any():
+        if (nodes[1:] <= nodes[:-1]).any():
             raise DomainError("QuadratureRule: nodes must be strictly increasing")
         if (weights <= 0.0).any():
             raise DomainError("QuadratureRule: weights must be positive")
@@ -119,9 +119,14 @@ class QuadratureRule:
                                  and factor * float(weights.sum()) * (1.0 + 1e-12) < math.inf):
             raise DomainError(f"QuadratureRule: weights times {factor!r} are not finite "
                               f"and positive, or their sum overflows")
-        rule = object.__new__(QuadratureRule)
-        object.__setattr__(rule, "nodes", self.nodes)
-        object.__setattr__(rule, "weights", factor * weights)
+        return QuadratureRule._checked_by_caller(self.nodes, factor * weights)
+
+    @classmethod
+    def _checked_by_caller(cls, nodes: np.ndarray, weights: np.ndarray) -> "QuadratureRule":
+        # a rule whose arrays the caller has shown to pass the constructor's checks
+        rule = object.__new__(cls)
+        object.__setattr__(rule, "nodes", nodes)
+        object.__setattr__(rule, "weights", weights)
         return rule
 
     @property
@@ -167,17 +172,25 @@ def orthonormal_polys(diag: np.ndarray, off: np.ndarray, x: np.ndarray) -> Itera
 def _jacobi_unit(n: int, sigma: float) -> tuple[np.ndarray, np.ndarray]:
     # Golub-Welsch Gauss rule for w^sigma dw on [0, 1]: the nodes are the
     # Jacobi matrix's eigenvalues, the Christoffel weights 1/sum_k p_k^2 are
-    # summed row by row (no eigenvector matrix); the cache is bounded
-    # because every new bath exponent adds keys.  Small orders diagonalize
-    # the dense matrix with numpy; only large ones load scipy's tridiagonal
-    # solver, which is several times faster there
+    # summed without an eigenvector matrix; the cache is bounded because
+    # every new bath exponent adds keys.  Small orders diagonalize the dense
+    # matrix with numpy and sum node by node in plain floats, several times
+    # faster than numpy rows at these sizes and rounded alike; only large
+    # orders load scipy's tridiagonal solver and sum row by row
     diag, off = jacobi_recurrence(sigma, n)
     if n <= _DENSE_MAX_N:
         nodes = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, -1))
-    else:
-        from scipy.linalg import eigvalsh_tridiagonal
+        d, o, norms = diag.tolist(), off.tolist(), []
+        for x in nodes.tolist():
+            prev, cur, norm = 0.0, 1.0, 1.0
+            for k in range(n - 1):  # orthonormal_polys' recurrence, at one node
+                prev, cur = cur, ((x - d[k]) * cur - (o[k - 1] * prev if k else 0.0)) / o[k]
+                norm += cur * cur
+            norms.append(norm)
+        return nodes, 1.0 / ((sigma + 1.0) * np.array(norms))
+    from scipy.linalg import eigvalsh_tridiagonal
 
-        nodes = eigvalsh_tridiagonal(diag, off)
+    nodes = eigvalsh_tridiagonal(diag, off)
     norm = np.zeros(n)
     for row in orthonormal_polys(diag, off, nodes):
         norm += row * row

@@ -60,13 +60,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import BracketError, ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError
 from .model import ModelParams, bath_measures, finite_or_overflow
-from .numerics import QuadratureRule, find_root, lambert_w0
+from .numerics import QuadratureRule, lambert_w0
 
 _COLLAPSE_FRACTION = 1e-12  # iterates below this * delta count as the dt = 0 root
 _NEWTON_TOL = 1e-13  # step in log dt at which a root is accepted
@@ -195,9 +195,9 @@ def _safe_step(g: float, k: float) -> float:
     return 2.0 * g / ((1.0 - k) + r) if k < 1.0 else ((k - 1.0) + r) / k
 
 
-def _solve_delta_tilde(m: float, delta: float, mu0: QuadratureRule) -> float:
-    """Largest fixed point of ``dt = delta * exp(-overlap/2)`` at ``m``; 0 at
-    ``|m| = 1``.
+def _solve_delta_tilde(ms: Sequence[float], delta: float, mu0: QuadratureRule) -> list[float]:
+    """Largest fixed point of ``dt = delta * exp(-overlap/2)`` at each ``m`` of
+    ``ms``; 0 at ``|m| = 1``.
 
     Descends on ``g(u) = u - log(delta) + I/2`` in ``u = log dt`` from ``u =
     log(delta)``, where ``g >= 0``, with ``I = q^2 int dmu/(dt+qw)^2`` and
@@ -205,40 +205,61 @@ def _solve_delta_tilde(m: float, delta: float, mu0: QuadratureRule) -> float:
     largest one that provably keeps ``g >= 0``, so no step passes the largest
     root, and next to it the step is Newton's.  Roots below ``1e-12 * delta``
     count as ``dt = 0``: ``I`` only grows as ``dt`` falls, so once ``I/2``
-    exceeds ``log(1e12)`` no root is left above that floor.  Raises
-    :class:`ConvergenceError` after ``_FIXED_POINT_MAX_ITER`` steps.
+    exceeds ``log(1e12)`` no root is left above that floor.  That holds for an
+    ``I`` past the floats too, which is a collapse, not a failure.
+
+    The rows descend together, one step each per pass, until each has
+    converged; no arithmetic mixes two rows, so a row's ``dt`` is the same,
+    bit for bit, whichever ``m`` share the call.  Raises
+    :class:`ConvergenceError` where the residual is NaN, or after
+    ``_FIXED_POINT_MAX_ITER`` passes.
     """
-    if abs(m) >= 1.0:
-        return 0.0
-    q, wt = _q_of(m), mu0.weights
-    q2, qw = q * q, q * mu0.nodes
+    out = [0.0] * len(ms)
+    rows = [i for i, m in enumerate(ms) if abs(m) < 1.0]  # those still descending
+    q2s = [_q_of(ms[i]) ** 2 for i in rows]
+    qw = np.multiply.outer([_q_of(ms[i]) for i in rows], mu0.nodes)
+    wt = mu0.weights
     log_delta = math.log(delta)
     floor = log_delta + _LOG_COLLAPSE
-    u, g = log_delta, math.inf
-    for _ in range(_FIXED_POINT_MAX_ITER):
-        dt = float(np.exp(u))  # numpy's exp; math.exp differs in the last bit for ~5% of u
-        inv = 1.0 / (dt + qw)
-        inv2 = inv * inv
-        with np.errstate(over="ignore"):  # K <= I past the floats reads inf; I = inf raises below
-            big_i, k = q2 * float(inv2 @ wt), q2 * dt * float((inv2 * inv) @ wt)
-        g = u - log_delta + 0.5 * big_i
-        if not math.isfinite(g):
-            raise ConvergenceError(f"_solve_delta_tilde: residual g = {g!r} at m={m!r}, "
-                                   f"dt={dt!r}")
-        if 0.5 * big_i > -_LOG_COLLAPSE:  # so g > 0 from here down to the floor
-            return 0.0
-        step = _safe_step(g, k)
-        if step <= _NEWTON_TOL:
-            u -= step
-        elif g > 8.0 * _EPS * (abs(u) + abs(log_delta) + 0.5 * big_i):
-            u -= step
-            if u < floor:  # the largest root lies below the floor: dt = 0
-                return 0.0
-            continue
-        return math.exp(u) if u >= floor else 0.0
+    us, gs = [log_delta] * len(rows), [math.inf] * len(rows)
+    # forming I and K: K <= I past the floats reads inf, and so does I where it collapses
+    with np.errstate(over="ignore"):
+        for _ in range(_FIXED_POINT_MAX_ITER):
+            if not rows:
+                return out
+            # numpy's exp, as on one value; math.exp differs in the last bit for ~5% of u
+            dts = np.exp(us)
+            inv = dts[:, None] + qw
+            np.reciprocal(inv, out=inv)
+            inv2 = inv * inv
+            keep = []
+            # each row's dots as on a lone vector; .dot costs less than @ on these sizes
+            for r, (dt, inv2_r, inv3_r) in enumerate(zip(dts.tolist(), inv2, inv2 * inv)):
+                u, q2 = us[r], q2s[r]
+                big_i, k = q2 * float(inv2_r.dot(wt)), q2 * dt * float(inv3_r.dot(wt))
+                if 0.5 * big_i > -_LOG_COLLAPSE:  # so g > 0 from here down to the floor
+                    continue
+                g = gs[r] = u - log_delta + 0.5 * big_i
+                if math.isnan(g):
+                    raise ConvergenceError(f"_solve_delta_tilde: residual g = {g!r} at "
+                                           f"m={ms[rows[r]]!r}, dt={dt!r}")
+                step = _safe_step(g, k)
+                if step <= _NEWTON_TOL:
+                    u -= step
+                elif g > 8.0 * _EPS * (abs(u) + abs(log_delta) + 0.5 * big_i):
+                    us[r] = u - step
+                    if us[r] >= floor:  # else the largest root lies below the floor: dt = 0
+                        keep.append(r)
+                    continue
+                out[rows[r]] = math.exp(u) if u >= floor else 0.0
+            if len(keep) < len(rows):
+                rows, q2s, us, gs = ([x[r] for r in keep] for x in (rows, q2s, us, gs))
+                qw = qw[keep]
+    if not rows:
+        return out
     raise ConvergenceError(
-        f"_solve_delta_tilde: fixed point at m={m!r} unconverged after "
-        f"{_FIXED_POINT_MAX_ITER} iterations; residual g = {g:.3e}")
+        f"_solve_delta_tilde: fixed point at m={ms[rows[0]]!r} unconverged after "
+        f"{_FIXED_POINT_MAX_ITER} iterations; residual g = {gs[0]:.3e}")
 
 
 def solve_delta_tilde_scaling(m: float, p: ModelParams) -> float:
@@ -266,6 +287,46 @@ def _clamped_root(base: float, t: float) -> float:
 
 
 _Y_GRID_PER_DECADE = 8  # one mode's term of Phi stays above half its peak over a factor 34 in y
+_ROOT_MAX_ITER = 200
+
+
+def _newton_root(residual_slope: Callable[[float], tuple[float, float]], lo: float, hi: float,
+                 r_lo: float, r_hi: float) -> float:
+    """Root of a residual in the grid cell ``[lo, hi]``, where the grid read
+    ``r_lo`` and ``r_hi`` of opposite signs.
+
+    Newton steps from the cell's secant point, each on the residual and its
+    slope at one ``y``, are kept inside the bracket that every value shrinks;
+    a step that leaves it bisects.  The root is returned once a step moves
+    ``y`` by at most ``2 eps y``, the precision a bracketing solver reaches
+    at ``tol = eps lo``.  The grid's matrix product and one value's dot can
+    round a residual that is 0 to rounding at an end to opposite signs: the
+    bracket then closes on that end, which is the root.  Raises
+    :class:`ConvergenceError` where the residual is NaN or 200 steps do not
+    converge.
+    """
+    y = lo + (hi - lo) * (r_lo / (r_lo - r_hi))
+    if not lo < y < hi:  # an infinite residual at an end
+        y = 0.5 * (lo + hi)
+    for _ in range(_ROOT_MAX_ITER):
+        r, slope = residual_slope(y)
+        if r == 0.0:
+            return y
+        if math.isnan(r):
+            raise ConvergenceError(f"Functional.minimize: residual is NaN at y={y!r}")
+        if (r < 0.0) == (r_lo < 0.0):
+            lo = y
+        else:
+            hi = y
+        step = r / slope if slope != 0.0 else math.inf
+        y_next = y - step
+        if not lo < y_next < hi:
+            y_next = 0.5 * (lo + hi)
+        if abs(y_next - y) <= 2.0 * _EPS * y:
+            return y_next
+        y = y_next
+    raise ConvergenceError(f"Functional.minimize: root in [{lo!r}, {hi!r}] unconverged after "
+                           f"{_ROOT_MAX_ITER} steps")
 
 
 class Functional:
@@ -278,18 +339,23 @@ class Functional:
     One ``Functional`` holds its self-consistent curve, the pairs ``(m, dt =
     q y)`` of the module docstring: the constructor takes the bath's
     tunneling ``delta``, the unit of the energy tie in :meth:`minimize`, the
-    kernel ``solve(m) -> dt``, the curve's stationarity residual
+    kernel ``solve(ms) -> [dt(m) for m in ms]``, whose rows are independent,
+    the curve's stationarity residual
     ``residual(ys) = (2/dt) dE/dq``, which vanishes exactly at the magnetized
-    stationary points of the branch, its tunneling ``curve_dt(ys)``, and a
+    stationary points of the branch, ``residual_slope(y) -> (residual(y),
+    d residual/dy)`` at one ``y``, its tunneling ``curve_dt(ys)``, and a
     ``span`` of ``y`` that holds every such point on the largest-root branch.
     The branch energy at a pair is ``static - (q dt/4) (1 - residual(dt/q))``.
     """
 
-    def __init__(self, delta: float, static: float, solve: Callable[[float], float],
+    def __init__(self, delta: float, static: float,
+                 solve: Callable[[Sequence[float]], list[float]],
                  residual: Callable[[np.ndarray], np.ndarray],
+                 residual_slope: Callable[[float], tuple[float, float]],
                  curve_dt: Callable[[np.ndarray], np.ndarray], span: tuple[float, float]):
         self.delta, self.static = delta, static
-        self._solve, self._residual, self._curve_dt, self._span = solve, residual, curve_dt, span
+        self._solve, self._residual, self._residual_slope = solve, residual, residual_slope
+        self._curve_dt, self._span = curve_dt, span
 
     @classmethod
     def measures(cls, delta: float, mu0: QuadratureRule, mu_m1: QuadratureRule) -> "Functional":
@@ -301,11 +367,19 @@ class Functional:
         def residual(ys):
             return ys * inverse_square(ys, mu_m1) - 1.0
 
+        def residual_slope(y):
+            # Phi = y S2 with S_k = int dmu/(w (y+w)^k), so Phi' = S2 - 2 y S3: one reciprocal
+            inv = 1.0 / (y + mu_m1.nodes)
+            inv2 = inv * inv
+            s2, s3 = float(inv2.dot(mu_m1.weights)), float((inv2 * inv).dot(mu_m1.weights))
+            return y * s2 - 1.0, s2 - 2.0 * y * s3
+
         def curve_dt(ys):
             return delta * np.exp(-0.5 * inverse_square(ys, mu0))
 
-        return cls(delta, -0.25 * mu_m1.total_mass, lambda m: _solve_delta_tilde(m, delta, mu0),
-                   residual, curve_dt, (_COLLAPSE_FRACTION * delta, mu_m1.total_mass))
+        return cls(delta, -0.25 * mu_m1.total_mass, lambda ms: _solve_delta_tilde(ms, delta, mu0),
+                   residual, residual_slope, curve_dt,
+                   (_COLLAPSE_FRACTION * delta, mu_m1.total_mass))
 
     @classmethod
     def of(cls, p: ModelParams, kind: str = "exact") -> "Functional":
@@ -361,6 +435,10 @@ class Functional:
         def residual(ys):
             return 4.0 * a * ys ** (s - 1.0) - 1.0
 
+        def residual_slope(y):
+            r = 4.0 * a * y ** (s - 1.0)
+            return r - 1.0, (s - 1.0) * r / y
+
         def curve_dt(ys):
             with np.errstate(over="ignore"):  # an infinite dt has q = dt/y > 1: no candidate
                 return np.exp(log_d - b * ys ** (s - 1.0))
@@ -368,15 +446,17 @@ class Functional:
         # the span's ends leave the floats for t -> 0; clamped to e^(+-708)
         # it still holds every root with |log y| < 708
         span = (_clamped_root(t * b, t), _clamped_root(2.0 * (b * t + (2.0 - s) * a), t))
-        return cls(p.delta, static_shift_energy(p), solve_one, residual, curve_dt, span)
+        return cls(p.delta, static_shift_energy(p), lambda ms: [solve_one(m) for m in ms],
+                   residual, residual_slope, curve_dt, span)
 
     def dt(self, m: float) -> float:
-        """Effective tunneling, the largest self-consistent root."""
-        return self._solve(m)
+        """Effective tunneling, the largest self-consistent root: the one-row
+        solve of :meth:`minimize`'s, so the same bits."""
+        return self._solve([m])[0]
 
     def branch(self, m: float) -> float:
         """Finite-tunneling branch energy at the self-consistent ``dt``."""
-        return self._branch(m, self._solve(m))
+        return self._branch(m, self.dt(m))
 
     def energy(self, m: float) -> float:
         """``min(branch, static)``; ``static`` at ``|m| = 1``."""
@@ -415,24 +495,22 @@ class Functional:
             lo, hi = self._span
             if hi > lo:
                 decades = math.log10(hi) - math.log10(lo)  # hi / lo can overflow
-                # geometric, as np.geomspace builds it but several times faster
-                grid = np.exp(np.linspace(math.log(lo), math.log(hi),
-                                          2 + int(_Y_GRID_PER_DECADE * decades)))
+                # geometric, as np.geomspace builds it but several times faster, from
+                # np.linspace's arithmetic without its call overhead
+                n = 2 + int(_Y_GRID_PER_DECADE * decades)
+                grid = np.arange(n, dtype=float)
+                grid *= (math.log(hi) - math.log(lo)) / (n - 1)
+                grid += math.log(lo)
+                grid = np.exp(grid)
                 grid[0], grid[-1] = lo, hi
                 r = residual(grid)
                 for k in np.flatnonzero(np.signbit(r[:-1]) != np.signbit(r[1:])).tolist():
-                    try:
-                        roots.append(find_root(lambda y: float(residual(y)),
-                                               grid[k], grid[k + 1], tol=_EPS * grid[k]))
-                    except BracketError:
-                        # the grid's matrix product and the scalar call's dot can round a
-                        # residual that is 0 to rounding at one end to opposite signs: that
-                        # end is the root
-                        roots.append(grid[k] if abs(r[k]) < abs(r[k + 1]) else grid[k + 1])
+                    roots.append(_newton_root(self._residual_slope, *grid[k:k + 2].tolist(),
+                                              *r[k:k + 2].tolist()))
             ys = np.array(roots)
             qs = self._curve_dt(ys) / ys
             ms = [0.0] + [_q_of(q) for q in qs.tolist() if 0.0 < q < 1.0]  # m = sqrt(1 - q^2)
-            dts = [self.dt(m) for m in ms]  # one cold solve per m, so dt(m) comes back bit for bit
+            dts = self._solve(ms)  # one cold solve of every m, each row dt(m) bit for bit
             es = [min(self._branch(m, dt), self.static) for m, dt in zip(ms, dts)]
         j = min(range(1, len(es)), key=es.__getitem__, default=0)
         if j and es[j] >= es[0] - 1e-13 * max(self.delta, abs(es[0])):

@@ -15,7 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import subohmic
-from subohmic.cli import _COMMANDS, _OPTIONS, load_config, main, parse_args, _sanitize_record
+from subohmic.cli import (_COMMANDS, _OPTIONS, load_config, main, parse_args, _json_text,
+                          _sanitize_record)
 from subohmic.critical import sweep_alpha
 from subohmic.errors import DomainError
 
@@ -24,6 +25,8 @@ def run_cli(args):
     return main(args)
 
 
+# finite results whose quotient by delta leaves the floats
+_REPORTING_UNIT_OVERFLOW = ["--s", "0.3", "--delta", "1e-100", "--omega-c", "1e10"]
 _WIDE_BAND_OVERFLOW = ["--s", "0.9853351796933449", "--delta", "887.8577120892148",
                        "--omega-c", "10.462982712806163", "--functional", "scaling"]
 
@@ -179,6 +182,16 @@ class TestSolveCommand:
         assert out == ""
         assert len(err.splitlines()) == 1 and "domain error" in err and "overflows" in err
 
+    def test_energy_past_the_floats_in_units_of_delta_exit_2(self, capsys):
+        # the raw energy -1.7e210 is finite; over delta = 1e-100 it is not
+        args = ["solve", *_REPORTING_UNIT_OVERFLOW, "--alpha", "1e200"]
+        assert run_cli(args) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == ["subohmic solve: domain error: energy/delta overflows: -inf"]
+        assert run_cli(args + ["--raw-units"]) == 0
+        assert math.isfinite(json.loads(capsys.readouterr().out)["energy"])
+
     def test_usage_error_exit_64(self):
         with pytest.raises(SystemExit) as exc:
             run_cli(["solve", "--nope", "1"])
@@ -237,6 +250,18 @@ class TestSweepCommand:
         messages = [str(exc) for _, exc in table.failures]
         assert ["wide-band limit" in msg for msg in messages] == [True, True, False, False]
         assert ["overflows" in msg for msg in messages] == [False, False, True, True]
+
+    def test_energy_past_the_floats_in_units_of_delta_fails_its_row(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        code = run_cli(["sweep", *_REPORTING_UNIT_OVERFLOW, "--alpha-grid", "1e200:2e200:2",
+                        "--output", str(out)])
+        assert code == 2
+        rows = out.read_text().splitlines()[2:]
+        assert rows == ["1e+200,nan,nan,nan,nan,nan,DomainError",
+                        "2e+200,nan,nan,nan,nan,nan,DomainError"]
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["sweep: 2 rows, 0 localized, 2 failures",
+                       "subohmic sweep: domain error: energy/delta overflows: -inf"]
 
     def test_bad_grid_exit_2(self):
         assert run_cli(["sweep", "--s", "0.3", "--delta", "1", "--omega-c", "10",
@@ -551,6 +576,13 @@ class TestNonFiniteEncoding:
         text = json.dumps(record)
         assert "Infinity" not in text and "NaN" not in text
 
+    def test_record_layout_is_json_indent_2(self):
+        # the record text is what json.dumps(indent=2, sort_keys=True) gives
+        record = {"command": "solve", "b": True, "n": 3, "x": -0.1, "big": 1e300, "neg": -math.inf,
+                  "quote": 'a "b", c:\n\\ d', "none": None, "unicode": "\u00e9"}
+        want = json.dumps(_sanitize_record(record), indent=2, sort_keys=True) + "\n"
+        assert _json_text(record) == want
+
     def test_all_finite_flag(self):
         record = _sanitize_record({"ok": 1.5})
         assert record["has_nonfinite"] is False
@@ -651,7 +683,8 @@ def test_wide_band_solve_prints_only_its_summary():
     assert json.loads(res.stdout)["command"] == "solve"
 
 
-def _assert_csv(text):
+def _assert_csv(text, numbers=None):
+    # every cell of the first ``numbers`` columns (all by default) is a number, nan included
     lines = text.splitlines()
     assert lines[0].startswith("# subohmic ")
     header = lines[1].split(",")
@@ -659,8 +692,8 @@ def _assert_csv(text):
     for line in lines[2:]:
         cells = line.split(",")
         assert len(cells) == len(header), line
-        for cell in cells:
-            float(cell)  # every chain cell is a number, nan included
+        for cell in cells[:numbers]:
+            float(cell)
 
 
 _LOG_UNIFORM = {"alpha": (1e-6, 100.0), "delta": (1e-2, 1e2), "omega_c": (0.5, 1e3)}
@@ -743,6 +776,19 @@ EXTREME_INPUTS = [
     (["solve", "--s", "0.3", "--alpha", "0.05", "--delta", "1e-180", "--omega-c", "1e-179"],
      (0, "M=0.829831110601 ")),
     (["chain", "--s", "0.3", "--alpha", "1", "--omega-c", "1e200", "--occupations"], 0),
+    # the overlap integral leaves the floats where the energy bound does not: a
+    # collapse, whose energy then overflows only in units of delta
+    (["solve", "--s", "0.3", "--alpha", "1e306", "--delta", "1e-10", "--omega-c", "1"],
+     (2, "energy/delta overflows")),
+    (["solve", "--s", "0.3", "--alpha", "1e306", "--delta", "1e-10", "--omega-c", "1",
+      "--raw-units"], (0, "M=1 ")),
+    (["solve", "--s", "0.3", "--alpha", "1e307", "--delta", "1e-12", "--omega-c", "1"],
+     (2, "energy/delta overflows")),
+    (["chain", "--s", "0.3", "--alpha", "1e305", "--delta", "1e-10", "--omega-c", "1",
+      "--occupations"], (0, "M=1 ")),
+    # a finite energy whose quotient by delta leaves the floats fails its sweep row
+    (["sweep", "--s", "0.3", "--alpha-grid", "1e200:2e200:2", "--delta", "1e-100",
+      "--omega-c", "1e10"], (2, "energy/delta overflows")),
 ]
 
 
@@ -754,7 +800,8 @@ def test_extreme_inputs_exit_codes_stderr_and_payload(argv, want):
     code, out, line = _check_exit_stderr_payload(argv[:1] + _UNIT_BATH + argv[1:])
     assert code == want
     assert says in line
-    assert "nan" not in out
+    for row in out.splitlines():  # only a failed sweep row, which names its error, holds NaN
+        assert "nan" not in row or row.endswith("Error"), row
 
 
 def _check_exit_stderr_payload(argv):
@@ -765,6 +812,11 @@ def _check_exit_stderr_payload(argv):
         code = main(argv)
     lines = err.getvalue().splitlines() + [str(w.message) for w in caught]
     assert code in (0, 2, 3), (argv, lines)
+    if argv[0] == "sweep":
+        # the table is written whatever its rows did, and a failed row adds its error line
+        assert len(lines) == (1 if code == 0 else 2), (argv, lines)
+        _assert_csv(out.getvalue(), numbers=-1)
+        return code, out.getvalue(), lines[-1]
     assert len(lines) == 1, (argv, lines)
     if code != 0:
         assert out.getvalue() == ""

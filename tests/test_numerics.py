@@ -124,6 +124,23 @@ class TestQuadrature:
             with pytest.raises(DomainError, match="finite and positive"):
                 rule.scaled(factor)
 
+    def test_scaled_rule_keeps_a_finite_mass(self):
+        # at these factors factor * (w0 + w1) is a float, but the scaled weights'
+        # own sum rounds past the largest float: the rule is refused, since a
+        # rule's total mass is finite
+        rule = QuadratureRule(nodes=[0.5, 1.0], weights=[0.9521464209474808, 1.0886481576138294])
+        factor, refused = 8.808790231742126e307, 0
+        for _ in range(8):
+            try:
+                scaled = rule.scaled(factor)
+            except DomainError:
+                refused += 1
+            else:
+                with np.errstate(over="ignore"):
+                    assert math.isfinite(scaled.total_mass), factor
+            factor = math.nextafter(factor, 0.0)
+        assert refused
+
     def test_power_weight_constant(self):
         # int_0^1 w^0.3 dw = 1/1.3, the weight lives in the rule
         rule = power_rule(0.3, 1.0, 20)

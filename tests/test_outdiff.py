@@ -33,3 +33,7 @@ def test_a_perturbed_field_and_column_are_reported():
     table = "# subohmic chain-occupations\nn,n_av\n0,{}\n1,0.25\n"
     assert tool.field_changes(table.format("0.5"), table.format("0.4")) == [
         "n_av: max rel 0.2, max abs 0.1"]
+    # a row that failed: its numbers turned NaN, from 0 as well
+    sweep = "# subohmic sweep\nalpha,M,status\n0.5,{},{}\n"
+    assert tool.field_changes(sweep.format("0", "ok"), sweep.format("nan", "DomainError")) == [
+        "M: max rel inf, max abs inf", "status: ['ok'] -> ['DomainError']"]

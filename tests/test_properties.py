@@ -79,8 +79,7 @@ def largest_root_reference(m, delta, rule):
 
 def assert_matches_reference(ms, delta, rule):
     checked = 0
-    for m in ms:
-        dt = _solve_delta_tilde(m, delta, rule)
+    for m, dt in zip(ms, _solve_delta_tilde(ms, delta, rule)):
         ref = largest_root_reference(m, delta, rule)
         if ref is None or (ref[1] is not None and ref[1] < MIN_SLOPE):
             continue
@@ -118,6 +117,45 @@ def test_kernel_matches_reference_on_discrete_baths(log_freqs, couplings, delta,
     assert_matches_reference(ms, delta, mu0)
 
 
+def assert_rows_are_independent(fn, ms, others, delta, mu0):
+    # each row's dt is the same bits whichever other m share the batch, in any
+    # order, and is fn.dt(m), the one-row case, which minimize's rows equal
+    alone = [fn.dt(m) for m in ms]
+    assert [_solve_delta_tilde([m], delta, mu0)[0] for m in ms] == alone
+    batch = ms + others
+    got = _solve_delta_tilde(batch, delta, mu0)
+    assert got[: len(ms)] == alone, (ms, others)
+    assert _solve_delta_tilde(batch[::-1], delta, mu0) == got[::-1]
+
+
+# besides m in [0, 1): rows at |m| = 1 and a negative m
+batch_ms = st.lists(st.one_of(st.floats(0.0, 0.999), st.sampled_from([1.0, -1.0, -0.5])),
+                    min_size=1, max_size=4)
+
+
+@SETTINGS
+@given(s=st.floats(0.1, 0.9), log_alpha=st.floats(math.log(1e-3), math.log(0.5)),
+       omega_c=st.sampled_from([5.0, 10.0, 100.0]), ms=batch_ms, others=batch_ms)
+def test_batched_rows_are_independent_on_continuum(s, log_alpha, omega_c, ms, others):
+    p = ModelParams(s=s, alpha=math.exp(log_alpha), delta=1.0, omega_c=omega_c)
+    mu0, _ = bath_measures(p)
+    assert_rows_are_independent(Functional.of(p), ms, others, p.delta, mu0)
+
+
+@SETTINGS
+@given(log_freqs=st.lists(st.floats(math.log(1e-3), math.log(20.0)), min_size=1, max_size=5,
+                         unique=True),
+       couplings=st.lists(st.floats(0.05, 4.0), min_size=5, max_size=5),
+       delta=st.floats(0.1, 5.0), ms=batch_ms, others=batch_ms)
+def test_batched_rows_are_independent_on_discrete_baths(log_freqs, couplings, delta, ms, others):
+    # rows that collapse, converge or sit at |m| = 1 leave the batch at different passes
+    w = np.exp(sorted(log_freqs))
+    assume(np.all(np.diff(w) > 1e-9))
+    measures = bath_as_measures(DiscretizedBath(w, np.array(couplings[: w.size])))
+    assert_rows_are_independent(Functional.measures(delta, *measures), ms, others, delta,
+                                measures[0])
+
+
 def test_newton_step_across_a_root_pair_is_refused():
     # g < 0 only between the unstable root (dt ~ 0.012) and the largest one
     # (dt ~ 0.074).  A Newton step from log(delta), where g' ~ 0.13, lands
@@ -132,14 +170,14 @@ def test_newton_step_across_a_root_pair_is_refused():
     delta, m = 2.9665669455427133, 0.19392190592330333
     want, slope = largest_root_reference(m, delta, mu0)
     assert want > 0.0 and slope > MIN_SLOPE
-    assert _solve_delta_tilde(m, delta, mu0) == pytest.approx(want, rel=1e-12)
+    assert _solve_delta_tilde([m], delta, mu0) == [pytest.approx(want, rel=1e-12)]
 
 
 def test_root_above_the_collapse_floor_is_returned():
     # one mode, w = 1 and g^2 = 46, at m = 0: I = 46/(1 + dt)^2 puts the
     # largest root at dt ~ e^-23 ~ 1.03e-10, above 1e-12 delta, so it is kept
     mu0, _ = bath_as_measures(DiscretizedBath(np.array([1.0]), np.array([math.sqrt(46.0)])))
-    dt = _solve_delta_tilde(0.0, 1.0, mu0)
+    [dt] = _solve_delta_tilde([0.0], 1.0, mu0)
     assert dt > 0.0
     big_i = float(np.sum(mu0.weights / (dt + mu0.nodes) ** 2))
     assert abs(dt - math.exp(-0.5 * big_i)) <= 1e-12 * dt, dt
@@ -158,7 +196,7 @@ def assert_safe_step_keeps_g_nonnegative(q, delta, rule, log_offset):
         k = q * q * dt * float(np.sum(rule.weights / den**3))
         return u - log_delta + 0.5 * big_i, k, abs(u) + abs(log_delta) + 0.5 * big_i
 
-    root = _solve_delta_tilde(math.sqrt((1.0 - q) * (1.0 + q)), delta, rule)
+    [root] = _solve_delta_tilde([math.sqrt((1.0 - q) * (1.0 + q))], delta, rule)
     u = (math.log(root) if root > 0.0 else log_delta - 40.0) + math.exp(log_offset)
     g, k, scale = g_k_scale(u)
     assume(g > 0.0)
@@ -205,9 +243,9 @@ def _traffic_rows():
     # [0.3, 1.5] alpha_c (oracle-ed); see perfbench/workloads.py
     seen, solve = [], variational._solve_delta_tilde
 
-    def recording(m, delta, mu0):
-        seen.append((m, delta, mu0))
-        return solve(m, delta, mu0)
+    def recording(ms, delta, mu0):
+        seen.extend(([m], delta, mu0) for m in ms)  # one row each
+        return solve(ms, delta, mu0)
 
     rng = np.random.default_rng(11)
     with pytest.MonkeyPatch.context() as mp:
@@ -226,16 +264,16 @@ def _traffic_rows():
     return seen
 
 
-def _iterations_to_converge(m, delta, mu0, cap=64):
+def _iterations_to_converge(ms, delta, mu0, cap=64):
     with pytest.MonkeyPatch.context() as mp:
         for n in range(1, cap + 1):
             mp.setattr(variational, "_FIXED_POINT_MAX_ITER", n)
             try:
-                _solve_delta_tilde(m, delta, mu0)
+                _solve_delta_tilde(ms, delta, mu0)
                 return n
             except ConvergenceError:
                 pass
-    pytest.fail(f"_solve_delta_tilde did not converge in {cap} iterations at m={m!r}, "
+    pytest.fail(f"_solve_delta_tilde did not converge in {cap} iterations at ms={ms!r}, "
                 f"delta={delta!r}, {mu0.nodes.size} nodes")
 
 
@@ -362,11 +400,11 @@ def test_exhausted_iterations_raise(s, log_alpha, max_iter, ms):
     p = ModelParams(s=s, alpha=math.exp(log_alpha), delta=1.0, omega_c=10.0)
     mu0, _ = bath_measures(p)
     for m in ms:
-        full = _solve_delta_tilde(m, p.delta, mu0)
+        [full] = _solve_delta_tilde([m], p.delta, mu0)
         try:
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(variational, "_FIXED_POINT_MAX_ITER", max_iter)
-                short = _solve_delta_tilde(m, p.delta, mu0)
+                [short] = _solve_delta_tilde([m], p.delta, mu0)
         except ConvergenceError as exc:
             assert "residual" in str(exc)
         else:
@@ -378,7 +416,7 @@ def test_one_iteration_is_not_enough(monkeypatch):
     mu0, _ = bath_measures(p)
     monkeypatch.setattr(variational, "_FIXED_POINT_MAX_ITER", 1)
     with pytest.raises(ConvergenceError, match="residual"):
-        _solve_delta_tilde(0.2, p.delta, mu0)
+        _solve_delta_tilde([0.2], p.delta, mu0)
 
 
 def assert_minimum_is_its_own_energy(fn):

@@ -7,7 +7,8 @@ import scipy.integrate
 from occupation_reference import occupation_density, occupation_total
 from subohmic.errors import ConvergenceError, DomainError
 from subohmic.critical import critical_coupling_closed, critical_coupling_numeric
-from subohmic.model import ModelParams, bath_as_measures, bath_measures, discretize_bath
+from subohmic.model import (DiscretizedBath, ModelParams, bath_as_measures, bath_measures,
+                            discretize_bath)
 from subohmic.numerics import QuadratureRule, power_rule
 from subohmic.variational import (
     Functional,
@@ -118,10 +119,15 @@ class TestVariationalState:
 class TestDeltaTildeExact:
     def test_non_finite_residual_raises(self):
         # weights next to the float maximum overflow the overlap integral; the
-        # descent once stepped by NaN from there and returned dt = delta
+        # descent once stepped by NaN from there and returned dt = delta.  I
+        # past the floats is a collapse: I only grows as dt falls, so no root
+        # is left above the floor
         rule = QuadratureRule(np.array([1e-3, 2e-3]), np.array([1e308, 1e308]))
-        with np.errstate(over="ignore"), pytest.raises(ConvergenceError, match="residual"):
-            _solve_delta_tilde(0.0, 1.0, rule)
+        assert _solve_delta_tilde([0.0, 0.5], 1.0, rule) == [0.0, 0.0]
+        # a residual that is NaN still raises
+        nan_rule = QuadratureRule(np.array([1e-3, 2e-3]), np.array([1.0, 1.0]))
+        with pytest.raises(ConvergenceError, match="residual g = nan"):
+            _solve_delta_tilde([0.0], math.nan, nan_rule)
 
     def test_step_past_the_float_range(self):
         # (1 - K)^2 overflows from K ~ 1.3e154 on, where the step is taken in
@@ -180,7 +186,7 @@ class TestDeltaTildeExact:
     def test_largest_root_property(self):
         p = params(0.05)
         mu0, _ = bath_measures(p)
-        dt = _solve_delta_tilde(0.0, p.delta, mu0)
+        [dt] = _solve_delta_tilde([0.0], p.delta, mu0)
         for x in np.linspace(dt * 1.01, p.delta, 7):
             rhs = p.delta * math.exp(-0.5 * _overlap_integral(x, 1.0, mu0))
             assert rhs < x
@@ -418,8 +424,8 @@ class TestMinimizeEnergy:
             tiny = 4.4e-16 if np.ndim(ys) == 0 else -4.4e-16
             return (hi - ys) / hi + np.where(ys == hi, tiny, 0.0)
 
-        fn = Functional(1.0, 0.0, lambda m: 5.0 if m > 0.0 else 0.1, residual,
-                        lambda ys: 0.5 * ys, (lo, hi))
+        fn = Functional(1.0, 0.0, lambda ms: [5.0 if m > 0.0 else 0.1 for m in ms], residual,
+                        lambda y: (float(residual(y)), -1.0 / hi), lambda ys: 0.5 * ys, (lo, hi))
         m, e, dt = fn.minimize()
         assert (m, dt) == (math.sqrt(0.75), 5.0)
         assert e == pytest.approx(-0.625, rel=1e-15)
@@ -483,6 +489,19 @@ class TestMinimizeEnergy:
         grid = np.linspace(0.9, 1.0, 2001)
         assert e <= min(fn.energy(m) for m in grid.tolist())
         assert dt == fn.dt(m)
+
+    def test_root_pair_within_one_coarse_grid_cell_is_found(self):
+        # one mode whose Phi peaks at c/(4 w^2) = 1.0019: Phi = 1 has two roots a
+        # factor ~1.2 apart, which 8 points a decade separate and 6 would not;
+        # between them lies the minimum, 1.4e-5 below the m = 0 energy
+        w, g, delta = 0.6925644663276362, 1.386288786961905, 1.066923738645089
+        fn = Functional.measures(delta, *bath_as_measures(DiscretizedBath(np.array([w]),
+                                                                          np.array([g]))))
+        m, e, dt = fn.minimize()
+        assert e < fn.energy(0.0) - 1e-5
+        grid = np.linspace(0.0, 0.999, 2000)
+        assert e <= min(fn.energy(x) for x in grid.tolist())
+        assert m == pytest.approx(0.445140345742609, abs=1e-9) and dt == fn.dt(m)
 
     def test_collapsed_tunneling_is_full_localization(self):
         # past alpha ~ 1e3 the tunneling collapses at every m: every m has the

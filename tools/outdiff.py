@@ -116,8 +116,9 @@ def field_changes(old: str, new: str) -> list[str]:
             if u == v or (math.isnan(u) and math.isnan(v)):
                 continue
             d = abs(u - v)
-            if not math.isfinite(d):  # a value that turned inf or NaN
-                d = math.inf
+            if not math.isfinite(d):  # a value that turned inf or NaN, from 0 too
+                abs_ = rel = math.inf
+                continue
             abs_ = max(abs_, d)
             rel = max(rel, d / max(abs(u), abs(v)))
         lines.append(f"{key}: max rel {rel:.3g}, max abs {abs_:.3g}")
