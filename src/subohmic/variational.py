@@ -216,8 +216,8 @@ def _solve_delta_tilde(ms: Sequence[float], delta: float, mu0: QuadratureRule) -
     """
     out = [0.0] * len(ms)
     rows = [i for i, m in enumerate(ms) if abs(m) < 1.0]  # those still descending
-    q2s = [_q_of(ms[i]) ** 2 for i in rows]
-    qw = np.multiply.outer([_q_of(ms[i]) for i in rows], mu0.nodes)
+    qs = [_q_of(ms[i]) for i in rows]
+    q2s, qw = [q * q for q in qs], np.multiply.outer(qs, mu0.nodes)
     wt = mu0.weights
     log_delta = math.log(delta)
     floor = log_delta + _LOG_COLLAPSE
@@ -305,6 +305,8 @@ def _newton_root(residual_slope: Callable[[float], tuple[float, float]], lo: flo
     :class:`ConvergenceError` where the residual is NaN or 200 steps do not
     converge.
     """
+    if r_lo == 0.0 or r_hi == 0.0:  # a signed zero: the sign change is at that end
+        return lo if r_lo == 0.0 else hi
     y = lo + (hi - lo) * (r_lo / (r_lo - r_hi))
     if not lo < y < hi:  # an infinite residual at an end
         y = 0.5 * (lo + hi)
@@ -478,10 +480,12 @@ class Functional:
 
         The search runs along the self-consistent curve ``y = dt/q`` (module
         docstring): every sign change of the curve's stationarity residual on
-        a log-``y`` grid over its ``span`` is refined to a root, and each
-        root's ``m`` gets a cold solve, whose ``dt`` is the largest root there
-        and is returned.  A root whose curve point is a smaller root at its
-        ``m`` thus only adds one more value of :meth:`energy`.  The best root
+        a log-``y`` grid over its ``span`` is refined to a root by safeguarded
+        Newton steps (:func:`_newton_root`), and ``m = 0`` and each root's
+        ``m`` get one batched cold solve, whose rows are :meth:`dt` bit for
+        bit: the largest root at each ``m``, which is returned.  A root whose
+        curve point is a smaller root at its ``m`` thus only adds one more
+        value of :meth:`energy`.  The best root
         must undercut ``m = 0`` by ``1e-13 max(delta, |E|)`` to win.  ``m =
         1`` needs no candidate of its own: the energy there is ``static``,
         which no value of :meth:`energy` exceeds, and unless the winner lies

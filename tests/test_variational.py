@@ -17,6 +17,7 @@ from subohmic.variational import (
     observables,
     solve_delta_tilde_scaling,
     static_shift_energy,
+    _newton_root,
     _overlap_integral,
     _safe_step,
     _solve_delta_tilde,
@@ -519,6 +520,25 @@ class TestMinimizeEnergy:
         sol = minimize_energy(p, functional="scaling")
         assert sol.sz == 0.0
         assert sol.energy == pytest.approx(Functional.of(p, "scaling").energy(0.0), rel=1e-12)
+
+
+class TestNewtonRoot:
+    @staticmethod
+    def steep(y):  # a residual whose Newton steps leave the cell from most points
+        return math.tanh(20.0 * (y - 0.3)), 20.0 / math.cosh(20.0 * (y - 0.3)) ** 2
+
+    def test_bisection_keeps_the_steps_in_the_cell(self):
+        for lo, hi in ((0.1, 3.0), (0.29, 0.4), (0.2, 0.30000000000000004)):
+            y = _newton_root(self.steep, lo, hi, self.steep(lo)[0], self.steep(hi)[0])
+            assert abs(y - 0.3) <= 4.0 * np.spacing(0.3), (lo, hi, y)
+
+    def test_a_zero_at_an_end_is_the_root(self):
+        assert _newton_root(self.steep, 0.1, 3.0, -0.0, 1.0) == 0.1
+        assert _newton_root(self.steep, 0.1, 3.0, -1.0, 0.0) == 3.0
+
+    def test_nan_residual_raises(self):
+        with pytest.raises(ConvergenceError, match="NaN"):
+            _newton_root(lambda y: (math.nan, 1.0), 0.1, 3.0, -1.0, 1.0)
 
 
 class TestObservables:
